@@ -68,8 +68,9 @@ def _sqrt_re_nonneg(w: complex) -> complex:
     return s
 
 
-def _on_cut(z: complex) -> bool:
-    return z.imag == 0.0 and z.real >= 1.0
+def _off_domain(z: complex) -> bool:
+    """True for a non-finite z and for z on the branch cut [1, inf)."""
+    return not cmath.isfinite(z) or (z.imag == 0.0 and z.real >= 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -87,8 +88,8 @@ def zeta_map(z: complex) -> complex:
     """Conformal map (sqrt(1-z) - 1)/(sqrt(1-z) + 1) into the unit disk,
     fixing 0 and symmetric about the real axis."""
     z = complex(z)
-    if _on_cut(z):
-        raise DomainError("domain error: z lies on the branch cut [1, inf)")
+    if _off_domain(z):
+        raise DomainError("domain error: z must be finite and off the cut [1, inf)")
     w = _sqrt_re_nonneg(1.0 - z)
     return (w - 1.0) / (w + 1.0)
 
@@ -96,8 +97,8 @@ def zeta_map(z: complex) -> complex:
 def sigma_metric(z: complex) -> float:
     """Density |zeta'(z)/zeta(z)| / (4 - ln|zeta(z)|) of the comparison metric."""
     z = complex(z)
-    if z == 0 or _on_cut(z):
-        raise DomainError("domain error: z must avoid 0 and the cut [1, inf)")
+    if z == 0 or _off_domain(z):
+        raise DomainError("domain error: z must be finite, nonzero and off [1, inf)")
     w = _sqrt_re_nonneg(1.0 - z)
     zeta = (w - 1.0) / (w + 1.0)
     dzeta = -1.0 / (w * (w + 1.0) ** 2)
@@ -137,6 +138,8 @@ def schottky_sf(f_abs_F: float) -> float:
 
 def f_growth_bound(f0_abs_F: float, cfg: BoundConfig | None = None) -> float:
     """Bloch-route growth bound |F(z)| <= |F(0)| + (d/B1) ln(1/(1-theta))."""
+    if not (0.0 <= f0_abs_F < math.inf):
+        raise DomainError("domain error: |F(0)| must be finite and nonnegative")
     if cfg is None:
         cfg = BoundConfig()
     return f0_abs_F + cfg.lattice_gap_d / cfg.bloch_lower * math.log(1.0 / (1.0 - cfg.theta))
@@ -200,8 +203,8 @@ def theorem3_sfk(k: float, r: float) -> float:
 def qc_schwarz_bounds(k: float, z_abs: float) -> tuple[float, float]:
     """Two-sided Schwarz bound (|z|^K P(|z|)^{1-K}, |z|^{1/K} P(|z|)^{1-1/K})
     for |f(z) - f(0)| under a K-quasiconformal self-map, K >= 1."""
-    if not (k >= 1.0):
-        raise DomainError("domain error: K must be >= 1")
+    if not (1.0 <= k < math.inf):
+        raise DomainError(f"domain error: K must be finite and >= 1, got {k!r}")
     _check_unit(z_abs)
     if k == 1.0:
         return z_abs, z_abs
@@ -213,8 +216,8 @@ def qc_schwarz_bounds_product_literal(k: float, z_abs: float) -> tuple[float, fl
     """The same bound with the product exponent 2^{1-n} as printed, which is
     P(|z|)^{2(1-K)} / P(|z|)^{2(1-1/K)}; kept separate so the ratio to the
     P-form can be reported rather than asserted."""
-    if not (k >= 1.0):
-        raise DomainError("domain error: K must be >= 1")
+    if not (1.0 <= k < math.inf):
+        raise DomainError(f"domain error: K must be finite and >= 1, got {k!r}")
     _check_unit(z_abs)
     p = product_P(z_abs)
     return (z_abs ** k * p ** (2.0 * (1.0 - k)),

@@ -5,6 +5,7 @@ the two-sided modulus bounds.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .special import (
@@ -20,8 +21,10 @@ from .special import (
 
 _LN4 = math.log(4.0)
 _R_MAX = 1.0 - 1e-15        # saturation point of double-precision moduli
-_U_TOL = 1e-12              # inversion residual target, measured in u-space
 _TAIL_TOL = 1e-14           # infinite-product tail width cutoff
+_LN_SQRT_HALF = -0.5 * math.log(2.0)
+_LN_NORMAL_MIN = math.log(sys.float_info.min)
+_LN_RC_SAT = math.log(math.sqrt((1.0 - _R_MAX) * (1.0 + _R_MAX)))
 
 
 def _check_unit(r: float, name: str = "r") -> float:
@@ -69,72 +72,64 @@ def _sym_value(a: float) -> float:
 # Inverses
 # ---------------------------------------------------------------------------
 
-def _invert_ua_direct(a: float, y: float) -> float:
-    """Solve u_a(r) = y for y >= u_a(1/sqrt2), i.e. a root in (0, 1/sqrt2]."""
-    f = (lambda r: grotzsch_u(r)) if a == 0.5 else (lambda r: grotzsch_ua(a, r))
-    # Seed bracket from the small-r asymptote u_a(r) ~ ln(M/r), M = exp(R(a)/2).
-    m = math.exp(ramanujan_R(a) / 2.0)
-    hi = min(_R_MAX, m * math.exp(-y))
-    lo = hi * math.exp(-1.0)
-    while f(lo) < y:  # u_a decreasing: need u_a(lo) >= y
-        lo *= 0.125
-        if lo < 1e-300:
-            raise DomainError(f"inversion bracket collapsed for y={y!r}")
-    while f(hi) > y:
-        hi = 0.5 * (1.0 + hi)
-        if hi >= _R_MAX:
-            hi = _R_MAX
-            break
-    flo, fhi = f(lo), f(hi)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        fmid = f(mid)
-        if abs(fmid - y) <= _U_TOL:
-            return mid
-        if fmid > y:
-            lo, flo = mid, fmid
+def _small_root(a: float, y: float) -> float:
+    """The root r <= 1/sqrt2 of u_a(r) = y, for y >= u_a(1/sqrt2)."""
+    if a == 0.5:
+        # Jacobi nome q = e^{-2y} <= e^{-pi}: r = theta_2(q)^2 / theta_3(q)^2,
+        # theta_2(q)^2 = 4 e^{-y} (sum q^{n(n+1)})^2; e^{-y} enters directly
+        # so that tiny roots are not lost to an underflowing q^{1/2}
+        q = math.exp(-2.0 * y)
+        th3 = 1.0 + 2.0 * (q + q ** 4 + q ** 9 + q ** 16)
+        r = 4.0 * math.exp(-y) * ((1.0 + q ** 2 + q ** 6 + q ** 12) / th3) ** 2
+    else:
+        # Newton in t = ln r with u_a'(r) = -1/(r r'^2 F(a,1-a;1;r^2)^2), from
+        # the asymptote u_a ~ R(a)/2 - ln r, which grotzsch_ua uses below 1e-7
+        t = min(ramanujan_R(a) / 2.0 - y, _LN_SQRT_HALF)
+        for _ in range(16):  # from the asymptote, 5 steps at most are seen
+            if t < _LN_NORMAL_MIN:
+                break  # the asymptote is the root, which underflows
+            r = math.exp(t)
+            dt = (grotzsch_ua(a, r) - y) * (1.0 - r * r) * gauss_2f1_sym(a, r * r) ** 2
+            t += dt
+            # u_a rounds to within ~8 ulps of y, where the steps stall; the
+            # step just taken leaves an error of order dt^2
+            if abs(dt) <= 32.0 * math.ulp(y):
+                break
         else:
-            hi, fhi = mid, fmid
-    # Derivative-free secant polish on the final bracket.
-    if fhi != flo:
-        r = lo + (y - flo) * (hi - lo) / (fhi - flo)
-        if lo < r < hi:
-            return r
-    return 0.5 * (lo + hi)
+            raise DomainError(f"modulus inverse did not converge for a={a!r}, y={y!r}")
+        r = math.exp(t)
+    if r < sys.float_info.min:
+        raise DomainError(f"modulus inverse underflows: the root of u_a(r) = {y!r} "
+                          f"(a = {a!r}) lies below the smallest normal double")
+    return r
 
 
 def _invert_ua(a: float, y: float) -> tuple[float, float]:
     """Return (r, residual) with u_a(r) = y; residual measured in u-space.
 
     For y below the symmetric value the complementary identity
-    u_a(r) u_a(r') = [pi/(2 sin pi a)]^2 is used, which keeps the root-find
-    well conditioned as r -> 1.  Roots closer to 1 than double precision can
-    represent saturate at 1 - 1e-15.
+    u_a(r) u_a(r') = [pi/(2 sin pi a)]^2 gives r' instead, which keeps the
+    solve well conditioned as r -> 1.  Roots above 1 - 1e-15 saturate
+    there; roots below the smallest normal double raise DomainError.
     """
     if not (y > 0.0) or not math.isfinite(y):
         raise DomainError(f"modulus inverse requires y > 0, got {y!r}")
     s = _sym_value(a)
+    if math.isinf(s):
+        raise DomainError(f"u_a overflows double precision for a={a!r}")
+    # a = 1/2 calls grotzsch_u directly: one forward evaluation, not two
+    fwd = grotzsch_u if a == 0.5 else (lambda r: grotzsch_ua(a, r))
     if y >= s:
-        r = _invert_ua_direct(a, y)
-        ua = grotzsch_u(r) if a == 0.5 else grotzsch_ua(a, r)
-        return r, abs(ua - y)
-    # complementary solve: u_a(r') = s^2 / y, root r' in (0, 1/sqrt2)
+        r = _small_root(a, y)
+        return r, abs(fwd(r) - y)
     yc = s * s / y
-    m = math.exp(ramanujan_R(a) / 2.0)
-    if yc > math.log(m * 1e8):
-        # r' below ~1e-8: r rounds to 1 in double precision; saturate.
-        ua = grotzsch_u(_R_MAX) if a == 0.5 else grotzsch_ua(a, _R_MAX)
-        return _R_MAX, abs(ua - y)
-    rc = _invert_ua_direct(a, yc)
-    uac = grotzsch_u(rc) if a == 0.5 else grotzsch_ua(a, rc)
+    if ramanujan_R(a) / 2.0 - yc <= _LN_RC_SAT:
+        # r' below sqrt(1 - _R_MAX^2), where u_a is exactly its asymptote
+        return _R_MAX, abs(fwd(_R_MAX) - y)
+    rc = _small_root(a, yc)
     # |d y| = (y^2 / s^2) |d u_a(r')| maps the residual back to y-units
-    resid = abs(uac - yc) * y * y / (s * s)
-    r = math.sqrt(max(0.0, 1.0 - rc * rc))
-    if r >= 1.0:
-        r = _R_MAX
-    return r, resid
+    resid = abs(fwd(rc) - yc) * y * y / (s * s)
+    return min(math.sqrt(1.0 - rc * rc), _R_MAX), resid
 
 
 def grotzsch_u_inv(y: float) -> float:
@@ -180,9 +175,11 @@ def product_P(r: float) -> float:
 
     Truncated at the first N where the tail sandwich
     (1+r_N)^{2^{1-N}} <= tail <= 2^{2^{1-N}} has log-width below 1e-14;
-    the midpoint of the sandwich is added in log-space.
+    the midpoint of the sandwich is added in log-space.  At r = 1 (the
+    complement of an s whose square rounds away) this gives P(1) = 4.
     """
-    _check_unit(r)
+    if not (0.0 < r <= 1.0):
+        raise DomainError(f"domain error: r must lie in (0,1], got {r!r}")
     logp = 0.0
     t = r
     w = 1.0  # 2^-n

@@ -65,6 +65,13 @@ class TestMetricObjects:
         with pytest.raises(DomainError):
             zeta_map(2.0)
 
+    def test_non_finite_z(self):
+        for bad in (math.nan, complex(0.0, math.inf), complex(-math.inf, 1.0)):
+            with pytest.raises(DomainError):
+                zeta_map(bad)
+            with pytest.raises(DomainError):
+                sigma_metric(bad)
+
     def test_sigma_metric_value(self):
         assert sigma_metric(-3.0) == pytest.approx(0.03268863314770779, rel=1e-12)
 
@@ -121,6 +128,11 @@ class TestSchottky:
         expected = 1.0 + LATTICE_GAP_D / BLOCH_B1 * math.log(2.0)
         assert f_growth_bound(1.0, cfg) == pytest.approx(expected, rel=1e-14)
 
+    def test_growth_bound_domain(self):
+        for bad in (math.nan, math.inf, -1.0):
+            with pytest.raises(DomainError):
+                f_growth_bound(bad)
+
     def test_growth_bound_config_validation(self):
         with pytest.raises(DomainError):
             BoundConfig(theta=1.0)
@@ -159,6 +171,15 @@ class TestEtaAndProductBound:
 
     def test_eta_frozen_value(self):
         assert eta_k(2.0, 0.5) == pytest.approx(85.57503961682671, rel=1e-10)
+
+    @pytest.mark.parametrize("k, r, expected", [
+        (1.0 / 16.0, 1.0 - 1e-6, 8.502263818033033459203930770409780290825e-06),
+        (0.1, 0.99999, 1.837597864610471493341428967396049767004e-04),
+    ])
+    def test_eta_small_k_near_one(self, k, r, expected):
+        # s = phi_K(r') is tiny and s' rounds to 1, where P(1) = 4; oracle:
+        # 60-digit mpmath (Jacobi nome for phi, the Landen product for P)
+        assert eta_k(k, r) == pytest.approx(expected, rel=1e-13)
 
     def test_eta_positive_finite(self):
         for k in (1.0, 1.5, 2.0, 4.0):
@@ -207,6 +228,12 @@ class TestQcSchwarz:
             qc_schwarz_bounds(0.5, 0.5)
         with pytest.raises(DomainError):
             qc_schwarz_bounds(2.0, 1.0)
+        for bad_k in (math.inf, math.nan):
+            # K = inf would give the upper bound P(|z|) > 1
+            with pytest.raises(DomainError):
+                qc_schwarz_bounds(bad_k, 0.5)
+            with pytest.raises(DomainError):
+                qc_schwarz_bounds_product_literal(bad_k, 0.5)
 
 
 class TestMori:

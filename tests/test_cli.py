@@ -4,9 +4,11 @@ report-file plumbing.
 import csv
 import io
 import json
+import pathlib
 
 import pytest
 
+import gft
 from gft.cli import main
 
 
@@ -174,3 +176,10 @@ class TestTopLevel:
         rc, _, err = run_cli(capsys, "frobnicate")
         assert rc == 1
         assert "unknown command" in err
+
+    def test_version_matches_pyproject(self):
+        tomllib = pytest.importorskip("tomllib")  # standard library from 3.11
+        pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+        with pyproject.open("rb") as fh:
+            meta = tomllib.load(fh)
+        assert gft.__version__ == meta["project"]["version"]

@@ -55,6 +55,12 @@ class TestClosedForms:
         s = phi_k(4.0, 0.99).value
         assert abs(Decimal(s) - Decimal(PHI_4_AT_099)) < Decimal(math.ulp(s))
 
+    def test_tiny_root_frozen_oracle(self):
+        # 4 e^{-y} theta-quotient at y = u(0.5)/0.01 = 200.9459..., from
+        # mpmath jtheta at 50 digits; abs=1e-10 would accept any tiny value
+        assert phi_k(0.01, 0.5).value == pytest.approx(
+            2.1495526507539243412125528552962925505e-87, rel=1e-12)
+
     def test_generalized_frozen_oracle(self):
         assert phi_ka(0.25, 2.0, 0.3).value == pytest.approx(
             0.92965903856082598, abs=1e-10)
@@ -184,6 +190,11 @@ class TestDomains:
         for bad in (0.0, -1.0, math.inf):
             with pytest.raises(DomainError):
                 phi_k(bad, 0.5)
+
+    def test_tiny_root_underflow_raises(self):
+        # phi_0.001(0.5) = 4 e^{-2009.46...} lies below every double
+        with pytest.raises(DomainError, match="underflow"):
+            phi_k(0.001, 0.5)
 
     def test_bad_a(self):
         with pytest.raises(DomainError):

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gft import (
     DomainError,
@@ -22,6 +23,16 @@ from gft import (
 )
 
 R_GRID = np.linspace(0.01, 0.99, 99)
+SQRT_HALF = math.sqrt(0.5)
+R_SATURATED = 1.0 - 1e-15  # documented saturation point of the inverses
+
+
+def _one_ulp_slack(fwd, x: float) -> float:
+    """The largest change one ulp of x causes in fwd(x)."""
+    got = fwd(x)
+    return max(abs(fwd(nb) - got)
+               for nb in (math.nextafter(x, 0.0), math.nextafter(x, 1.0))
+               if 0.0 < nb < 1.0)
 
 
 class TestGrotzschU:
@@ -56,6 +67,15 @@ class TestGrotzschU:
         for bad in (0.0, 1.0, -0.5, 2.0):
             with pytest.raises(DomainError):
                 grotzsch_u(bad)
+
+    @given(r=st.floats(min_value=1e-7, max_value=SQRT_HALF))
+    def test_complement_identity_property(self, r):
+        # u(r) u(r') = pi^2 / 4; r' carries one rounding, whose effect on
+        # u(r') is what its neighbouring doubles show
+        rc = math.sqrt((1.0 - r) * (1.0 + r))
+        u = grotzsch_u(r)
+        tol = 1e-13 + u * _one_ulp_slack(grotzsch_u, rc)
+        assert abs(u * grotzsch_u(rc) - math.pi ** 2 / 4.0) <= tol
 
 
 class TestGrotzschUa:
@@ -115,6 +135,48 @@ class TestInverses:
         # u(r) ~ ln(4/r): r ~ 4 e^{-20}
         assert r == pytest.approx(4.0 * math.exp(-20.0), rel=1e-6)
 
+    def test_tiny_root_underflow_raises(self):
+        # u(r) ~ ln(4/r): the root of u = 800 is about 4e-348, below every double
+        with pytest.raises(DomainError, match="underflow"):
+            grotzsch_u_inv(800.0)
+
+    def test_small_a_large_y(self):
+        # R(2e-4)/2 ~ 2500, so e^{R(a)/2} lies beyond the doubles: the
+        # inverse must stay in log space
+        y = 2614.0
+        r = grotzsch_ua_inv(2e-4, y)
+        assert 0.0 < r < SQRT_HALF
+        assert grotzsch_ua(2e-4, r) == pytest.approx(y, abs=1e-12)
+        # mpmath at 200 digits: Newton in ln r on u_a(r) = 2614
+        assert r == pytest.approx(3.093350160043508353394236e-50, rel=1e-12)
+
+    def test_subnormal_a_raises(self):
+        # u_a(1/sqrt2) = pi / (2 sin(pi a)) overflows a double
+        with pytest.raises(DomainError, match="overflow"):
+            grotzsch_ua_inv(1e-310, 1.0)
+
+    @settings(max_examples=300)  # about half saturate: tiny a puts every root at 1
+    @given(a=st.floats(min_value=1e-300, max_value=0.5),
+           y=st.floats(min_value=0.05, max_value=700.0))
+    def test_ua_round_trip_property(self, a, y):
+        # u_a(u_a^{-1}(y)) = y, measured in the well-conditioned variable:
+        # r' against u_a(r') = s^2 / y for roots above 1/sqrt2
+        def fwd(x):
+            return grotzsch_ua(a, x)
+
+        r = grotzsch_ua_inv(a, y)
+        if r == R_SATURATED:
+            assert fwd(r) >= y - 1e-12  # the exact root lies at or beyond it
+            return
+        big = r > SQRT_HALF
+
+        def var(x):
+            return math.sqrt((1.0 - x) * (1.0 + x)) if big else x
+
+        want = (math.pi / (2.0 * math.sin(math.pi * a))) ** 2 / y if big else y
+        slack = _one_ulp_slack(lambda x: fwd(var(x)), r)
+        assert abs(fwd(var(r)) - want) <= 1e-12 + slack
+
     def test_domain(self):
         with pytest.raises(DomainError):
             grotzsch_u_inv(0.0)
@@ -153,6 +215,12 @@ class TestProductP:
 
     def test_limit_at_one(self):
         assert product_P(1.0 - 1e-12) == pytest.approx(4.0, abs=1e-11)
+        assert product_P(1.0) == 4.0  # the limit, reached by r' = sqrt(1 - s^2)
+
+    def test_domain(self):
+        for bad in (0.0, -0.5, 1.5, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                product_P(bad)
 
     def test_increasing(self):
         vals = [product_P(float(r)) for r in R_GRID]
