@@ -7,7 +7,6 @@ violation.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 import os
@@ -238,22 +237,13 @@ def _cmd_table(argv: list[str]) -> int:
         kwargs = dict(fixed)
         for (name, _), val in zip(swept, pt):
             kwargs[name] = val
-        args = []
-        for name, kind in params:
-            if name in kwargs:
-                args.append(kwargs[name])
-            elif kind in ("f?", "s?"):
-                continue
-        value = fn(*args)
+        value = fn(*[kwargs[name] for name, _ in params if name in kwargs])
         rows.append(list(pt) + [value])
 
     if fmt == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf)
+        w = csv.writer(sys.stdout)
         w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(v) for v in row])
-        sys.stdout.write(buf.getvalue())
+        w.writerows([_fmt(v) for v in row] for row in rows)
     elif fmt == "json":
         print(json.dumps({"columns": header,
                           "rows": [[_fmt(v) for v in row] for row in rows]}))
@@ -323,12 +313,9 @@ def _cmd_constants(argv: list[str]) -> int:
     if fmt == "json":
         print(json.dumps({name: value for name, value, _ in consts}, sort_keys=True))
     elif fmt == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf)
+        w = csv.writer(sys.stdout)
         w.writerow(["name", "value", "note"])
-        for name, value, note in consts:
-            w.writerow([name, _fmt(value), note])
-        sys.stdout.write(buf.getvalue())
+        w.writerows([name, _fmt(value), note] for name, value, note in consts)
     else:
         for name, value, note in consts:
             print(f"{name:20s} {_fmt(value):24s} {note}")

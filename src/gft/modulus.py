@@ -10,7 +10,6 @@ from dataclasses import dataclass
 
 from .special import (
     DomainError,
-    GeneralizedParam,
     UnitRadius,
     _2f1_sym_comp,
     _check_param_a,
@@ -110,13 +109,12 @@ def _invert_ua(a: float, y: float) -> tuple[float, float]:
     For y below the symmetric value the complementary identity
     u_a(r) u_a(r') = [pi/(2 sin pi a)]^2 gives r' instead, which keeps the
     solve well conditioned as r -> 1.  Roots above 1 - 1e-15 saturate
-    there; roots below the smallest normal double raise DomainError.
+    there; roots below the smallest normal double, y = inf among them,
+    raise DomainError.
     """
-    if not (y > 0.0) or not math.isfinite(y):
+    if not (y > 0.0):
         raise DomainError(f"modulus inverse requires y > 0, got {y!r}")
     s = _sym_value(a)
-    if math.isinf(s):
-        raise DomainError(f"u_a overflows double precision for a={a!r}")
     # a = 1/2 calls grotzsch_u directly: one forward evaluation, not two
     fwd = grotzsch_u if a == 0.5 else (lambda r: grotzsch_ua(a, r))
     if y >= s:

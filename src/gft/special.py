@@ -44,50 +44,12 @@ class UnitRadius:
         return math.sqrt(1.0 - self.r * self.r)
 
 
-@dataclass(frozen=True)
-class DistortionCoeff:
-    """Maximal dilatation K > 0 of a quasiconformal map."""
-
-    k: float
-
-    def __post_init__(self):
-        if not (self.k > 0.0) or not math.isfinite(self.k):
-            raise DomainError(f"dilatation must be positive, got {self.k!r}")
-
-
-@dataclass(frozen=True)
-class GeneralizedParam:
-    """Parameter a in (0, 1/2] of the generalized modulus; a = 1/2 is classical."""
-
-    a: float
-
-    def __post_init__(self):
-        if not (0.0 < self.a <= 0.5):
-            raise DomainError(f"parameter must lie in (0, 1/2], got {self.a!r}")
-
-
-@dataclass(frozen=True)
-class PlanePoint:
-    """A point of the plane; thin wrapper used where a typed pair reads better."""
-
-    re: float
-    im: float = 0.0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.re) and math.isfinite(self.im)):
-            raise DomainError("plane point coordinates must be finite")
-
-    def as_complex(self) -> complex:
-        return complex(self.re, self.im)
-
-    @staticmethod
-    def from_complex(z: complex) -> "PlanePoint":
-        return PlanePoint(z.real, z.imag)
-
-
 def _check_param_a(a: float) -> float:
     if not (0.0 < a <= 0.5):
         raise DomainError(f"parameter a must lie in (0, 1/2], got {a!r}")
+    if math.isinf(1.0 / a):
+        # R(a) ~ 1/a overflows, and so does u_a(r) ~ R(a)/2 - ln r near r = 0
+        raise DomainError(f"u_a overflows double precision for a={a!r}")
     return a
 
 

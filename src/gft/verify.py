@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import cmath
 import math
-import random
+import operator
+import struct
 import time
 from dataclasses import dataclass
 from functools import lru_cache
@@ -80,33 +81,66 @@ class InequalityReport:
 
 
 # ---------------------------------------------------------------------------
-# Deterministic sampling (counter-style: each index is hashed independently,
-# so evaluation order never matters)
+# Counter-based sampling: each index is hashed independently (Salmon et al.,
+# "Parallel Random Numbers: As Easy as 1, 2, 3", SC'11), so evaluation order
+# never matters and sample i is a pure function of (seed, stream, i)
 # ---------------------------------------------------------------------------
 
-def _rng_at(seed: int, stream: str, i: int) -> random.Random:
-    return random.Random(f"{seed}:{stream}:{i}")
+@dataclass(frozen=True)
+class Sampler:
+    """How a sampled target draws index i: one uniform point of the unit
+    disk per name in `names` (reports record each as <name>_re, <name>_im),
+    redrawn until `accept` takes the points."""
+
+    stream: str
+    names: tuple[str, ...]
+    accept: Callable[..., bool]
 
 
-def _disk_point(rng: random.Random) -> complex:
-    return math.sqrt(rng.random()) * cmath.exp(2j * math.pi * rng.random())
+def _counter_digest(seed: int, stream: str) -> Callable[[int, int], tuple[int, ...]]:
+    """(i, block) -> one BLAKE2b digest of (seed, stream, i, block) as eight
+    64-bit words, each good for one 53-bit uniform in [0, 1)."""
+    try:  # hashlib.blake2b itself, without the OpenSSL backend hashlib loads
+        from _blake2 import blake2b
+    except ImportError:  # pragma: no cover - an interpreter without _blake2
+        from hashlib import blake2b
+
+    base = blake2b(f"{seed}:{stream}:".encode())
+    pack, unpack = struct.Struct("<QQ").pack, struct.Struct("<8Q").unpack
+
+    def digest(i: int, block: int) -> tuple[int, ...]:
+        h = base.copy()
+        h.update(pack(i, block))
+        return unpack(h.digest())
+
+    return digest
 
 
-def _omega1_point(seed: int, i: int) -> complex:
-    # point of {|z| < 1, |z| < |z-1|}, bounded away from the puncture at 0
-    rng = _rng_at(seed, "eq5", i)
-    while True:
-        z = _disk_point(rng)
-        if 0.01 < abs(z) < abs(z - 1.0):
-            return z
+def _disk_point(w_radius: int, w_angle: int) -> complex:
+    # sqrt(u) e^{2 pi i v}, with u = (w_radius >> 11) 2^-53 and v likewise
+    return cmath.rect(math.sqrt((w_radius >> 11) * 2.0 ** -53),
+                      2.0 * math.pi * ((w_angle >> 11) * 2.0 ** -53))
 
 
-def _disk_pair(seed: int, variant: str, i: int) -> tuple[complex, complex]:
-    rng = _rng_at(seed, f"mori_{variant}", i)
-    while True:
-        z1, z2 = _disk_point(rng), _disk_point(rng)
-        if z1 != z2:
-            return z1, z2
+def _sampler(sampler: Sampler, seed: int) -> Callable[[int], tuple[complex, ...]]:
+    """i -> the sampled points of index i.  An attempt takes two words per
+    point; the attempts of one digest are used up before block + 1 is
+    hashed, so sample i never depends on any other index."""
+    digest = _counter_digest(seed, sampler.stream)
+    width = 2 * len(sampler.names)
+    accept = sampler.accept
+
+    def points(i: int) -> tuple[complex, ...]:
+        block = 0
+        while True:
+            w = digest(i, block)
+            for j in range(0, len(w) - width + 1, width):
+                zs = tuple([_disk_point(w[m], w[m + 1]) for m in range(j, j + width, 2)])
+                if accept(*zs):
+                    return zs
+            block += 1
+
+    return points
 
 
 def _radial_stretch(z: complex, k: float) -> complex:
@@ -117,7 +151,8 @@ def _radial_stretch(z: complex, k: float) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# Margin functions.  Each takes a params dict and returns a signed margin.
+# Margin functions.  Each takes a params dict and returns a signed margin;
+# a sampled target's margin takes the sampled points first.
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=100_000)
@@ -130,8 +165,8 @@ def _fk(a: float, k: float, r: float, literal: bool) -> float:
     return distortion.lemma3_fk(a, k, r, literal=literal)
 
 
-def _m_eq5_chain(p: dict) -> float:
-    z = complex(p["z_re"], p["z_im"])
+def _m_eq5_chain(zs: tuple[complex], p: dict) -> float:
+    z, = zs
     zeta = bounds.zeta_map(z)
     e5 = 1.0 / (abs(z) * abs(cmath.sqrt(z - 1.0)) * (4.0 - math.log(abs(zeta))))
     return e5 - bounds.rho_lower(abs(z))
@@ -254,9 +289,8 @@ def _m_thm4_k1(p: dict) -> float:
     return -max(abs(lo - r), abs(hi - r))
 
 
-def _m_mori_radial(p: dict, variant: str) -> float:
-    k = p["k"]
-    z1, z2 = _disk_pair(p["seed"], variant, p["i"])
+def _m_mori_radial(zs: tuple[complex, complex], k: float, variant: str) -> float:
+    z1, z2 = zs
     stretched = abs(_radial_stretch(z2, k) - _radial_stretch(z1, k))
     return bounds.mori_holder_bound(k, abs(z2 - z1), variant) - stretched
 
@@ -275,14 +309,18 @@ def _m_planted_false(p: dict) -> float:
 class Target:
     name: str
     classification: str                       # asserted | report_only
-    margin: Callable[[dict], float]
+    margin: Callable[..., float]
     axes: tuple[str, ...]                     # subset of (a, k, r, alpha)
     default_tol: float = 1e-9
     pairwise_r: bool = False                  # margin uses (r, r_next)
-    randomized: bool = False                  # margin uses (seed, i)
+    sample: Sampler | None = None             # margin takes sampled points
     k_filter: Callable[[float], bool] | None = None
     a_filter: Callable[[float], bool] | None = None
     sanity: bool = False                      # harness self-check, outside "all"
+
+    @property
+    def randomized(self) -> bool:
+        return self.sample is not None
 
 
 def _not_degenerate(a: float) -> bool:
@@ -290,7 +328,9 @@ def _not_degenerate(a: float) -> bool:
 
 
 _TARGETS = [
-    Target("eq5_chain", "report_only", _m_eq5_chain, (), randomized=True),
+    # eq5 samples {|z| < 1, |z| < |z-1|}, bounded away from the puncture at 0
+    Target("eq5_chain", "report_only", _m_eq5_chain, (),
+           sample=Sampler("eq5", ("z",), lambda z: 0.01 < abs(z) < abs(z - 1.0))),
     Target("lemma2_item1", "report_only", _m_lemma2_item1, ("a", "r")),
     Target("lemma2_item2", "report_only", _m_lemma2_item2, ("a", "r"),
            a_filter=_not_degenerate),
@@ -330,11 +370,13 @@ _TARGETS = [
            lambda p: _m_phi_identity(p, literal=False), ("k", "r")),
     Target("thm4_k1_equality", "asserted", _m_thm4_k1, ("r",), default_tol=1e-15),
     Target("mori_radial_16", "asserted",
-           lambda p: _m_mori_radial(p, "sixteen"), ("k",),
-           randomized=True, k_filter=lambda k: k >= 1.0),
+           lambda zs, p: _m_mori_radial(zs, p["k"], "sixteen"), ("k",),
+           sample=Sampler("mori_sixteen", ("z1", "z2"), operator.ne),
+           k_filter=lambda k: k >= 1.0),
     Target("mori_radial_64", "asserted",
-           lambda p: _m_mori_radial(p, "sixtyfour"), ("k",),
-           randomized=True, k_filter=lambda k: k >= 1.0),
+           lambda zs, p: _m_mori_radial(zs, p["k"], "sixtyfour"), ("k",),
+           sample=Sampler("mori_sixtyfour", ("z1", "z2"), operator.ne),
+           k_filter=lambda k: k >= 1.0),
     Target("planted_false", "asserted", _m_planted_false, ("r",), sanity=True),
 ]
 
@@ -363,7 +405,7 @@ def _linspace(lo: float, hi: float, steps: int) -> list[float]:
 
 
 def _param_list(target: Target, spec: SweepSpec) -> list[dict]:
-    """Cartesian parameter grid in lexicographic (a, k, r/alpha, i) order."""
+    """Cartesian parameter grid in lexicographic (a, k, r/alpha) order."""
     a_vals = [a for a in spec.a_values if target.a_filter is None or target.a_filter(a)]
     k_vals = [k for k in spec.k_values if target.k_filter is None or target.k_filter(k)]
     rs = _linspace(*spec.r_grid)
@@ -385,42 +427,54 @@ def _param_list(target: Target, spec: SweepSpec) -> list[dict]:
     params: list[dict] = [{}]
     for name in sorted(target.axes):
         params = [dict(p, **q) for p in params for q in axis(name)]
-    if target.randomized:
-        out = []
-        for p in params:
-            for i in range(spec.samples):
-                q = dict(p)
-                q["i"] = i
-                q["seed"] = spec.seed
-                if target.name == "eq5_chain":
-                    z = _omega1_point(spec.seed, i)
-                    q["z_re"], q["z_im"] = z.real, z.imag
-                out.append(q)
-        params = out
     return params
+
+
+def _margins(target: Target, spec: SweepSpec, grid: list[dict]):
+    """Yield (margin, grid params, sample index or None, sampled points) in
+    lexicographic (a, k, r/alpha, i) order, drawing each index only once."""
+    if target.sample is None:
+        for p in grid:
+            yield target.margin(p), p, None, None
+        return
+    draw = _sampler(target.sample, spec.seed)
+    points = [draw(i) for i in range(spec.samples)]
+    margin = target.margin
+    for p in grid:
+        for i, zs in enumerate(points):
+            yield margin(zs, p), p, i, zs
 
 
 def margin_at(target_name: str, params: dict) -> float:
     """Re-evaluate a target's margin at a report's argmin parameters."""
-    return target_info(target_name).margin(params)
+    target = target_info(target_name)
+    if target.sample is None:
+        return target.margin(params)
+    return target.margin(_sampler(target.sample, params["seed"])(params["i"]), params)
 
 
 def sweep(spec: SweepSpec) -> InequalityReport:
-    """Evaluate one target's margin over its full parameter grid."""
+    """Evaluate one target's margin over its full parameter grid.  A sampled
+    row's params (its grid params, seed and index, and its points for the
+    reader) are built only when it is the argmin or a violation."""
     target = target_info(spec.target)
     tol = target.default_tol if spec.tol is None else spec.tol
     t0 = time.perf_counter()
-    params = _param_list(target, spec)
+    grid = _param_list(target, spec)
     min_margin = math.inf
     argmin: dict = {}
     violations: list[tuple[dict, float]] = []
-    for p in params:
-        m = target.margin(p)
-        if m < min_margin:
-            min_margin = m
-            argmin = p
-        if m < -tol:
-            violations.append((p, m))
+    for m, p, i, zs in _margins(target, spec, grid):
+        if m < min_margin or m < -tol:
+            if i is not None:
+                p = dict(p, i=i, seed=spec.seed)
+                for name, z in zip(target.sample.names, zs):
+                    p[f"{name}_re"], p[f"{name}_im"] = z.real, z.imag
+            if m < min_margin:
+                min_margin = m
+                argmin = p
+            if m < -tol:
+                violations.append((p, m))
     wall = int((time.perf_counter() - t0) * 1000.0)
     if target.classification == "asserted":
         status = "fail" if violations else "pass"
@@ -429,7 +483,7 @@ def sweep(spec: SweepSpec) -> InequalityReport:
     return InequalityReport(
         target=target.name,
         classification=target.classification,
-        evaluations=len(params),
+        evaluations=len(grid) * (spec.samples if target.randomized else 1),
         min_margin=min_margin,
         argmin=argmin,
         violations=tuple(violations),
@@ -471,7 +525,6 @@ def run_suite(name: str, **overrides) -> list[InequalityReport]:
     """Run a named suite; overrides are SweepSpec fields applied to every target."""
     if name not in SUITES:
         raise UsageError(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}")
-    # eq5_chain and the mori experiments are per-sample: keep "all" fast by default
     reports = []
     for target in SUITES[name]:
         reports.append(sweep(SweepSpec(target=target, **overrides)))

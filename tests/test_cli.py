@@ -4,7 +4,10 @@ report-file plumbing.
 import csv
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -183,3 +186,17 @@ class TestTopLevel:
         with pyproject.open("rb") as fh:
             meta = tomllib.load(fh)
         assert gft.__version__ == meta["project"]["version"]
+
+    def test_import_leaves_numpy_unloaded(self):
+        # numpy costs ~0.15 s and ~11 MB on import; only derive_lattice_gap
+        # needs it.  Sampling loads BLAKE2b when it starts, not on import.
+        code = ("import sys; before = set(sys.modules); import gft, gft.cli; "
+                "print(' '.join(sorted(set(sys.modules) - before)))")
+        src = str(pathlib.Path(gft.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout.split()
+        assert "gft.verify" in out
+        for heavy in ("numpy", "hashlib", "_hashlib", "_blake2"):
+            assert heavy not in out

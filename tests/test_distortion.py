@@ -196,6 +196,20 @@ class TestDomains:
         with pytest.raises(DomainError, match="underflow"):
             phi_k(0.001, 0.5)
 
+    def test_infinite_u_over_k_underflow_raises(self):
+        # y = u(r)/K overflows to inf for K = 1e-308; the root 4 e^{-y} is
+        # below every double, as it is for K = 1e-300
+        for k in (1e-300, 1e-308):
+            with pytest.raises(DomainError, match="underflow"):
+                phi_k(k, 0.5)
+        with pytest.raises(DomainError, match="underflow"):
+            phi_ka(0.25, 1e-308, 0.5)
+
+    def test_subnormal_a_raises(self):
+        # pi/(2 sin pi a) overflows: no u_a, so no phi_ka, is a double
+        with pytest.raises(DomainError, match="u_a overflows"):
+            phi_ka(1e-310, 2.0, 0.5)
+
     def test_bad_a(self):
         with pytest.raises(DomainError):
             phi_ka(0.7, 2.0, 0.5)

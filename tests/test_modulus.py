@@ -155,6 +155,20 @@ class TestInverses:
         with pytest.raises(DomainError, match="overflow"):
             grotzsch_ua_inv(1e-310, 1.0)
 
+    def test_subnormal_a_forward_raises(self):
+        # R(a) ~ 1/a overflows below a ~ 5.6e-309, and u_a(r) ~ R(a)/2 - ln r
+        # with it; these calls returned inf, inf and raised RuntimeError
+        for a, r in ((1e-310, 0.5), (3e-309, 1e-8), (3e-309, 0.999)):
+            with pytest.raises(DomainError, match="u_a overflows"):
+                grotzsch_ua(a, r)
+        for r in (1e-8, 0.5, 0.999):
+            assert math.isfinite(grotzsch_ua(6e-309, r))
+
+    def test_infinite_y_underflow_raises(self):
+        # u(r) -> inf only as r -> 0: the root lies below every double
+        with pytest.raises(DomainError, match="underflow"):
+            grotzsch_u_inv(math.inf)
+
     @settings(max_examples=300)  # about half saturate: tiny a puts every root at 1
     @given(a=st.floats(min_value=1e-300, max_value=0.5),
            y=st.floats(min_value=0.05, max_value=700.0))

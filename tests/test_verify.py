@@ -18,9 +18,11 @@ from gft import (
     suite_failed,
     sweep,
     target_info,
+    verify,
 )
 
 SPEC_SMALL = dict(samples=100)
+SAMPLED_TARGETS = ("eq5_chain", "mori_radial_16", "mori_radial_64")
 
 EXPECTED_TARGETS = {
     "eq5_chain",
@@ -111,6 +113,85 @@ class TestSweep:
         assert rep.status == "pass"
         # min_margin still reports the true worst case
         assert rep.min_margin < 0.0
+
+
+def _in_omega1(z: complex) -> bool:
+    return abs(z) < 1.0 and 0.01 < abs(z) < abs(z - 1.0)
+
+
+def _sampled_rows(name: str, samples: int, below: int) -> list:
+    """The sweep's (margin, grid params, index, points) rows with index < below."""
+    target = target_info(name)
+    spec = SweepSpec(target=name, samples=samples)
+    grid = verify._param_list(target, spec)
+    return [row for row in verify._margins(target, spec, grid) if row[2] < below]
+
+
+class TestSampling:
+    @pytest.mark.parametrize("name", SAMPLED_TARGETS)
+    def test_margin_at_reproduces_argmin_and_violations(self, name):
+        # K = 1 gives every mori pair the margin 0.0: sweep K > 1 only
+        rep = sweep(SweepSpec(target=name, samples=300, k_values=(1.5, 4.0)))
+        assert rep.evaluations == 300 * (1 if name == "eq5_chain" else 2)
+        assert rep.min_margin != 0.0
+        sample = target_info(name).sample
+        for params, margin in ((rep.argmin, rep.min_margin), *rep.violations):
+            assert margin_at(name, params) == margin
+            # the points the report records are the ones margin_at redraws
+            recorded = tuple(complex(params[f"{n}_re"], params[f"{n}_im"])
+                             for n in sample.names)
+            assert verify._sampler(sample, params["seed"])(params["i"]) == recorded
+        if name == "eq5_chain":
+            assert len(rep.violations) > 100  # the report-only chain fails often
+
+    @pytest.mark.parametrize("name", SAMPLED_TARGETS)
+    def test_points_independent_of_sample_count(self, name):
+        # sample i is a pure function of (seed, stream, i)
+        rows = _sampled_rows(name, 100, 100)
+        assert len(rows) == (100 if name == "eq5_chain" else 400)
+        assert rows == _sampled_rows(name, 300, 100)
+
+    def test_points_independent_of_draw_order(self):
+        draw = verify._sampler(target_info("mori_radial_16").sample, 7)
+        forward = [draw(i) for i in range(50)]
+        assert [draw(i) for i in reversed(range(50))][::-1] == forward
+
+    def test_rejected_first_digest_moves_to_next_block(self):
+        # Omega_1 takes about 80% of the disk, so all four attempts of block 0
+        # fail for a few indices in every thousand
+        seed = SweepSpec(target="eq5_chain").seed
+        sampler = target_info("eq5_chain").sample
+        digest = verify._counter_digest(seed, sampler.stream)
+        draw = verify._sampler(sampler, seed)
+
+        def block0_points(i):
+            w = digest(i, 0)
+            return [verify._disk_point(w[j], w[j + 1]) for j in range(0, 8, 2)]
+
+        samples = 1000
+        rejected = []
+        for i in range(samples):
+            accepted = [z for z in block0_points(i) if sampler.accept(z)]
+            if accepted:
+                assert draw(i) == (accepted[0],)  # the first attempt that passes
+            else:
+                rejected.append(i)
+        assert rejected
+        rep = sweep(SweepSpec(target="eq5_chain", samples=samples))
+        violations = {p["i"]: (p, m) for p, m in rep.violations}
+        checked = 0
+        for i in rejected:
+            (z,) = draw(i)
+            assert _in_omega1(z)
+            assert z not in block0_points(i)
+            w = digest(i, 1)
+            assert z in [verify._disk_point(w[j], w[j + 1]) for j in range(0, 8, 2)]
+            if i in violations:
+                params, margin = violations[i]
+                assert complex(params["z_re"], params["z_im"]) == z
+                assert margin_at("eq5_chain", params) == margin
+                checked += 1
+        assert checked
 
 
 class TestSpecValidation:
