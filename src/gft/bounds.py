@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass
 
 from .special import LANDAU_C, DomainError
-from .modulus import _TAIL_TOL, _check_unit, grotzsch_u, landen_next, product_P
+from .modulus import _ALMOST_ONE, _check_unit, _landen_log_product, grotzsch_u, product_P
 from .distortion import phi_k
 
 #: Classical lower bound for Bloch's constant, sqrt(3)/4.
@@ -179,21 +179,11 @@ def theorem3_sfk(k: float, r: float) -> float:
     if not (k > 0.0):
         raise DomainError("domain error: K must be positive")
     rc = math.sqrt((1.0 - r) * (1.0 + r))
-    logp = 2.0 * k * grotzsch_u(rc) - 2.0 * grotzsch_u(r) / k
-    t, tc = r, rc
-    w = 2.0  # 2^{1-n}
-    for _ in range(200):
-        num = phi_k(1.0 / k, tc).value
-        den = phi_k(k, t).value
-        # both factors approach 2: the remaining exponent mass bounds the tail
-        width = 2.0 * w * math.log(2.0 / (1.0 + min(num, den)))
-        if width < _TAIL_TOL:
-            break
-        logp += w * (math.log1p(num) - math.log1p(den))
-        cap = 1.0 - 1e-16  # recurrence saturates at 1.0 in doubles
-        t, tc = min(landen_next(t), cap), min(landen_next(tc), cap)
-        w *= 0.5
-    return math.exp(logp)
+    expo = 2.0 * k * grotzsch_u(rc) - 2.0 * grotzsch_u(r) / k
+    # each product is truncated by its own tail sandwich; 2^{1-n} = 2 * 2^-n
+    num = _landen_log_product(lambda t: phi_k(1.0 / k, min(t, _ALMOST_ONE)).value, rc)
+    den = _landen_log_product(lambda t: phi_k(k, min(t, _ALMOST_ONE)).value, r)
+    return math.exp(expo + 2.0 * (num - den))
 
 
 # ---------------------------------------------------------------------------

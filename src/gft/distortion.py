@@ -9,12 +9,11 @@ from dataclasses import dataclass
 
 from .special import DomainError, _check_param_a, gauss_2f1_sym
 from .modulus import (
-    _TAIL_TOL,
+    _ALMOST_ONE,
     _check_unit,
     _invert_ua,
-    grotzsch_u,
+    _landen_log_product,
     grotzsch_ua,
-    landen_next,
     product_P,
 )
 
@@ -37,13 +36,7 @@ def _check_k(k: float) -> float:
 def phi_k(k: float, r: float) -> PhiResult:
     """phi_K(r) = u^{-1}(u(r)/K): the radius a K-quasiconformal self-map of
     the disk can carry |z| = r to."""
-    _check_k(k)
-    _check_unit(r)
-    if k == 1.0:
-        return PhiResult(value=r, residual=0.0)
-    y = grotzsch_u(r) / k
-    value, residual = _invert_ua(0.5, y)
-    return PhiResult(value=value, residual=residual)
+    return phi_ka(0.5, k, r)
 
 
 def phi_ka(a: float, k: float, r: float) -> PhiResult:
@@ -69,19 +62,8 @@ def phi_k_product(k: float, r: float) -> float:
     if k == 1.0:
         return r
     kinv = 1.0 / k
-    logp = (math.log(r) - math.log(product_P(r))) * kinv
-    t = r
-    w = 1.0  # 2^-n
-    for _ in range(200):
-        s = phi_k(kinv, t).value
-        width = 2.0 * w * math.log(2.0 / (1.0 + s))
-        if width < _TAIL_TOL:
-            logp += 2.0 * w * 0.5 * (math.log1p(s) + math.log(2.0))
-            return math.exp(logp)
-        logp += w * math.log1p(s)
-        t = min(landen_next(t), 1.0 - 1e-16)  # recurrence saturates at 1.0 in doubles
-        w *= 0.5
-    return math.exp(logp)  # pragma: no cover
+    tail = _landen_log_product(lambda t: phi_k(kinv, min(t, _ALMOST_ONE)).value, r)
+    return math.exp((math.log(r) - math.log(product_P(r))) * kinv + tail)
 
 
 def phi_partial_r(a: float, k: float, r: float) -> float:

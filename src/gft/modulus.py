@@ -10,17 +10,16 @@ from dataclasses import dataclass
 
 from .special import (
     DomainError,
-    UnitRadius,
-    _2f1_sym_comp,
+    _2f1_sym,
     _check_param_a,
     agm,
-    gauss_2f1_sym,
     ramanujan_R,
 )
 
 _LN4 = math.log(4.0)
 _R_MAX = 1.0 - 1e-15        # saturation point of double-precision moduli
 _TAIL_TOL = 1e-14           # infinite-product tail width cutoff
+_ALMOST_ONE = 1.0 - 1e-16   # Landen moduli round up to 1.0 in doubles
 _LN_SQRT_HALF = -0.5 * math.log(2.0)
 _LN_NORMAL_MIN = math.log(sys.float_info.min)
 _LN_RC_SAT = math.log(math.sqrt((1.0 - _R_MAX) * (1.0 + _R_MAX)))
@@ -52,14 +51,19 @@ def grotzsch_ua(a: float, r: float) -> float:
     _check_unit(r)
     if a == 0.5:
         return grotzsch_u(r)
+    return _ua_and_f(a, r)[0]
+
+
+def _ua_and_f(a: float, r: float) -> tuple[float, float]:
+    """(u_a(r), F(a,1-a;1;r^2)) for a != 1/2, from one evaluation of each 2F1."""
+    x = r * r
+    f = _2f1_sym(a, x, 1.0 - x)
     if r < 1e-7:
         # u_a(r) = R(a)/2 - ln r + O(r^2 ln r); the correction is below 1e-12
-        return ramanujan_R(a) / 2.0 - math.log(r)
-    x = r * r
+        return ramanujan_R(a) / 2.0 - math.log(r), f
     # the numerator F(a,1-a;1;1-x) is fed the exact complement x, avoiding
     # the 1 - r^2 cancellation as r -> 0
-    return (math.pi / (2.0 * math.sin(math.pi * a))
-            * _2f1_sym_comp(a, x) / gauss_2f1_sym(a, x))
+    return _sym_value(a) * _2f1_sym(a, 1.0 - x, x) / f, f
 
 
 def _sym_value(a: float) -> float:
@@ -88,7 +92,8 @@ def _small_root(a: float, y: float) -> float:
             if t < _LN_NORMAL_MIN:
                 break  # the asymptote is the root, which underflows
             r = math.exp(t)
-            dt = (grotzsch_ua(a, r) - y) * (1.0 - r * r) * gauss_2f1_sym(a, r * r) ** 2
+            u, f = _ua_and_f(a, r)
+            dt = (u - y) * (1.0 - r * r) * f ** 2
             t += dt
             # u_a rounds to within ~8 ulps of y, where the steps stall; the
             # step just taken leaves an error of order dt^2
@@ -150,7 +155,6 @@ class LandenSequence:
     """Ascending Landen moduli r_0..r_n, r_n = 2 sqrt(r_{n-1}) / (1 + r_{n-1})."""
 
     terms: tuple[float, ...]
-    origin: UnitRadius
 
 
 def landen_next(r: float) -> float:
@@ -161,35 +165,43 @@ def landen_ascend(r: float, n: int) -> LandenSequence:
     """The ascending Landen sequence of length n+1 starting at r."""
     if n < 0:
         raise DomainError("sequence length must be nonnegative")
-    origin = UnitRadius(r)
-    terms = [r]
+    terms = [_check_unit(r)]
     for _ in range(n):
         terms.append(landen_next(terms[-1]))
-    return LandenSequence(terms=tuple(terms), origin=origin)
+    return LandenSequence(terms=tuple(terms))
 
 
-def product_P(r: float) -> float:
-    """P(r) = prod_{n>=0} (1 + r_n)^{2^-n} over the ascending Landen sequence.
+def _landen_log_product(f, r: float) -> float:
+    """ln prod_{n>=0} (1 + f(r_n))^{2^-n} over the ascending Landen sequence
+    r_0 = r, r_1, ..., for an f with values in [0, 1] that tends to 1.
 
     Truncated at the first N where the tail sandwich
-    (1+r_N)^{2^{1-N}} <= tail <= 2^{2^{1-N}} has log-width below 1e-14;
-    the midpoint of the sandwich is added in log-space.  At r = 1 (the
-    complement of an s whose square rounds away) this gives P(1) = 4.
+    (1+f(r_N))^{2^{1-N}} <= tail <= 2^{2^{1-N}} has log-width below 1e-14;
+    the midpoint of the sandwich is added.  The sequence reaches 1.0 in
+    doubles, so an f defined only on (0, 1) clamps its argument to _ALMOST_ONE.
     """
-    if not (0.0 < r <= 1.0):
-        raise DomainError(f"domain error: r must lie in (0,1], got {r!r}")
     logp = 0.0
     t = r
     w = 1.0  # 2^-n
     for _ in range(200):
-        width = 2.0 * w * math.log(2.0 / (1.0 + t))
+        s = f(t)
+        width = 2.0 * w * math.log(2.0 / (1.0 + s))
         if width < _TAIL_TOL:
-            logp += 2.0 * w * 0.5 * (math.log1p(t) + math.log(2.0))
-            return math.exp(logp)
-        logp += w * math.log1p(t)
+            return logp + w * (math.log1p(s) + math.log(2.0))
+        logp += w * math.log1p(s)
         t = landen_next(t)
         w *= 0.5
-    return math.exp(logp)  # pragma: no cover - tail converges in ~50 steps
+    return logp  # pragma: no cover - tail converges in ~50 steps
+
+
+def product_P(r: float) -> float:
+    """P(r) = prod_{n>=0} (1 + r_n)^{2^-n} over the ascending Landen sequence,
+    truncated by the tail sandwich.  At r = 1 (the complement of an s whose
+    square rounds away) this gives P(1) = 4.
+    """
+    if not (0.0 < r <= 1.0):
+        raise DomainError(f"domain error: r must lie in (0,1], got {r!r}")
+    return math.exp(_landen_log_product(lambda t: t, r))
 
 
 # ---------------------------------------------------------------------------

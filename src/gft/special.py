@@ -8,8 +8,6 @@ Everything here is pure, scalar, double precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
 
 _EPS = 2.220446049250313e-16
 
@@ -23,25 +21,6 @@ APERY_A = 16.82879664423432               # 14 * zeta(3)
 
 class DomainError(ValueError):
     """Argument outside a function's mathematical domain."""
-
-
-# ---------------------------------------------------------------------------
-# Value types
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class UnitRadius:
-    """A modulus r strictly inside (0, 1), with its complement r' = sqrt(1-r^2)."""
-
-    r: float
-
-    def __post_init__(self):
-        if not (0.0 < self.r < 1.0) or not math.isfinite(self.r):
-            raise DomainError(f"modulus must lie strictly in (0, 1), got {self.r!r}")
-
-    @property
-    def r_comp(self) -> float:
-        return math.sqrt(1.0 - self.r * self.r)
 
 
 def _check_param_a(a: float) -> float:
@@ -103,7 +82,7 @@ def elliptic_e(r: float) -> float:
 # ---------------------------------------------------------------------------
 
 def _2f1_sym_series(a: float, x: float) -> float:
-    # Direct term recurrence; adequate away from the x -> 1 singularity.
+    # Direct term recurrence, used for x <= 1/2 (under 50 terms there).
     term = 1.0
     total = 1.0
     n = 0
@@ -113,59 +92,47 @@ def _2f1_sym_series(a: float, x: float) -> float:
         n += 1
         if term < 1e-16 * total:
             return total
-        if n > 20_000_000:  # pragma: no cover - unreachable for x <= 0.95
+        if n > 20_000_000:  # pragma: no cover - unreachable for x <= 1/2
             raise RuntimeError("hypergeometric series failed to converge")
 
 
 def _2f1_sym_near_one(a: float, y: float) -> float:
-    # Logarithmic connection expansion around x = 1 (c = a + b = 1 case),
-    # taking the complement y = 1 - x directly so callers that know y
-    # exactly avoid the 1 - x cancellation:
-    # F(a,1-a;1;1-y) = (sin(pi a)/pi) * sum p_n [2 psi(n+1) - psi(a+n)
-    #                   - psi(1-a+n) - ln y] y^n
-    # with p_n = (a)_n (1-a)_n / (n!)^2.  Converges geometrically in y.
+    # Logarithmic connection expansion around x = 1 (c = a + b = 1 case) in
+    # the complement y = 1 - x (DLMF 15.8.10):
+    # F(a,1-a;1;1-y) = (sin(pi a)/pi) * sum p_n [b_n - ln y] y^n,
+    # p_n = (a)_n (1-a)_n / (n!)^2, b_n = 2 psi(n+1) - psi(a+n) - psi(1-a+n),
+    # so b_0 = R(a) and b_{n+1} = b_n + 2/(n+1) - 1/(a+n) - 1/(1-a+n).
     lny = math.log(y)
     p = 1.0
-    d1 = -EULER_GAMMA        # psi(n+1) at n = 0
-    d2 = digamma(a)
-    d3 = digamma(1.0 - a)
+    b = ramanujan_R(a)
     total = 0.0
     ypow = 1.0
     n = 0
     while True:
-        term = p * (2.0 * d1 - d2 - d3 - lny) * ypow
+        term = p * (b - lny) * ypow
         total += term
         if n > 2 and abs(term) < 1e-17 * abs(total):
             break
         p *= (a + n) * (1.0 - a + n) / ((n + 1.0) * (n + 1.0))
-        d1 += 1.0 / (n + 1.0)
-        d2 += 1.0 / (a + n)
-        d3 += 1.0 / (1.0 - a + n)
+        b += 2.0 / (n + 1.0) - 1.0 / (a + n) - 1.0 / (1.0 - a + n)
         ypow *= y
         n += 1
-        if n > 500:  # pragma: no cover
+        if n > 500:  # pragma: no cover - y < 1/2 converges in under 50 terms
             raise RuntimeError("near-one expansion failed to converge")
     return math.sin(math.pi * a) / math.pi * total
 
 
-@lru_cache(maxsize=65536)
-def _2f1_sym_cached(a: float, x: float) -> float:
-    if x == 0.0:
-        return 1.0
-    if x <= 0.95:
+def _2f1_sym(a: float, x: float, y: float) -> float:
+    """F(a, 1-a; 1; x) given x and its complement y = 1 - x.
+
+    The series runs for y >= 1/2, where x <= 1/2, and the connection sum for
+    y < 1/2; whichever of x and y a caller computes as 1 minus the other is
+    exact (Sterbenz) in the branch that reads it.
+    """
+    if y >= 0.5:
         return _2f1_sym_series(a, x)
     if a == 0.5:
         # F(1/2,1/2;1;x) = (2/pi) kappa(sqrt(x)) = 1/agm(1, sqrt(1-x))
-        return 1.0 / agm(1.0, math.sqrt(1.0 - x))
-    return _2f1_sym_near_one(a, 1.0 - x)
-
-
-@lru_cache(maxsize=65536)
-def _2f1_sym_comp(a: float, y: float) -> float:
-    """F(a, 1-a; 1; 1-y) evaluated from the exact complement y in (0, 1]."""
-    if y >= 0.05:
-        return _2f1_sym_cached(a, 1.0 - y)
-    if a == 0.5:
         return 1.0 / agm(1.0, math.sqrt(y))
     return _2f1_sym_near_one(a, y)
 
@@ -175,7 +142,7 @@ def gauss_2f1_sym(a: float, x: float) -> float:
     _check_param_a(a)
     if not (0.0 <= x < 1.0):
         raise DomainError("domain error: x must lie in [0,1)")
-    return _2f1_sym_cached(a, x)
+    return _2f1_sym(a, x, 1.0 - x)
 
 
 def elliptic_ka(a: float, r: float) -> float:
@@ -202,11 +169,11 @@ _PSI_ASYMP = (
 
 
 def digamma(x: float) -> float:
-    """psi(x) = Gamma'(x)/Gamma(x) for x > 0, accurate to ~1e-13 absolute."""
+    """psi(x) = Gamma'(x)/Gamma(x) for x > 0, accurate to ~1e-15 absolute."""
     if not (x > 0.0):
         raise DomainError(f"digamma requires x > 0, got {x!r}")
     acc = 0.0
-    while x < 8.0:
+    while x < 16.0:  # the first dropped term, x^-14 / 12, is then 1.2e-18
         acc -= 1.0 / x
         x += 1.0
     inv2 = 1.0 / (x * x)

@@ -156,13 +156,15 @@ def _radial_stretch(z: complex, k: float) -> complex:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=100_000)
+def _phi_a(a: float, k: float, r: float) -> float:
+    # the library's one memo cache: sibling targets (lemma3_literal and
+    # lemma3_corrected, the (r, r_next) pairs, the eq54-eq64 family) sweep
+    # the same grid, so each phi_{K,a}(r) is inverted once per process
+    return distortion.phi_ka(a, k, r).value
+
+
 def _phi(k: float, r: float) -> float:
-    return distortion.phi_k(k, r).value
-
-
-@lru_cache(maxsize=100_000)
-def _fk(a: float, k: float, r: float, literal: bool) -> float:
-    return distortion.lemma3_fk(a, k, r, literal=literal)
+    return _phi_a(0.5, k, r)
 
 
 def _m_eq5_chain(zs: tuple[complex], p: dict) -> float:
@@ -225,8 +227,10 @@ def _m_eq48(p: dict) -> float:
 
 
 def _m_lemma3(p: dict, literal: bool) -> float:
-    a, k = p["a"], p["k"]
-    return _fk(a, k, p["r"], literal) - _fk(a, k, p["r_next"], literal)
+    # lemma3_fk(a, k, r, literal) = phi_K(a, r) * r^{+-1/K}
+    a, k, r, r_next = p["a"], p["k"], p["r"], p["r_next"]
+    expo = 1.0 / k if literal else -1.0 / k
+    return _phi_a(a, k, r) * r ** expo - _phi_a(a, k, r_next) * r_next ** expo
 
 
 def _m_eq49(p: dict) -> float:

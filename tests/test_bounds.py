@@ -187,6 +187,20 @@ class TestEtaAndProductBound:
                 v = eta_k(k, r)
                 assert math.isfinite(v) and v > 0.0
 
+    @pytest.mark.parametrize("k, r, expected", [
+        (0.5, 0.3, 0.0005560095357555072751007084173781500989257),
+        (0.5, 0.9, 0.1825118089406266494592801311756282675226),
+        (2.0, 0.3, 2.448979576546606172486993362295044129521),
+        (2.0, 0.9, 359.9999993769675145619851857456607511899),
+        (4.0, 0.3, 136.1245117155909061819133180889344775138),
+        (4.0, 0.9, 2079298.814719739024530531923664880922519),
+    ])
+    def test_theorem3_mpmath_oracle(self, k, r, expected):
+        # 60-digit mpmath: u by the AGM, phi_K and phi_{1/K} by the Jacobi nome,
+        # over the moduli that landen_next produces in doubles from r and from
+        # r' = sqrt((1-r)(1+r)), as for phi_k_product's oracle
+        assert theorem3_sfk(k, r) == pytest.approx(expected, rel=1e-13)
+
     def test_theorem3_finite(self):
         for k in (1.5, 2.0, 4.0):
             for r in (0.1, 0.5, 0.9):

@@ -163,6 +163,21 @@ class TestProductForm:
                 v = phi_k_product(k, r)
                 assert math.isfinite(v) and v > 0.0
 
+    @pytest.mark.parametrize("k, r, expected", [
+        (0.5, 0.3, 0.05325443786982248208810069789573820931507),
+        (0.5, 0.9, 0.2243767313019390639992019916593010457984),
+        (2.0, 0.3, 0.5606341861568242799263482763640004674305),
+        (2.0, 0.9, 1.321387245671985843614235081089973598426),
+        (4.0, 0.3, 0.7488477326088896281430251133281085876345),
+        (4.0, 0.9, 1.197627867233348324692579872547369373183),
+    ])
+    def test_mpmath_oracle(self, k, r, expected):
+        # 60-digit mpmath: the Landen product for P(r), phi_{1/K} by the Jacobi
+        # nome, over the moduli r_n that landen_next produces in doubles.  Those
+        # moduli lose the complement of r_n near 1, which moves the exact
+        # product by up to 3e-5 at K = 4 (1.6e-18 at K = 1/2).
+        assert phi_k_product(k, r) == pytest.approx(expected, rel=1e-13)
+
 
 class TestLemma3Fk:
     def test_corrected_form_decreasing(self):

@@ -93,6 +93,12 @@ class TestGrotzschUa:
     def test_frozen_oracle(self, a, r, expected):
         assert grotzsch_ua(a, r) == pytest.approx(expected, rel=1e-12)
 
+    def test_mpmath_oracle_within_two_ulps(self):
+        # 40-digit mpmath pi/(2 sin pi a) * F(a,1-a;1;r'^2) / F(a,1-a;1;r^2)
+        expected = 3.7902273981608041155
+        got = grotzsch_ua(0.3790338635697812, 0.10266345562700334)
+        assert abs(got - expected) <= 2.0 * math.ulp(expected)
+
     def test_complement_identity(self):
         # u_a(r) u_a(r') = [pi / (2 sin pi a)]^2
         for a in (0.1, 0.25, 0.4):
@@ -216,6 +222,11 @@ class TestLanden:
     def test_negative_length(self):
         with pytest.raises(DomainError):
             landen_ascend(0.5, -1)
+
+    def test_start_outside_unit_interval(self):
+        for r in (1.5, math.nan):
+            with pytest.raises(DomainError):
+                landen_ascend(r, 3)
 
 
 class TestProductP:

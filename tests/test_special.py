@@ -119,6 +119,22 @@ class TestGauss2F1:
     def test_frozen_oracle(self, a, x, expected):
         assert gauss_2f1_sym(a, x) == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("a, x, expected", [
+        # 40-digit mpmath hyp2f1; the first two sit where the connection sum
+        # used to start at x = 0.95, the rest on both sides of the x = 1/2 switch
+        (0.3323902998799169, 0.9496835989482149, 1.7434212583986662435),
+        (0.43027989645324094, 0.9349379478906723, 1.7543184489882077613),
+        (0.0669626616188318, 0.6454932087551498, 1.0657277517461638568),
+        (0.25, 0.5, 1.1339155597260827324),
+        (0.1, 0.4999999999999999, 1.0632872531304174378),
+        (0.1, 0.5000000000000001, 1.0632872531304174788),
+        (0.4, 0.45, 1.1483578881332650648),
+        (0.4, 0.55, 1.2001748208599076071),
+        (0.2, 0.999, 2.2467859849001759914),
+    ])
+    def test_mpmath_oracle_full_precision(self, a, x, expected):
+        assert gauss_2f1_sym(a, x) == pytest.approx(expected, rel=2e-15, abs=0.0)
+
     def test_at_zero(self):
         assert gauss_2f1_sym(0.25, 0.0) == 1.0
 
@@ -142,6 +158,17 @@ class TestDigamma:
     ])
     def test_frozen_oracle(self, x, expected):
         assert digamma(x) == pytest.approx(expected, rel=1e-13)
+
+    @pytest.mark.parametrize("x, expected", [
+        # 40-digit mpmath digamma
+        (0.1, -10.423754940411076232),
+        (0.5, -1.9635100260214234794),
+        (1.5, 0.036489973978576520559),
+        (3.0, 0.92278433509846713939),
+        (7.9, 2.0022384875635710357),
+    ])
+    def test_mpmath_oracle_absolute(self, x, expected):
+        assert digamma(x) == pytest.approx(expected, rel=0.0, abs=1e-15)
 
     def test_recurrence(self):
         for x in (0.2, 0.7, 1.3, 4.8):

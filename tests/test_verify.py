@@ -11,6 +11,7 @@ from gft import (
     InequalityReport,
     SweepSpec,
     UsageError,
+    lemma3_fk,
     margin_at,
     mori_radial_experiment,
     registry,
@@ -45,6 +46,25 @@ def _strip_time(d: dict) -> dict:
     d = dict(d)
     d.pop("wall_time_ms")
     return d
+
+
+def test_one_memo_cache():
+    # the kernels (special, modulus, distortion, bounds) stay pure, so their
+    # timings are cold by construction; the verify layer shares phi_{K,a}(r)
+    import importlib
+    cached = {f"{mod}.{name}"
+              for mod in ("special", "modulus", "distortion", "bounds", "verify", "cli")
+              for name, obj in vars(importlib.import_module(f"gft.{mod}")).items()
+              if hasattr(obj, "cache_info")}
+    assert cached == {"verify._phi_a"}
+
+
+def test_lemma3_margins_match_lemma3_fk():
+    # the margins scale the shared phi_{K,a}(r) by r^{+-1/K} themselves
+    p = {"a": 0.25, "k": 2.0, "r": 0.3, "r_next": 0.31}
+    for name, literal in (("lemma3_literal", True), ("lemma3_corrected", False)):
+        want = lemma3_fk(0.25, 2.0, 0.3, literal) - lemma3_fk(0.25, 2.0, 0.31, literal)
+        assert margin_at(name, p) == want
 
 
 class TestRegistry:
