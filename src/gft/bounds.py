@@ -15,31 +15,16 @@ from .distortion import phi_k
 #: Classical lower bound for Bloch's constant, sqrt(3)/4.
 BLOCH_B1 = math.sqrt(3.0) / 4.0
 
-#: Largest distance from the rectangle [0, ln(sqrt2+1)] x [0, 2pi] to the
-#: omitted-value lattice {+-ln(sqrt n + sqrt(n-1)) + 2 m pi i}; grid search
-#: at resolution 1e-3 (see derive_lattice_gap).
-LATTICE_GAP_D = 3.1719038494546727
-
-
-def derive_lattice_gap(resolution: float = 1e-3) -> float:
-    """Recompute LATTICE_GAP_D by grid search at the given resolution."""
-    import numpy as np
-
-    width = math.log(math.sqrt(2.0) + 1.0)
-    xs = [math.log(math.sqrt(n) + math.sqrt(n - 1)) for n in range(1, 80)]
-    pts = [(sx * v, 2.0 * math.pi * m)
-           for v in xs for sx in (1.0, -1.0) for m in (-1, 0, 1, 2)]
-    lat = np.array([p for p in pts
-                    if -6.0 < p[0] < width + 6.0 and -6.0 < p[1] < 2.0 * math.pi + 6.0])
-    gx = np.arange(0.0, width + resolution / 2.0, resolution)
-    gy = np.arange(0.0, 2.0 * math.pi + resolution / 2.0, resolution)
-    best = -1.0
-    for x in gx:
-        d2 = np.full(gy.shape, np.inf)
-        for lx, ly in lat:
-            np.minimum(d2, (x - lx) ** 2 + (gy - ly) ** 2, out=d2)
-        best = max(best, float(d2.max()))
-    return math.sqrt(best)
+#: Largest distance from a point of the plane to the omitted-value lattice
+#: {+-ln(sqrt n + sqrt(n-1)) + 2 m pi i}: d = sqrt(pi^2 + ln^2(1+sqrt2)/4).
+#: The lattice columns x = 0, +-ln(1+sqrt2), +-ln(sqrt3+sqrt2), ... are
+#: 0.881, 0.265, 0.171, ... apart, shrinking outwards, and each repeats with
+#: period 2 pi.  In a strip between columns g apart, the point farthest from
+#: the lattice is the centre of a g x 2 pi lattice rectangle, at distance
+#: sqrt(pi^2 + g^2/4) from its four corners, and no other lattice point is
+#: nearer.  The widest strips, next to x = 0, give the sup, attained at
+#: (ln(1+sqrt2)/2, pi).
+LATTICE_GAP_D = math.hypot(math.pi, math.log1p(math.sqrt(2.0)) / 2.0)
 
 
 @dataclass(frozen=True)
@@ -126,12 +111,12 @@ def schottky_F(w: complex) -> complex:
     return 0.5 * cmath.log(1.0 + 2.0 * _sqrt_re_nonneg(q * (1.0 - q)))
 
 
-def schottky_sf(f_abs_F: float) -> float:
-    """S_f = exp(pi e^{2|F|}); returns inf on overflow."""
-    if not (f_abs_F >= 0.0):
+def schottky_sf(f_abs: float) -> float:
+    """S_f = exp(pi e^{2|F|}) for f_abs = |F|; returns inf on overflow."""
+    if not (f_abs >= 0.0):
         raise DomainError("domain error: |F| must be nonnegative")
     try:
-        return math.exp(math.pi * math.exp(2.0 * f_abs_F))
+        return math.exp(math.pi * math.exp(2.0 * f_abs))
     except OverflowError:
         return math.inf
 

@@ -7,14 +7,14 @@ violation.
 from __future__ import annotations
 
 import csv
+import inspect
 import json
-import math
 import os
 import sys
 
 from . import bounds, distortion, modulus, special, verify
 from .special import DomainError
-from .verify import SweepSpec, UsageError
+from .verify import UsageError
 
 
 def _fmt(v) -> str:
@@ -28,77 +28,61 @@ def _fmt(v) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Function registry: name -> (callable, ordered parameter spec)
-# parameter kinds: f = real, c = complex (passed via <name>-re/<name>-im), s = string
+# Function registry.  Flags come from the signatures: a parameter annotated
+# float, complex or str is the flag --<name> (with _ -> -), optional when it
+# has a default.  A complex parameter takes --<name>-re/--<name>-im, or
+# --re/--im when it is the function's only one.  Other parameters keep their
+# defaults and get no flag.
 # ---------------------------------------------------------------------------
 
-def _phi_value(k, r):
-    return distortion.phi_k(k, r).value
-
-
-def _phi_ka_value(a, k, r):
-    return distortion.phi_ka(a, k, r).value
-
-
-def _growth(f_abs, theta=0.0, d=bounds.LATTICE_GAP_D, b1=bounds.BLOCH_B1):
+def _growth(f_abs: float, theta: float = 0.0, d: float = bounds.LATTICE_GAP_D,
+            b1: float = bounds.BLOCH_B1) -> float:
     cfg = bounds.BoundConfig(bloch_lower=b1, lattice_gap_d=d, theta=theta)
     return bounds.f_growth_bound(f_abs, cfg)
 
 
-def _triple_angle(z0, z1, z2, w0, w1, w2):
+def _triple_angle(z0: complex, z1: complex, z2: complex,
+                  w0: complex, w1: complex, w2: complex) -> tuple[float, float]:
     return bounds.triple_angle(bounds.TriplePoints(z0, z1, z2),
                                bounds.TriplePoints(w0, w1, w2))
 
 
-FUNCTIONS: dict = {
-    # special_fns
-    "agm": (special.agm, [("a", "f"), ("b", "f")]),
-    "elliptic_k": (special.elliptic_k, [("r", "f")]),
-    "elliptic_e": (special.elliptic_e, [("r", "f")]),
-    "elliptic_ka": (special.elliptic_ka, [("a", "f"), ("r", "f")]),
-    "gauss_2f1_sym": (special.gauss_2f1_sym, [("a", "f"), ("x", "f")]),
-    "digamma": (special.digamma, [("x", "f")]),
-    "euler_gamma": (special.euler_gamma, []),
-    "ramanujan_R": (special.ramanujan_R, [("a", "f")]),
-    "landau_constant": (special.landau_constant, []),
-    "apery_zeta3": (special.apery_zeta3, []),
-    # modulus
-    "grotzsch_u": (modulus.grotzsch_u, [("r", "f")]),
-    "grotzsch_u_inv": (modulus.grotzsch_u_inv, [("y", "f")]),
-    "grotzsch_ua": (modulus.grotzsch_ua, [("a", "f"), ("r", "f")]),
-    "grotzsch_ua_inv": (modulus.grotzsch_ua_inv, [("a", "f"), ("y", "f")]),
-    "product_P": (modulus.product_P, [("r", "f")]),
-    "fn_A": (modulus.fn_A, [("r", "f")]),
-    "fn_B": (modulus.fn_B, [("r", "f")]),
-    # distortion
-    "phi_k": (_phi_value, [("k", "f"), ("r", "f")]),
-    "phi_ka": (_phi_ka_value, [("a", "f"), ("k", "f"), ("r", "f")]),
-    "phi_k_product": (distortion.phi_k_product, [("k", "f"), ("r", "f")]),
-    "phi_partial_r": (distortion.phi_partial_r, [("a", "f"), ("k", "f"), ("r", "f")]),
-    "phi_partial_k": (distortion.phi_partial_k, [("a", "f"), ("k", "f"), ("r", "f")]),
-    "lemma3_fk": (distortion.lemma3_fk, [("a", "f"), ("k", "f"), ("r", "f")]),
-    # bounds
-    "rho_lower": (bounds.rho_lower, [("z-abs", "f")]),
-    "zeta_map": (bounds.zeta_map, [("", "c")]),
-    "sigma_metric": (bounds.sigma_metric, [("", "c")]),
-    "schottky_classical": (bounds.schottky_classical, [("ln-f0", "f"), ("z-abs", "f")]),
-    "schottky_F": (bounds.schottky_F, [("", "c")]),
-    "schottky_sf": (bounds.schottky_sf, [("f-abs", "f")]),
-    "f_growth_bound": (_growth, [("f-abs", "f"), ("theta", "f?"),
-                                 ("d", "f?"), ("b1", "f?")]),
-    "schottky_f0_window": (bounds.schottky_f0_window, [("alpha", "f"), ("beta", "f")]),
-    "eta_k": (bounds.eta_k, [("k", "f"), ("r", "f")]),
-    "theorem3_sfk": (bounds.theorem3_sfk, [("k", "f"), ("r", "f")]),
-    "qc_schwarz_bounds": (bounds.qc_schwarz_bounds, [("k", "f"), ("z-abs", "f")]),
-    "triple_angle": (_triple_angle, [("z0", "c"), ("z1", "c"), ("z2", "c"),
-                                     ("w0", "c"), ("w1", "c"), ("w2", "c")]),
-    "mori_h": (bounds.mori_h, [("k", "f"), ("alpha", "f")]),
-    "mori_sin_bound": (bounds.mori_sin_bound, [("k", "f"), ("alpha", "f")]),
-    "mori_sin_bound_clamped": (bounds.mori_sin_bound_clamped,
-                               [("k", "f"), ("alpha", "f")]),
-    "mori_holder_bound": (bounds.mori_holder_bound,
-                          [("k", "f"), ("dz-abs", "f"), ("variant", "s?")]),
-}
+FUNCTIONS: dict = {fn.__name__: fn for fn in (
+    special.agm, special.elliptic_k, special.elliptic_e, special.elliptic_ka,
+    special.gauss_2f1_sym, special.digamma, special.euler_gamma,
+    special.ramanujan_R, special.landau_constant, special.apery_zeta3,
+    modulus.grotzsch_u, modulus.grotzsch_u_inv, modulus.grotzsch_ua,
+    modulus.grotzsch_ua_inv, modulus.product_P, modulus.fn_A, modulus.fn_B,
+    distortion.phi_k, distortion.phi_ka, distortion.phi_k_product,
+    distortion.phi_partial_r, distortion.phi_partial_k, distortion.lemma3_fk,
+    bounds.rho_lower, bounds.zeta_map, bounds.sigma_metric,
+    bounds.schottky_classical, bounds.schottky_F, bounds.schottky_sf,
+    bounds.schottky_f0_window, bounds.eta_k, bounds.theorem3_sfk,
+    bounds.qc_schwarz_bounds, bounds.mori_h, bounds.mori_sin_bound,
+    bounds.mori_sin_bound_clamped, bounds.mori_holder_bound,
+)}
+FUNCTIONS.update(f_growth_bound=_growth, triple_angle=_triple_angle)
+
+
+def _params(fn) -> list[tuple[str, str, type, bool]]:
+    """(name, flag, type, optional) for each parameter the command line sets;
+    a complex parameter's flag is the one for its real part."""
+    params = [p for p in inspect.signature(fn, eval_str=True).parameters.values()
+              if p.annotation in (float, complex, str)]
+    lone = [p.annotation for p in params].count(complex) == 1
+    spec = []
+    for p in params:
+        flag = p.name.replace("_", "-")
+        if p.annotation is complex:
+            flag = "re" if lone else f"{flag}-re"
+        spec.append((p.name, flag, p.annotation, p.default is not p.empty))
+    return spec
+
+
+def _call(fn, kwargs: dict):
+    """fn called by keyword; a PhiResult gives its value."""
+    value = fn(**kwargs)
+    return value.value if isinstance(value, distortion.PhiResult) else value
 
 
 class _CliUsage(Exception):
@@ -120,22 +104,22 @@ def _parse_flags(argv: list[str]) -> dict[str, str]:
     return flags
 
 
-def _pop_float(flags: dict, name: str) -> float:
+def _pop(flags: dict, flag: str, kind: type = float, noun: str = "numeric flag"):
+    """Remove --flag and convert it to kind.  A complex value is read from
+    its -re flag and the matching -im flag, which defaults to 0."""
+    if kind is complex:
+        re = _pop(flags, flag, float, "flag")
+        im_flag = flag[:-2] + "im"
+        return complex(re, _pop(flags, im_flag, float, "flag") if im_flag in flags else 0.0)
     try:
-        return float(flags.pop(name))
+        return kind(flags.pop(flag))
     except (KeyError, ValueError):
-        raise _CliUsage(f"missing or invalid numeric flag --{name}") from None
+        raise _CliUsage(f"missing or invalid {noun} --{flag}") from None
 
 
-def _pop_complex(flags: dict, prefix: str) -> complex:
-    re_key = f"{prefix}-re" if prefix else "re"
-    im_key = f"{prefix}-im" if prefix else "im"
-    try:
-        re = float(flags.pop(re_key))
-    except (KeyError, ValueError):
-        raise _CliUsage(f"missing or invalid flag --{re_key}") from None
-    im = float(flags.pop(im_key)) if im_key in flags else 0.0
-    return complex(re, im)
+def _reject_unknown(flags: dict) -> None:
+    if flags:
+        raise _CliUsage(f"unknown flags: {', '.join('--' + f for f in flags)}")
 
 
 def _get_format(flags: dict) -> str:
@@ -159,23 +143,13 @@ def _lookup(fn_name: str):
 def _cmd_eval(argv: list[str]) -> int:
     if not argv:
         raise _CliUsage("usage: gft eval FUNCTION [--param value ...]")
-    fn, params = _lookup(argv[0])
+    fn = _lookup(argv[0])
     flags = _parse_flags(argv[1:])
     fmt = _get_format(flags)
-    args = []
-    for name, kind in params:
-        if kind == "c":
-            args.append(_pop_complex(flags, name))
-        elif kind == "s?":
-            args.append(flags.pop(name, "sixteen"))
-        elif kind == "f?":
-            if name in flags:
-                args.append(_pop_float(flags, name))
-        else:
-            args.append(_pop_float(flags, name))
-    if flags:
-        raise _CliUsage(f"unknown flags: {', '.join('--' + f for f in flags)}")
-    value = fn(*args)
+    kwargs = {name: _pop(flags, flag, kind) for name, flag, kind, optional in _params(fn)
+              if not optional or flag in flags}
+    _reject_unknown(flags)
+    value = _call(fn, kwargs)
     if fmt == "json":
         if isinstance(value, complex):
             out = {"re": value.real, "im": value.imag}
@@ -193,7 +167,7 @@ def _cmd_table(argv: list[str]) -> int:
     if not argv:
         raise _CliUsage("usage: gft table FUNCTION --<p>-min A --<p>-max B --steps N")
     fn_name = argv[0]
-    fn, params = _lookup(fn_name)
+    fn = _lookup(fn_name)
     flags = _parse_flags(argv[1:])
     fmt = _get_format(flags)
     try:
@@ -203,42 +177,34 @@ def _cmd_table(argv: list[str]) -> int:
     if steps < 1:
         raise _CliUsage("--steps must be >= 1")
 
-    swept: list[tuple[str, list[float]]] = []
-    fixed: dict[str, float] = {}
-    for name, kind in params:
-        if kind in ("c",):
+    swept: list[tuple[str, str, list[float]]] = []
+    fixed: dict = {}
+    for name, flag, kind, optional in _params(fn):
+        if kind is complex:
             raise _CliUsage(f"{fn_name} takes complex input; table not supported")
-        lo_key, hi_key = f"{name}-min", f"{name}-max"
+        lo_key, hi_key = f"{flag}-min", f"{flag}-max"
         if lo_key in flags or hi_key in flags:
-            lo = _pop_float(flags, lo_key)
-            hi = _pop_float(flags, hi_key)
+            lo = _pop(flags, lo_key)
+            hi = _pop(flags, hi_key)
             if steps == 1:
                 grid = [lo]
             else:
                 grid = [lo + i * (hi - lo) / (steps - 1) for i in range(steps)]
-            swept.append((name, grid))
-        elif name in flags:
-            fixed[name] = _pop_float(flags, name)
-        elif kind in ("f?", "s?"):
-            pass
-        else:
-            raise _CliUsage(f"parameter --{name} must be fixed or swept")
-    if flags:
-        raise _CliUsage(f"unknown flags: {', '.join('--' + f for f in flags)}")
+            swept.append((name, flag, grid))
+        elif flag in flags:
+            fixed[name] = _pop(flags, flag, kind)
+        elif not optional:
+            raise _CliUsage(f"parameter --{flag} must be fixed or swept")
+    _reject_unknown(flags)
     if not 1 <= len(swept) <= 2:
         raise _CliUsage("table requires one or two swept axes")
 
-    header = [n for n, _ in swept] + [fn_name]
-    rows = []
-    grids = [g for _, g in swept]
+    header = [flag for _, flag, _ in swept] + [fn_name]
+    names = [name for name, _, _ in swept]
+    grids = [grid for _, _, grid in swept]
     points = ([(x,) for x in grids[0]] if len(grids) == 1
               else [(x, y) for x in grids[0] for y in grids[1]])  # axis-major
-    for pt in points:
-        kwargs = dict(fixed)
-        for (name, _), val in zip(swept, pt):
-            kwargs[name] = val
-        value = fn(*[kwargs[name] for name, _ in params if name in kwargs])
-        rows.append(list(pt) + [value])
+    rows = [list(pt) + [_call(fn, {**fixed, **dict(zip(names, pt))})] for pt in points]
 
     if fmt == "csv":
         w = csv.writer(sys.stdout)
@@ -261,16 +227,10 @@ def _cmd_verify(argv: list[str]) -> int:
     suite = argv[0]
     flags = _parse_flags(argv[1:])
     fmt = _get_format(flags)
-    overrides: dict = {}
-    if "samples" in flags:
-        overrides["samples"] = int(flags.pop("samples"))
-    if "tol" in flags:
-        overrides["tol"] = float(flags.pop("tol"))
-    if "seed" in flags:
-        overrides["seed"] = int(flags.pop("seed"))
+    overrides = {name: _pop(flags, name, kind) for name, kind in
+                 (("samples", int), ("tol", float), ("seed", int)) if name in flags}
     report_path = flags.pop("report", None)
-    if flags:
-        raise _CliUsage(f"unknown flags: {', '.join('--' + f for f in flags)}")
+    _reject_unknown(flags)
 
     reports = verify.run_suite(suite, **overrides)
 
@@ -298,7 +258,7 @@ def _constants() -> list[tuple[str, float, str]]:
         ("14_zeta3", special.APERY_A, "14*zeta(3)"),
         ("bloch_B1", bounds.BLOCH_B1, "sqrt(3)/4 lower bound for Bloch's constant"),
         ("lattice_gap_d", bounds.LATTICE_GAP_D,
-         "grid-searched gap of the omitted-value lattice (derive_lattice_gap)"),
+         "omitted-value lattice gap sqrt(pi^2 + ln^2(1+sqrt2)/4)"),
         ("ramanujan_R(0.5)", special.ramanujan_R(0.5), "equals ln 16"),
         ("ramanujan_R(0.25)", special.ramanujan_R(0.25), "equals 6 ln 2"),
     ]
@@ -307,8 +267,7 @@ def _constants() -> list[tuple[str, float, str]]:
 def _cmd_constants(argv: list[str]) -> int:
     flags = _parse_flags(argv)
     fmt = _get_format(flags)
-    if flags:
-        raise _CliUsage(f"unknown flags: {', '.join('--' + f for f in flags)}")
+    _reject_unknown(flags)
     consts = _constants()
     if fmt == "json":
         print(json.dumps({name: value for name, value, _ in consts}, sort_keys=True))

@@ -5,6 +5,7 @@ Mori-type Holder quantities.
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from gft import (
@@ -14,7 +15,6 @@ from gft import (
     BoundConfig,
     DomainError,
     TriplePoints,
-    derive_lattice_gap,
     eta_k,
     f_growth_bound,
     mori_h,
@@ -149,9 +149,45 @@ class TestSchottky:
             schottky_f0_window(0.0, 2.0)
 
 
+def grid_lattice_gap(resolution: float) -> float:
+    """Oracle for LATTICE_GAP_D: the largest distance from a grid point of
+    [0, ln(sqrt2+1)] x [0, 2pi] to the omitted-value lattice.  A grid misses
+    the sup by at most its diagonal, and never exceeds it."""
+    width = math.log(math.sqrt(2.0) + 1.0)
+    xs = [math.log(math.sqrt(n) + math.sqrt(n - 1)) for n in range(1, 80)]
+    pts = [(sx * v, 2.0 * math.pi * m)
+           for v in xs for sx in (1.0, -1.0) for m in (-1, 0, 1, 2)]
+    lat = np.array([p for p in pts
+                    if -6.0 < p[0] < width + 6.0 and -6.0 < p[1] < 2.0 * math.pi + 6.0])
+    gx = np.arange(0.0, width + resolution / 2.0, resolution)
+    gy = np.arange(0.0, 2.0 * math.pi + resolution / 2.0, resolution)
+    best = -1.0
+    for x in gx:
+        d2 = np.full(gy.shape, np.inf)
+        for lx, ly in lat:
+            np.minimum(d2, (x - lx) ** 2 + (gy - ly) ** 2, out=d2)
+        best = max(best, float(d2.max()))
+    return math.sqrt(best)
+
+
 class TestLatticeGap:
     def test_constant_reproducible_at_coarse_resolution(self):
-        assert derive_lattice_gap(0.05) == pytest.approx(LATTICE_GAP_D, abs=0.05)
+        assert grid_lattice_gap(0.05) == pytest.approx(LATTICE_GAP_D, abs=0.05)
+
+    @pytest.mark.parametrize("resolution", [0.05, 0.01, 0.003])
+    def test_grid_never_exceeds_closed_form(self, resolution):
+        assert grid_lattice_gap(resolution) <= LATTICE_GAP_D
+
+    def test_fine_grid_within_resolution(self):
+        gap = grid_lattice_gap(1e-3)
+        assert LATTICE_GAP_D - 1e-3 <= gap <= LATTICE_GAP_D
+
+    def test_closed_form_mpmath(self):
+        import mpmath
+
+        with mpmath.workdps(30):
+            d = mpmath.sqrt(mpmath.pi ** 2 + mpmath.log(1 + mpmath.sqrt(2)) ** 2 / 4)
+            assert abs(LATTICE_GAP_D - d) <= math.ulp(LATTICE_GAP_D)
 
     def test_bloch_constant(self):
         assert BLOCH_B1 == pytest.approx(math.sqrt(3.0) / 4.0, rel=1e-15)
