@@ -184,13 +184,8 @@ def _cmd_table(argv: list[str]) -> int:
             raise _CliUsage(f"{fn_name} takes complex input; table not supported")
         lo_key, hi_key = f"{flag}-min", f"{flag}-max"
         if lo_key in flags or hi_key in flags:
-            lo = _pop(flags, lo_key)
-            hi = _pop(flags, hi_key)
-            if steps == 1:
-                grid = [lo]
-            else:
-                grid = [lo + i * (hi - lo) / (steps - 1) for i in range(steps)]
-            swept.append((name, flag, grid))
+            swept.append((name, flag, verify._linspace(_pop(flags, lo_key),
+                                                       _pop(flags, hi_key), steps)))
         elif flag in flags:
             fixed[name] = _pop(flags, flag, kind)
         elif not optional:
@@ -233,16 +228,17 @@ def _cmd_verify(argv: list[str]) -> int:
     _reject_unknown(flags)
 
     reports = verify.run_suite(suite, **overrides)
+    docs = [r.to_dict() for r in reports]
 
     if report_path is not None:
         report_dir = os.environ.get("GFT_REPORT_DIR", "")
         if report_dir and not os.path.isabs(report_path):
             report_path = os.path.join(report_dir, report_path)
         with open(report_path, "w") as fh:
-            json.dump([r.to_dict() for r in reports], fh, indent=2, sort_keys=True)
+            json.dump(docs, fh, indent=2, sort_keys=True)
 
     if fmt == "json":
-        print(json.dumps([r.to_dict() for r in reports], sort_keys=True))
+        print(json.dumps(docs, sort_keys=True))
     else:
         for r in reports:
             arg = ",".join(f"{k}={_fmt(v)}" for k, v in sorted(r.argmin.items()))

@@ -9,15 +9,15 @@ measured and reported, never asserted).
 from __future__ import annotations
 
 import cmath
+import heapq
 import math
 import operator
 import struct
-import time
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
-from . import bounds, distortion, modulus, special
+from . import __version__, bounds, distortion, modulus, special
 from .special import APERY_A
 
 
@@ -53,30 +53,45 @@ class SweepSpec:
             raise UsageError("samples must be >= 1")
 
 
+MAX_VIOLATIONS = 20   # a report keeps the worst violations; it counts them all
+
+
 @dataclass(frozen=True)
 class InequalityReport:
-    """Outcome of one sweep: margin statistics plus any violations."""
+    """Outcome of one sweep: what was swept, margin statistics, and the
+    worst violations with a count of all of them."""
 
     target: str
     classification: str               # asserted | report_only
     evaluations: int
     min_margin: float
     argmin: dict
-    violations: tuple[tuple[dict, float], ...]
+    axis_minima: dict                 # "a"/"k" -> {value: min margin}
+    violation_count: int
+    violations: tuple[tuple[dict, float], ...]   # worst first, <= MAX_VIOLATIONS
     status: str                       # pass | fail | report_only
-    wall_time_ms: int
+    spec: SweepSpec
+    tol: float                        # the tolerance applied
 
     def to_dict(self) -> dict:
+        spec = self.spec
         return {
-            "schema": "v1",
+            "schema": "v2",
             "target": self.target,
             "classification": self.classification,
             "evaluations": self.evaluations,
             "min_margin": self.min_margin,
             "argmin": self.argmin,
+            "axis_minima": {name: {repr(v): m for v, m in minima.items()}
+                            for name, minima in self.axis_minima.items()},
+            "violation_count": self.violation_count,
             "violations": [{"params": p, "margin": m} for p, m in self.violations],
             "status": self.status,
-            "wall_time_ms": self.wall_time_ms,
+            "spec": {"r_grid": list(spec.r_grid), "k_values": list(spec.k_values),
+                     "a_values": list(spec.a_values), "samples": spec.samples,
+                     "seed": spec.seed},
+            "tol": self.tol,
+            "version": __version__,
         }
 
 
@@ -404,6 +419,8 @@ def target_info(name: str) -> Target:
 # ---------------------------------------------------------------------------
 
 def _linspace(lo: float, hi: float, steps: int) -> list[float]:
+    if steps == 1:
+        return [lo]
     h = (hi - lo) / (steps - 1)
     return [lo + i * h for i in range(steps)]
 
@@ -458,30 +475,56 @@ def margin_at(target_name: str, params: dict) -> float:
 
 
 def sweep(spec: SweepSpec) -> InequalityReport:
-    """Evaluate one target's margin over its full parameter grid.  A sampled
-    row's params (its grid params, seed and index, and its points for the
-    reader) are built only when it is the argmin or a violation."""
+    """Evaluate one target's margin over its full parameter grid.  Every
+    violation is counted; the MAX_VIOLATIONS most negative are kept, ties
+    going to the earlier row.  A sampled row's params (its grid params, seed
+    and index, and its points for the reader) are built only when it is the
+    argmin or enters the kept violations."""
     target = target_info(spec.target)
     tol = target.default_tol if spec.tol is None else spec.tol
-    t0 = time.perf_counter()
     grid = _param_list(target, spec)
+    names = target.sample.names if target.randomized else ()
+
+    def params(p: dict, i: int | None, zs) -> dict:
+        if i is None:
+            return p
+        p = dict(p, i=i, seed=spec.seed)
+        for name, z in zip(names, zs):
+            p[f"{name}_re"], p[f"{name}_im"] = z.real, z.imag
+        return p
+
+    axis_minima: dict = {name: {} for name in ("a", "k") if name in target.axes}
+
+    def close_row(p: dict, m: float) -> None:
+        for name, minima in axis_minima.items():
+            if p[name] not in minima or m < minima[p[name]]:
+                minima[p[name]] = m
+
     min_margin = math.inf
     argmin: dict = {}
-    violations: list[tuple[dict, float]] = []
+    count = 0
+    worst: list = []                  # max-heap of (-margin, -count, params)
+    row, row_min = None, math.inf
+    neg_tol = -tol
     for m, p, i, zs in _margins(target, spec, grid):
-        if m < min_margin or m < -tol:
-            if i is not None:
-                p = dict(p, i=i, seed=spec.seed)
-                for name, z in zip(target.sample.names, zs):
-                    p[f"{name}_re"], p[f"{name}_im"] = z.real, z.imag
+        if p is not row:              # _margins yields each grid row's rows together
+            if row is not None:
+                close_row(row, row_min)
+            row, row_min = p, math.inf
+        if m < row_min:
+            row_min = m
             if m < min_margin:
-                min_margin = m
-                argmin = p
-            if m < -tol:
-                violations.append((p, m))
-    wall = int((time.perf_counter() - t0) * 1000.0)
+                min_margin, argmin = m, params(p, i, zs)
+        if m < neg_tol:
+            count += 1
+            if len(worst) < MAX_VIOLATIONS:
+                heapq.heappush(worst, (-m, -count, params(p, i, zs)))
+            elif -m > worst[0][0]:
+                heapq.heapreplace(worst, (-m, -count, params(p, i, zs)))
+    if row is not None:
+        close_row(row, row_min)
     if target.classification == "asserted":
-        status = "fail" if violations else "pass"
+        status = "fail" if count else "pass"
     else:
         status = "report_only"
     return InequalityReport(
@@ -490,9 +533,12 @@ def sweep(spec: SweepSpec) -> InequalityReport:
         evaluations=len(grid) * (spec.samples if target.randomized else 1),
         min_margin=min_margin,
         argmin=argmin,
-        violations=tuple(violations),
+        axis_minima=axis_minima,
+        violation_count=count,
+        violations=tuple((p, -nm) for nm, _, p in sorted(worst, reverse=True)),
         status=status,
-        wall_time_ms=wall,
+        spec=spec,
+        tol=tol,
     )
 
 

@@ -181,7 +181,7 @@ def test_criterion_09_mori_radial_experiment():
     for k in K_SET:
         for variant in ("sixteen", "sixtyfour"):
             rep = mori_radial_experiment(k, samples=10_000, variant=variant)
-            total_violations += len(rep.violations)
+            total_violations += rep.violation_count
     elapsed = time.perf_counter() - t0
     ok = total_violations == 0 and elapsed < 5.0
     _report(9, ok, f"radial stretch Holder bounds: {total_violations} violations "
@@ -210,9 +210,7 @@ def test_criterion_11_harness_sanity():
     import json
 
     def run_once():
-        reports = run_suite("identities")
-        return json.dumps([{k: v for k, v in r.to_dict().items()
-                            if k != "wall_time_ms"} for r in reports],
+        return json.dumps([r.to_dict() for r in run_suite("identities")],
                           sort_keys=True)
 
     deterministic = run_once() == run_once()

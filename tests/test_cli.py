@@ -20,7 +20,7 @@ import sys
 import pytest
 
 import gft
-from gft.cli import main
+from gft.cli import FUNCTIONS, main
 
 
 GOLDEN_PATH = pathlib.Path(__file__).with_name("cli_golden.json")
@@ -151,8 +151,9 @@ GOLDEN_COMMANDS = [
     ("table", "euler_gamma", "--steps", "2"),
     ("table", "elliptic_k", "--r-min", "0.1", "--r-max", "0.3", "--steps", "2",
      "--format", "xml"),
-    # verify (text only: --format json carries wall_time_ms)
+    # verify
     ("verify", "identities", "--samples", "100"),
+    ("verify", "identities", "--format", "json"),
     ("verify", "identities", "--samples", "100", "--format", "csv"),
     ("verify", "identities", "--samples", "100", "--tol", "1e-6"),
     ("verify", "sanity", "--samples", "100"),
@@ -350,6 +351,25 @@ class TestTable:
         assert rc == 1
         assert "--steps" in err
 
+    def test_axis_is_the_sweep_grid(self, capsys, monkeypatch):
+        # table and the sweeps share one grid helper, so a table reproduces
+        # a sweep's r values bit for bit (lo + i*(hi-lo)/(steps-1) misses 29
+        # of the 99 default points by an ulp)
+        seen = []
+
+        def record(r: float) -> float:
+            seen.append(r)
+            return r
+
+        monkeypatch.setitem(FUNCTIONS, "elliptic_k", record)
+        spec = gft.SweepSpec(target="thm4_k1_equality")
+        lo, hi, steps = spec.r_grid
+        rc, _, _ = run_cli(capsys, "table", "elliptic_k", "--r-min", repr(lo),
+                           "--r-max", repr(hi), "--steps", str(steps))
+        assert rc == 0
+        grid = gft.verify._param_list(gft.target_info(spec.target), spec)
+        assert seen == [p["r"] for p in grid]
+
 
 class TestVerify:
     def test_passing_suite_exit_0(self, capsys):
@@ -384,7 +404,25 @@ class TestVerify:
         assert {d["target"] for d in data} == {
             "std_phi_identity", "thm4_k1_equality", "eq60_phi_4bound",
             "lemma3_corrected"}
-        assert all(d["schema"] == "v1" for d in data)
+        assert all(d["schema"] == "v2" for d in data)
+
+    def test_report_file_byte_identical(self, capsys, tmp_path):
+        paths = [tmp_path / "a.json", tmp_path / "b.json"]
+        for path in paths:
+            rc, _, _ = run_cli(capsys, "verify", "identities", "--report", str(path))
+            assert rc == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_default_report_is_bounded(self, capsys, tmp_path):
+        # every violation is counted, the worst few are kept
+        path = tmp_path / "all.json"
+        rc, _, _ = run_cli(capsys, "verify", "all", "--report", str(path))
+        assert rc == 0
+        assert path.stat().st_size <= 64 * 1024
+        data = json.loads(path.read_text())
+        assert all(len(d["violations"]) <= gft.verify.MAX_VIOLATIONS for d in data)
+        counts = {d["target"]: d["violation_count"] for d in data}
+        assert counts["eq5_chain"] == 9271 and counts["lemma3_literal"] == 882
 
     def test_report_dir_env(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("GFT_REPORT_DIR", str(tmp_path))

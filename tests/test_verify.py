@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+import gft
 from gft import (
     SUITES,
     InequalityReport,
@@ -40,12 +41,6 @@ EXPECTED_TARGETS = {
     "mori_radial_16", "mori_radial_64",
     "planted_false",
 }
-
-
-def _strip_time(d: dict) -> dict:
-    d = dict(d)
-    d.pop("wall_time_ms")
-    return d
 
 
 def test_one_memo_cache():
@@ -97,13 +92,23 @@ class TestSweep:
         assert rep.evaluations > 0
         assert math.isfinite(rep.min_margin)
         d = rep.to_dict()
-        assert d["schema"] == "v1"
+        assert d["schema"] == "v2"
         assert d["target"] == "std_phi_identity"
+        assert d["violation_count"] == 0 and d["violations"] == []
+        # provenance: what was swept, at which tolerance, by which version
+        assert d["spec"] == {"r_grid": [0.01, 0.99, 99], "k_values": [1.0, 1.5, 2.0, 4.0],
+                             "a_values": [0.1, 0.25, 0.5], "samples": 10_000,
+                             "seed": 20240811}
+        assert d["tol"] == 1e-9
+        assert d["version"] == gft.__version__
+        assert "wall_time_ms" not in d
+        assert list(d["axis_minima"]) == ["k"]
+        assert min(d["axis_minima"]["k"].values()) == rep.min_margin
 
     def test_determinism_byte_identical(self):
         spec = SweepSpec(target="mori_radial_16", samples=300)
-        a = json.dumps(_strip_time(sweep(spec).to_dict()), sort_keys=True)
-        b = json.dumps(_strip_time(sweep(spec).to_dict()), sort_keys=True)
+        a = json.dumps(sweep(spec).to_dict(), sort_keys=True)
+        b = json.dumps(sweep(spec).to_dict(), sort_keys=True)
         assert a == b
 
     def test_seed_changes_randomized_samples(self):
@@ -124,13 +129,16 @@ class TestSweep:
     def test_planted_false_fails(self):
         rep = sweep(SweepSpec(target="planted_false"))
         assert rep.status == "fail"
-        assert len(rep.violations) >= 1
+        assert rep.violation_count == 99  # phi_2(r) > r everywhere
+        assert len(rep.violations) == verify.MAX_VIOLATIONS
         assert rep.min_margin < 0.0
         assert suite_failed([rep])
 
     def test_tol_override_silences_violations(self):
         rep = sweep(SweepSpec(target="planted_false", tol=10.0))
         assert rep.status == "pass"
+        assert rep.violation_count == 0
+        assert rep.tol == 10.0
         # min_margin still reports the true worst case
         assert rep.min_margin < 0.0
 
@@ -139,19 +147,34 @@ def _in_omega1(z: complex) -> bool:
     return abs(z) < 1.0 and 0.01 < abs(z) < abs(z - 1.0)
 
 
+def _stream(spec: SweepSpec) -> list:
+    """The sweep's (margin, grid params, index, points) rows, in order."""
+    target = target_info(spec.target)
+    return list(verify._margins(target, spec, verify._param_list(target, spec)))
+
+
 def _sampled_rows(name: str, samples: int, below: int) -> list:
-    """The sweep's (margin, grid params, index, points) rows with index < below."""
-    target = target_info(name)
-    spec = SweepSpec(target=name, samples=samples)
-    grid = verify._param_list(target, spec)
-    return [row for row in verify._margins(target, spec, grid) if row[2] < below]
+    """The sweep's rows with index < below."""
+    return [row for row in _stream(SweepSpec(target=name, samples=samples))
+            if row[2] < below]
+
+
+def _report_params(spec: SweepSpec, p: dict, i, zs) -> dict:
+    """A row's params as a report records them."""
+    if i is None:
+        return p
+    q = dict(p, i=i, seed=spec.seed)
+    for n, z in zip(target_info(spec.target).sample.names, zs):
+        q[f"{n}_re"], q[f"{n}_im"] = z.real, z.imag
+    return q
 
 
 class TestSampling:
     @pytest.mark.parametrize("name", SAMPLED_TARGETS)
     def test_margin_at_reproduces_argmin_and_violations(self, name):
         # K = 1 gives every mori pair the margin 0.0: sweep K > 1 only
-        rep = sweep(SweepSpec(target=name, samples=300, k_values=(1.5, 4.0)))
+        spec = SweepSpec(target=name, samples=300, k_values=(1.5, 4.0))
+        rep = sweep(spec)
         assert rep.evaluations == 300 * (1 if name == "eq5_chain" else 2)
         assert rep.min_margin != 0.0
         sample = target_info(name).sample
@@ -161,8 +184,15 @@ class TestSampling:
             recorded = tuple(complex(params[f"{n}_re"], params[f"{n}_im"])
                              for n in sample.names)
             assert verify._sampler(sample, params["seed"])(params["i"]) == recorded
+        # the report keeps the worst violations only: redraw every violating
+        # row of the sweep's own stream
+        violating = [row for row in _stream(spec) if row[0] < -1e-9]
+        for m, p, i, zs in violating:
+            assert margin_at(name, dict(p, i=i, seed=spec.seed)) == m
+            assert verify._sampler(sample, spec.seed)(i) == zs
+        assert rep.violation_count == len(violating)
         if name == "eq5_chain":
-            assert len(rep.violations) > 100  # the report-only chain fails often
+            assert rep.violation_count > 100  # the report-only chain fails often
 
     @pytest.mark.parametrize("name", SAMPLED_TARGETS)
     def test_points_independent_of_sample_count(self, name):
@@ -197,8 +227,8 @@ class TestSampling:
             else:
                 rejected.append(i)
         assert rejected
-        rep = sweep(SweepSpec(target="eq5_chain", samples=samples))
-        violations = {p["i"]: (p, m) for p, m in rep.violations}
+        spec = SweepSpec(target="eq5_chain", samples=samples)
+        violations = {i: (m, p, zs) for m, p, i, zs in _stream(spec) if m < -1e-9}
         checked = 0
         for i in rejected:
             (z,) = draw(i)
@@ -207,11 +237,61 @@ class TestSampling:
             w = digest(i, 1)
             assert z in [verify._disk_point(w[j], w[j + 1]) for j in range(0, 8, 2)]
             if i in violations:
-                params, margin = violations[i]
-                assert complex(params["z_re"], params["z_im"]) == z
-                assert margin_at("eq5_chain", params) == margin
+                margin, p, zs = violations[i]
+                assert zs == (z,)
+                assert margin_at("eq5_chain", dict(p, i=i, seed=seed)) == margin
                 checked += 1
         assert checked
+
+
+class TestBoundedReport:
+    @pytest.mark.parametrize("name", ("eq5_chain", "lemma3_literal"))
+    def test_count_and_worst_violations_match_the_stream(self, name):
+        # every violation is counted; the MAX_VIOLATIONS kept are the most
+        # negative in (margin, evaluation order) order
+        spec = SweepSpec(target=name)
+        rows = [(m, order, _report_params(spec, p, i, zs))
+                for order, (m, p, i, zs) in enumerate(_stream(spec)) if m < -1e-9]
+        assert len(rows) > verify.MAX_VIOLATIONS == 20
+        rep = sweep(spec)
+        assert rep.violation_count == len(rows)
+        worst = sorted(rows, key=lambda row: row[:2])[:verify.MAX_VIOLATIONS]
+        assert rep.violations == tuple((p, m) for m, _, p in worst)
+        assert rep.violations[0][1] == rep.min_margin
+
+    def test_ties_keep_the_earlier_rows(self, monkeypatch):
+        # 90 rows tie at -1, then 9 worse rows at -2 evict the latest ties
+        ties = verify.Target("ties", "asserted",
+                             lambda p: -2.0 if p["r"] > 0.9 else -1.0, ("r",))
+        monkeypatch.setitem(verify._REGISTRY, "ties", ties)
+        rep = sweep(SweepSpec(target="ties"))
+        assert rep.violation_count == 99
+        rs = verify._linspace(0.01, 0.99, 99)
+        want = [({"r": r}, -2.0) for r in rs if r > 0.9] + [({"r": r}, -1.0) for r in rs[:11]]
+        assert rep.violations == tuple(want)
+
+    @pytest.mark.parametrize("name, k15", [("mori_radial_16", 0.09755468812373513),
+                                           ("mori_radial_64", 0.1365083205350755)])
+    def test_axis_minima_show_past_the_k1_tie(self, name, k15):
+        # at K = 1 the stretch is the identity and every pair ties at 0.0,
+        # which is where the argmin lands; the K = 1.5 minimum is the news
+        rep = sweep(SweepSpec(target=name))
+        assert rep.min_margin == 0.0 and rep.argmin["k"] == 1.0
+        minima = rep.to_dict()["axis_minima"]
+        assert list(minima) == ["k"]
+        assert minima["k"]["1.0"] == 0.0
+        assert minima["k"]["1.5"] == k15
+        assert min(minima["k"]["2.0"], minima["k"]["4.0"]) > k15
+
+    def test_axis_minima_per_a_and_k(self):
+        spec = SweepSpec(target="lemma3_literal")
+        rep = sweep(spec)
+        want: dict = {"a": {}, "k": {}}
+        for m, p, _, _ in _stream(spec):
+            for name in want:
+                want[name][p[name]] = min(want[name].get(p[name], math.inf), m)
+        assert rep.axis_minima == want
+        assert min(want["a"].values()) == rep.min_margin
 
 
 class TestSpecValidation:
@@ -258,7 +338,7 @@ class TestMoriExperiment:
         for variant in ("sixteen", "sixtyfour"):
             rep = mori_radial_experiment(2.0, samples=500, variant=variant)
             assert rep.status == "pass"
-            assert len(rep.violations) == 0
+            assert rep.violation_count == len(rep.violations) == 0
 
     def test_k1_margin_nonnegative(self):
         rep = mori_radial_experiment(1.0, samples=200)
