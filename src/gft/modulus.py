@@ -23,6 +23,7 @@ _ALMOST_ONE = 1.0 - 1e-16   # Landen moduli round up to 1.0 in doubles
 _LN_SQRT_HALF = -0.5 * math.log(2.0)
 _LN_NORMAL_MIN = math.log(sys.float_info.min)
 _LN_RC_SAT = math.log(math.sqrt((1.0 - _R_MAX) * (1.0 + _R_MAX)))
+_ULP_Y_MAX = 2.0 ** -26     # one ulp of y must fix ln r to half a double's bits
 
 
 def _check_unit(r: float, name: str = "r") -> float:
@@ -75,6 +76,24 @@ def _sym_value(a: float) -> float:
 # Inverses
 # ---------------------------------------------------------------------------
 
+def _log_asymptote(a: float, y: float, floor: float) -> float:
+    """R(a)/2 - y, the asymptote of ln r on u_a(r) = y, for a != 1/2.
+
+    Below r = 1/sqrt2, one ulp of y moves ln r by ulp(y)/2 to 1.4 ulp(y).
+    For tiny a, u_a stays near pi/(2 sin pi a) ~ 1/(2a), whose ulp spans a
+    wide range of roots.  Where ulp(y) exceeds _ULP_Y_MAX and the root may
+    lie above e^floor (the rounding of t counted), y no longer determines
+    the root: raise DomainError rather than return one.
+    """
+    t = ramanujan_R(a) / 2.0 - y
+    step = math.ulp(y)
+    if step > _ULP_Y_MAX and t > floor - 4.0 * step:
+        raise DomainError(f"modulus inverse undetermined: one ulp of y = {y!r} is "
+                          f"{step!r} and moves ln r about as much, so u_a(r) = y "
+                          f"(a = {a!r}) does not determine r")
+    return t
+
+
 def _small_root(a: float, y: float) -> float:
     """The root r <= 1/sqrt2 of u_a(r) = y, for y >= u_a(1/sqrt2)."""
     if a == 0.5:
@@ -87,7 +106,7 @@ def _small_root(a: float, y: float) -> float:
     else:
         # Newton in t = ln r with u_a'(r) = -1/(r r'^2 F(a,1-a;1;r^2)^2), from
         # the asymptote u_a ~ R(a)/2 - ln r, which grotzsch_ua uses below 1e-7
-        t = min(ramanujan_R(a) / 2.0 - y, _LN_SQRT_HALF)
+        t = min(_log_asymptote(a, y, _LN_NORMAL_MIN), _LN_SQRT_HALF)
         for _ in range(16):  # from the asymptote, 5 steps at most are seen
             if t < _LN_NORMAL_MIN:
                 break  # the asymptote is the root, which underflows
@@ -115,7 +134,8 @@ def _invert_ua(a: float, y: float) -> tuple[float, float]:
     u_a(r) u_a(r') = [pi/(2 sin pi a)]^2 gives r' instead, which keeps the
     solve well conditioned as r -> 1.  Roots above 1 - 1e-15 saturate
     there; roots below the smallest normal double, y = inf among them,
-    raise DomainError.
+    raise DomainError, and so does a y that no longer determines its root
+    (see _log_asymptote).
     """
     if not (y > 0.0):
         raise DomainError(f"modulus inverse requires y > 0, got {y!r}")
@@ -126,7 +146,9 @@ def _invert_ua(a: float, y: float) -> tuple[float, float]:
         r = _small_root(a, y)
         return r, abs(fwd(r) - y)
     yc = s * s / y
-    if ramanujan_R(a) / 2.0 - yc <= _LN_RC_SAT:
+    if yc == math.inf:
+        yc = s / y * s  # s * s overflows below a ~ 1e-154
+    if _log_asymptote(a, yc, _LN_RC_SAT) <= _LN_RC_SAT:
         # r' below sqrt(1 - _R_MAX^2), where u_a is exactly its asymptote
         return _R_MAX, abs(fwd(_R_MAX) - y)
     rc = _small_root(a, yc)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import heapq
+import itertools
 import math
 import operator
 import struct
@@ -54,6 +55,7 @@ class SweepSpec:
 
 
 MAX_VIOLATIONS = 20   # a report keeps the worst violations; it counts them all
+SAMPLE_BLOCK = 1024   # sampled indices drawn and evaluated together
 
 
 @dataclass(frozen=True)
@@ -158,16 +160,10 @@ def _sampler(sampler: Sampler, seed: int) -> Callable[[int], tuple[complex, ...]
     return points
 
 
-def _radial_stretch(z: complex, k: float) -> complex:
-    m = abs(z)
-    if m == 0.0:
-        return 0.0
-    return z * m ** (1.0 / k - 1.0)
-
-
 # ---------------------------------------------------------------------------
 # Margin functions.  Each takes a params dict and returns a signed margin;
-# a sampled target's margin takes the sampled points first.
+# a sampled target's margin takes a list of sampled points first and returns
+# the list of their margins.
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=100_000)
@@ -182,11 +178,10 @@ def _phi(k: float, r: float) -> float:
     return _phi_a(0.5, k, r)
 
 
-def _m_eq5_chain(zs: tuple[complex], p: dict) -> float:
-    z, = zs
-    zeta = bounds.zeta_map(z)
-    e5 = 1.0 / (abs(z) * abs(cmath.sqrt(z - 1.0)) * (4.0 - math.log(abs(zeta))))
-    return e5 - bounds.rho_lower(abs(z))
+def _m_eq5_chain(zss: list[tuple[complex]], p: dict) -> list[float]:
+    zeta, rho = bounds.zeta_map, bounds.rho_lower
+    return [1.0 / (abs(z) * abs(cmath.sqrt(z - 1.0)) * (4.0 - math.log(abs(zeta(z)))))
+            - rho(abs(z)) for z, in zss]
 
 
 def _g5(a: float, r: float) -> float:
@@ -308,10 +303,15 @@ def _m_thm4_k1(p: dict) -> float:
     return -max(abs(lo - r), abs(hi - r))
 
 
-def _m_mori_radial(zs: tuple[complex, complex], k: float, variant: str) -> float:
-    z1, z2 = zs
-    stretched = abs(_radial_stretch(z2, k) - _radial_stretch(z1, k))
-    return bounds.mori_holder_bound(k, abs(z2 - z1), variant) - stretched
+def _m_mori_radial(zss: list[tuple[complex, complex]], k: float,
+                   variant: str) -> list[float]:
+    # the radial stretch z -> z |z|^{1/K - 1} takes 0 to 0
+    c = bounds.mori_holder_bound(k, 1.0, variant)   # c^{1-1/K}
+    inv_k, expo = 1.0 / k, 1.0 / k - 1.0
+    return [c * abs(z2 - z1) ** inv_k
+            - abs((z2 * abs(z2) ** expo if z2 else 0.0)
+                  - (z1 * abs(z1) ** expo if z1 else 0.0))
+            for z1, z2 in zss]
 
 
 def _m_planted_false(p: dict) -> float:
@@ -389,11 +389,11 @@ _TARGETS = [
            lambda p: _m_phi_identity(p, literal=False), ("k", "r")),
     Target("thm4_k1_equality", "asserted", _m_thm4_k1, ("r",), default_tol=1e-15),
     Target("mori_radial_16", "asserted",
-           lambda zs, p: _m_mori_radial(zs, p["k"], "sixteen"), ("k",),
+           lambda zss, p: _m_mori_radial(zss, p["k"], "sixteen"), ("k",),
            sample=Sampler("mori_sixteen", ("z1", "z2"), operator.ne),
            k_filter=lambda k: k >= 1.0),
     Target("mori_radial_64", "asserted",
-           lambda zs, p: _m_mori_radial(zs, p["k"], "sixtyfour"), ("k",),
+           lambda zss, p: _m_mori_radial(zss, p["k"], "sixtyfour"), ("k",),
            sample=Sampler("mori_sixtyfour", ("z1", "z2"), operator.ne),
            k_filter=lambda k: k >= 1.0),
     Target("planted_false", "asserted", _m_planted_false, ("r",), sanity=True),
@@ -447,23 +447,13 @@ def _param_list(target: Target, spec: SweepSpec) -> list[dict]:
 
     params: list[dict] = [{}]
     for name in sorted(target.axes):
-        params = [dict(p, **q) for p in params for q in axis(name)]
+        values = axis(name)
+        if not values:
+            given = spec.a_values if name == "a" else spec.k_values
+            raise UsageError(f"target {target.name!r} has no {name} value to sweep: "
+                             f"its filter rejects every one of {given!r}")
+        params = [dict(p, **q) for p in params for q in values]
     return params
-
-
-def _margins(target: Target, spec: SweepSpec, grid: list[dict]):
-    """Yield (margin, grid params, sample index or None, sampled points) in
-    lexicographic (a, k, r/alpha, i) order, drawing each index only once."""
-    if target.sample is None:
-        for p in grid:
-            yield target.margin(p), p, None, None
-        return
-    draw = _sampler(target.sample, spec.seed)
-    points = [draw(i) for i in range(spec.samples)]
-    margin = target.margin
-    for p in grid:
-        for i, zs in enumerate(points):
-            yield margin(zs, p), p, i, zs
 
 
 def margin_at(target_name: str, params: dict) -> float:
@@ -471,58 +461,81 @@ def margin_at(target_name: str, params: dict) -> float:
     target = target_info(target_name)
     if target.sample is None:
         return target.margin(params)
-    return target.margin(_sampler(target.sample, params["seed"])(params["i"]), params)
+    zs = _sampler(target.sample, params["seed"])(params["i"])
+    return target.margin([zs], params)[0]
+
+
+def _rank(m: float) -> float:
+    # NaN ranks as the worst margin
+    return m if m == m else -math.inf
 
 
 def sweep(spec: SweepSpec) -> InequalityReport:
     """Evaluate one target's margin over its full parameter grid.  Every
-    violation is counted; the MAX_VIOLATIONS most negative are kept, ties
-    going to the earlier row.  A sampled row's params (its grid params, seed
-    and index, and its points for the reader) are built only when it is the
-    argmin or enters the kept violations."""
+    violation (a margin below -tol, or NaN, which ranks worst) is counted;
+    the MAX_VIOLATIONS worst are kept, ties going to the earlier row.  A
+    sampled target draws SAMPLE_BLOCK indices at a time and evaluates every
+    grid row on them, so memory does not grow with spec.samples.  A sampled
+    row's params (its grid params, seed and index, and its points for the
+    reader) are built only when it is the argmin or a kept violation."""
     target = target_info(spec.target)
     tol = target.default_tol if spec.tol is None else spec.tol
     grid = _param_list(target, spec)
-    names = target.sample.names if target.randomized else ()
+    ok = (-tol).__le__
+    count, kept = 0, []               # kept: (rank, order, margin), worst first
 
-    def params(p: dict, i: int | None, zs) -> dict:
-        if i is None:
+    def fold(ms: list[float], base: int) -> tuple[float, int, float]:
+        """Fold in the margins of orders base, base + 1, ..., where order is
+        the lexicographic (grid row, sample index) position; return the
+        block's worst as (rank, order, margin)."""
+        nonlocal count, kept
+        bad = len(ms) - sum(map(ok, ms))
+        if bad:
+            count += bad
+            # the candidates: margins that violate, or that rank with the
+            # worst kept violation when MAX_VIOLATIONS are kept already
+            over = kept[-1][0].__lt__ if len(kept) == MAX_VIOLATIONS else ok
+            picked = itertools.compress(zip(ms, itertools.count(base)),
+                                        map(operator.not_, map(over, ms)))
+            cand = [(_rank(m), o, m) for m, o in picked]
+            kept = heapq.nsmallest(MAX_VIOLATIONS, kept + cand)
+            if any(m != m for _, _, m in cand):
+                return min(cand)      # every NaN is a candidate
+        m = min(ms)
+        return m, base + ms.index(m), m
+
+    if target.sample is None:
+        ms = [target.margin(p) for p in grid]
+        best = fold(ms, 0)
+        row_minima = ms
+
+        def params(order: int) -> dict:
+            return grid[order]
+    else:
+        n = spec.samples
+        draw = _sampler(target.sample, spec.seed)
+        rows: list = [None] * len(grid)        # each row's worst, as fold returns it
+        for lo in range(0, n, SAMPLE_BLOCK):
+            zss = [draw(i) for i in range(lo, min(lo + SAMPLE_BLOCK, n))]
+            for j, p in enumerate(grid):
+                worst = fold(target.margin(zss, p), j * n + lo)
+                if rows[j] is None or worst < rows[j]:
+                    rows[j] = worst
+        best = min(rows)
+        row_minima = [m for _, _, m in rows]
+
+        def params(order: int) -> dict:
+            j, i = divmod(order, n)
+            p = dict(grid[j], i=i, seed=spec.seed)
+            for name, z in zip(target.sample.names, draw(i)):
+                p[f"{name}_re"], p[f"{name}_im"] = z.real, z.imag
             return p
-        p = dict(p, i=i, seed=spec.seed)
-        for name, z in zip(names, zs):
-            p[f"{name}_re"], p[f"{name}_im"] = z.real, z.imag
-        return p
 
     axis_minima: dict = {name: {} for name in ("a", "k") if name in target.axes}
-
-    def close_row(p: dict, m: float) -> None:
+    for p, m in zip(grid, row_minima):
         for name, minima in axis_minima.items():
-            if p[name] not in minima or m < minima[p[name]]:
+            if p[name] not in minima or _rank(m) < _rank(minima[p[name]]):
                 minima[p[name]] = m
-
-    min_margin = math.inf
-    argmin: dict = {}
-    count = 0
-    worst: list = []                  # max-heap of (-margin, -count, params)
-    row, row_min = None, math.inf
-    neg_tol = -tol
-    for m, p, i, zs in _margins(target, spec, grid):
-        if p is not row:              # _margins yields each grid row's rows together
-            if row is not None:
-                close_row(row, row_min)
-            row, row_min = p, math.inf
-        if m < row_min:
-            row_min = m
-            if m < min_margin:
-                min_margin, argmin = m, params(p, i, zs)
-        if m < neg_tol:
-            count += 1
-            if len(worst) < MAX_VIOLATIONS:
-                heapq.heappush(worst, (-m, -count, params(p, i, zs)))
-            elif -m > worst[0][0]:
-                heapq.heapreplace(worst, (-m, -count, params(p, i, zs)))
-    if row is not None:
-        close_row(row, row_min)
     if target.classification == "asserted":
         status = "fail" if count else "pass"
     else:
@@ -531,11 +544,11 @@ def sweep(spec: SweepSpec) -> InequalityReport:
         target=target.name,
         classification=target.classification,
         evaluations=len(grid) * (spec.samples if target.randomized else 1),
-        min_margin=min_margin,
-        argmin=argmin,
+        min_margin=best[2],
+        argmin=params(best[1]),
         axis_minima=axis_minima,
         violation_count=count,
-        violations=tuple((p, -nm) for nm, _, p in sorted(worst, reverse=True)),
+        violations=tuple((params(o), m) for _, o, m in kept),
         status=status,
         spec=spec,
         tol=tol,

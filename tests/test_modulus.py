@@ -170,6 +170,30 @@ class TestInverses:
         for r in (1e-8, 0.5, 0.999):
             assert math.isfinite(grotzsch_ua(6e-309, r))
 
+    @pytest.mark.parametrize("a", [1e-20, 1e-300])
+    @pytest.mark.parametrize("r", [0.2, 0.5, 0.9])
+    def test_tiny_a_undetermined_root_raises(self, a, r):
+        # u_a(r) stays within an ulp of pi/(2 sin pi a) ~ 1/(2a) over a wide
+        # range of r; these returned 0.7071067811865476 (a = 1e-20), or
+        # 0.999999999999999 and an untrue "underflows" (a = 1e-300)
+        y = grotzsch_ua(a, r)
+        with pytest.raises(DomainError, match="undetermined"):
+            grotzsch_ua_inv(a, y)
+
+    def test_small_a_root_still_determined(self):
+        # at a = 1e-6 one ulp of y ~ 5e5 is 5.8e-11, and the root is that good
+        for r in (1e-5, 0.2, 0.5, 0.9, 0.999):
+            got = grotzsch_ua_inv(1e-6, grotzsch_ua(1e-6, r))
+            assert got == pytest.approx(r, rel=1e-9)
+
+    def test_tiny_a_clear_roots_unchanged(self):
+        # far from u_a ~ 1/(2a), a tiny a still saturates or underflows
+        assert grotzsch_ua_inv(1e-300, 1.0) == R_SATURATED
+        assert grotzsch_ua_inv(1e-20, 4e19) == R_SATURATED
+        for a, y in ((1e-300, 1e300), (1e-20, 1e25), (1e-300, math.inf)):
+            with pytest.raises(DomainError, match="underflow"):
+                grotzsch_ua_inv(a, y)
+
     def test_infinite_y_underflow_raises(self):
         # u(r) -> inf only as r -> 0: the root lies below every double
         with pytest.raises(DomainError, match="underflow"):

@@ -148,9 +148,21 @@ def _in_omega1(z: complex) -> bool:
 
 
 def _stream(spec: SweepSpec) -> list:
-    """The sweep's (margin, grid params, index, points) rows, in order."""
+    """The sweep's margins one evaluation at a time, as (margin, grid params,
+    sample index or None, sampled points or None) rows in lexicographic
+    (grid row, sample index) order: the reference that the block-streamed
+    sweep must reproduce."""
     target = target_info(spec.target)
-    return list(verify._margins(target, spec, verify._param_list(target, spec)))
+    grid = verify._param_list(target, spec)
+    if target.sample is None:
+        return [(target.margin(p), p, None, None) for p in grid]
+    draw = verify._sampler(target.sample, spec.seed)
+    points = [draw(i) for i in range(spec.samples)]
+    rows = []
+    for p in grid:
+        for i, zs in enumerate(points):
+            rows.append((target.margin([zs], p)[0], p, i, zs))
+    return rows
 
 
 def _sampled_rows(name: str, samples: int, below: int) -> list:
@@ -167,6 +179,142 @@ def _report_params(spec: SweepSpec, p: dict, i, zs) -> dict:
     for n, z in zip(target_info(spec.target).sample.names, zs):
         q[f"{n}_re"], q[f"{n}_im"] = z.real, z.imag
     return q
+
+
+def _reference(spec: SweepSpec) -> dict:
+    """A report's statistics, reduced from _stream one row at a time: the
+    first row of least margin, each axis value's least margin, and every
+    violation sorted by (margin, order), of which the report keeps the
+    first MAX_VIOLATIONS."""
+    target = target_info(spec.target)
+    tol = target.default_tol if spec.tol is None else spec.tol
+    min_margin, argmin = math.inf, {}
+    axis_minima: dict = {name: {} for name in ("a", "k") if name in target.axes}
+    violations = []
+    for order, (m, p, i, zs) in enumerate(_stream(spec)):
+        if m < min_margin:
+            min_margin, argmin = m, _report_params(spec, p, i, zs)
+        for name, minima in axis_minima.items():
+            if p[name] not in minima or m < minima[p[name]]:
+                minima[p[name]] = m
+        if m < -tol:
+            violations.append((m, order, _report_params(spec, p, i, zs)))
+    violations.sort(key=lambda row: row[:2])
+    return {"min_margin": min_margin, "argmin": argmin, "axis_minima": axis_minima,
+            "violation_count": len(violations),
+            "violations": tuple((p, m) for m, _, p in violations[:verify.MAX_VIOLATIONS])}
+
+
+def _statistics(rep: InequalityReport) -> dict:
+    return {"min_margin": rep.min_margin, "argmin": rep.argmin,
+            "axis_minima": rep.axis_minima, "violation_count": rep.violation_count,
+            "violations": rep.violations}
+
+
+class TestBlockStreaming:
+    @pytest.mark.parametrize("name", sorted(EXPECTED_TARGETS))
+    def test_sweep_equals_the_per_evaluation_reference(self, name):
+        spec = SweepSpec(target=name, samples=300)
+        assert _statistics(sweep(spec)) == _reference(spec)
+
+    @pytest.mark.parametrize("name", SAMPLED_TARGETS)
+    def test_sampled_blocks_equal_the_reference(self, name):
+        # three blocks, the last one partial; K = 1 ties every mori pair at 0
+        assert 2 * verify.SAMPLE_BLOCK < 2500 < 3 * verify.SAMPLE_BLOCK
+        spec = SweepSpec(target=name, samples=2500, k_values=(1.0, 1.5, 4.0))
+        rep = sweep(spec)
+        assert rep.evaluations == 2500 * (1 if name == "eq5_chain" else 3)
+        assert _statistics(rep) == _reference(spec)
+
+    def test_memory_does_not_grow_with_samples(self):
+        # the sweep holds one block of points, not all spec.samples of them
+        import tracemalloc
+        spec = SweepSpec(target="mori_radial_16", samples=25_000)
+        sweep(SweepSpec(target="mori_radial_16", samples=10))
+        tracemalloc.start()
+        try:
+            sweep(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_nan_margins_are_violations_that_rank_worst(self, monkeypatch):
+        # NaN compares false with everything, so no "m < -tol" catches it
+        rs = verify._linspace(0.01, 0.99, 99)
+        nan_rows = verify.Target(
+            "nan_rows", "asserted",
+            lambda p: math.nan if 0.3 < p["r"] < 0.4 else (-1.0 if p["r"] > 0.9 else 1.0),
+            ("r",))
+        monkeypatch.setitem(verify._REGISTRY, "nan_rows", nan_rows)
+        rep = sweep(SweepSpec(target="nan_rows"))
+        nans = [r for r in rs if 0.3 < r < 0.4]
+        assert len(nans) == 9
+        assert rep.status == "fail"
+        assert rep.violation_count == 9 + sum(r > 0.9 for r in rs)
+        assert math.isnan(rep.min_margin) and rep.argmin == {"r": nans[0]}
+        assert [p for p, _ in rep.violations] == (
+            [{"r": r} for r in nans] + [{"r": r} for r in rs if r > 0.9][:11])
+        assert all(math.isnan(m) for _, m in rep.violations[:9])
+        assert all(m == -1.0 for _, m in rep.violations[9:])
+
+    def test_all_nan_target_fails(self, monkeypatch):
+        all_nan = verify.Target("all_nan", "asserted", lambda p: math.nan, ("r",))
+        monkeypatch.setitem(verify._REGISTRY, "all_nan", all_nan)
+        rep = sweep(SweepSpec(target="all_nan"))
+        assert rep.status == "fail" and rep.violation_count == 99
+        assert math.isnan(rep.min_margin) and rep.argmin == {"r": 0.01}
+
+    def test_nan_samples_enter_the_kept_violations_in_every_block(self, monkeypatch):
+        # every sample violates at -1; the NaN ones, in all three blocks,
+        # still displace the -1 rows that fill the kept list first
+        sampler = target_info("eq5_chain").sample
+        nan_near_0 = verify.Target(
+            "nan_near_0", "asserted",
+            lambda zss, p: [math.nan if abs(z) < 0.08 else -1.0 for z, in zss], (),
+            sample=sampler)
+        monkeypatch.setitem(verify._REGISTRY, "nan_near_0", nan_near_0)
+        spec = SweepSpec(target="nan_near_0", samples=2500)
+        draw = verify._sampler(sampler, spec.seed)
+        nans = [i for i in range(2500) if abs(draw(i)[0]) < 0.08]
+        assert 3 <= len(nans) < verify.MAX_VIOLATIONS
+        assert {i // verify.SAMPLE_BLOCK for i in nans} == {0, 1, 2}
+        rep = sweep(spec)
+        assert rep.violation_count == 2500
+        assert math.isnan(rep.min_margin) and rep.argmin["i"] == nans[0]
+        ones = [i for i in range(2500) if i not in nans]
+        want = nans + ones[:verify.MAX_VIOLATIONS - len(nans)]
+        assert [p["i"] for p, _ in rep.violations] == want
+
+    def test_tied_violations_of_a_later_block_keep_their_order(self, monkeypatch):
+        # every violation ties at -1.  Row K = 2 violates everywhere and fills
+        # the kept list in block 0, yet K = 1's few violations of block 1 come
+        # earlier in (row, index) order and must displace it
+        sampler = target_info("mori_radial_16").sample
+        ties = verify.Target(
+            "ties_across_blocks", "asserted",
+            lambda zss, p: [-1.0 if p["k"] == 2.0 or abs(z1) < 0.12 else 0.0
+                            for z1, _ in zss], ("k",), sample=sampler)
+        monkeypatch.setitem(verify._REGISTRY, "ties_across_blocks", ties)
+        spec = SweepSpec(target="ties_across_blocks", samples=2500, k_values=(1.0, 2.0))
+        draw = verify._sampler(sampler, spec.seed)
+        k1 = [i for i in range(2500) if abs(draw(i)[0]) < 0.12]
+        assert sum(i < verify.SAMPLE_BLOCK for i in k1) < verify.MAX_VIOLATIONS <= len(k1)
+        rep = sweep(spec)
+        assert rep.violation_count == len(k1) + 2500
+        assert [(p["k"], p["i"]) for p, _ in rep.violations] == (
+            [(1.0, i) for i in k1[:verify.MAX_VIOLATIONS]])
+        assert rep.argmin["k"] == 1.0 and rep.argmin["i"] == k1[0]
+
+    def test_empty_sweep_raises(self):
+        # K < 1 is filtered out of eq60, a = 1/2 out of lemma2_item2: nothing
+        # would be swept, and the report would pass vacuously
+        with pytest.raises(UsageError, match="eq60_phi_4bound.* k "):
+            sweep(SweepSpec(target="eq60_phi_4bound", k_values=(0.5,)))
+        with pytest.raises(UsageError, match="lemma2_item2.* a "):
+            sweep(SweepSpec(target="lemma2_item2", a_values=(0.5,)))
+        with pytest.raises(UsageError, match="mori_radial_16.* k "):
+            sweep(SweepSpec(target="mori_radial_16", k_values=()))
 
 
 class TestSampling:
@@ -277,6 +425,8 @@ class TestBoundedReport:
         # which is where the argmin lands; the K = 1.5 minimum is the news
         rep = sweep(SweepSpec(target=name))
         assert rep.min_margin == 0.0 and rep.argmin["k"] == 1.0
+        # the first tie wins across blocks too
+        assert rep.argmin["i"] == 0
         minima = rep.to_dict()["axis_minima"]
         assert list(minima) == ["k"]
         assert minima["k"]["1.0"] == 0.0
