@@ -6,11 +6,12 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 from .special import LANDAU_C, DomainError
-from .modulus import _ALMOST_ONE, _check_unit, _landen_log_product, grotzsch_u, product_P
-from .distortion import phi_k
+from .modulus import _PI2_4, _check_unit, _log_P, grotzsch_u, product_P
+from .distortion import _check_k
 
 #: Classical lower bound for Bloch's constant, sqrt(3)/4.
 BLOCH_B1 = math.sqrt(3.0) / 4.0
@@ -25,6 +26,8 @@ BLOCH_B1 = math.sqrt(3.0) / 4.0
 #: nearer.  The widest strips, next to x = 0, give the sup, attained at
 #: (ln(1+sqrt2)/2, pi).
 LATTICE_GAP_D = math.hypot(math.pi, math.log1p(math.sqrt(2.0)) / 2.0)
+
+_LN_DBL_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -146,29 +149,34 @@ def schottky_f0_window(alpha: float, beta: float) -> float:
 # Elliptic-integral bound eta_K and its product form
 # ---------------------------------------------------------------------------
 
-def eta_k(k: float, r: float) -> float:
-    """eta_K(r) = [P(s)/P(s')]^2 exp(2K u(r') - 2u(r)/K), s = phi_K(r')."""
+def _landen_bound(k: float, r: float, printed: bool) -> float:
+    """[P(s)/P(t)]^2 exp(2K u(r') - 2u(r)/K) with (s, t) = (phi_K(r'), phi_{1/K}(r)),
+    or (phi_{1/K}(r'), phi_K(r)) as printed; u(r') = pi^2/(4u(r)) exactly."""
     _check_unit(r)
-    rc = math.sqrt((1.0 - r) * (1.0 + r))
-    s = phi_k(k, rc).value
-    sc = math.sqrt((1.0 - s) * (1.0 + s))
-    expo = 2.0 * k * grotzsch_u(rc) - 2.0 * grotzsch_u(r) / k
-    return (product_P(s) / product_P(sc)) ** 2 * math.exp(expo)
+    _check_k(k)
+    w = grotzsch_u(r)
+    v = _PI2_4 / w
+    us, ut = (k * v, w / k) if printed else (v / k, k * w)
+    x = 2.0 * (_log_P(us) - _log_P(ut)) + 2.0 * k * v - 2.0 * w / k
+    if not x <= _LN_DBL_MAX:
+        raise DomainError(f"domain error: the bound overflows a double at "
+                          f"K = {k!r}, r = {r!r}")
+    return math.exp(x)
+
+
+def eta_k(k: float, r: float) -> float:
+    """eta_K(r) = [P(s)/P(s')]^2 exp(2K u(r') - 2u(r)/K), s = phi_K(r'), taking
+    s' = phi_{1/K}(r) from the identity phi_K(r')^2 + phi_{1/K}(r)^2 = 1."""
+    return _landen_bound(k, r, printed=False)
 
 
 def theorem3_sfk(k: float, r: float) -> float:
     """The literal product form
     exp(2K u(r') - 2u(r)/K) prod [(1+phi_{1/K}(r_n'))/(1+phi_K(r_n))]^{2^{1-n}},
-    with both Landen sequences ascending from r and r' respectively."""
-    _check_unit(r)
-    if not (k > 0.0):
-        raise DomainError("domain error: K must be positive")
-    rc = math.sqrt((1.0 - r) * (1.0 + r))
-    expo = 2.0 * k * grotzsch_u(rc) - 2.0 * grotzsch_u(r) / k
-    # each product is truncated by its own tail sandwich; 2^{1-n} = 2 * 2^-n
-    num = _landen_log_product(lambda t: phi_k(1.0 / k, min(t, _ALMOST_ONE)).value, rc)
-    den = _landen_log_product(lambda t: phi_k(k, min(t, _ALMOST_ONE)).value, r)
-    return math.exp(expo + 2.0 * (num - den))
+    with both Landen sequences ascending from r and r' respectively.  phi
+    commutes with Landen, so the product is [P(phi_{1/K}(r'))/P(phi_K(r))]^2:
+    eta_K with K and 1/K swapped inside."""
+    return _landen_bound(k, r, printed=True)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 """Hersch-Pfluger distortion function phi_K, its generalization, the
 infinite-product representation, partial derivatives, and the auxiliary
 monotone function f_K.
+
+u halves at each ascending Landen step, so phi_{1/K}(r_n) are the Landen
+moduli of phi_{1/K}(r), and prod (1 + phi_{1/K}(r_n))^{2^-n} = P(phi_{1/K}(r)).
 """
 from __future__ import annotations
 
@@ -8,14 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .special import DomainError, _check_param_a, gauss_2f1_sym
-from .modulus import (
-    _ALMOST_ONE,
-    _check_unit,
-    _invert_ua,
-    _landen_log_product,
-    grotzsch_ua,
-    product_P,
-)
+from .modulus import _check_unit, _invert_ua, _log_P, grotzsch_u, grotzsch_ua
 
 
 @dataclass(frozen=True)
@@ -52,18 +48,16 @@ def phi_ka(a: float, k: float, r: float) -> PhiResult:
 
 
 def phi_k_product(k: float, r: float) -> float:
-    """The product representation [r/P(r)]^{1/K} prod (1+phi_{1/K}(r_n))^{2^-n}.
-
-    Evaluated literally with the same tail-sandwich truncation as product_P;
-    at K = 1 it collapses to r exactly (the product cancels the prefactor).
+    """The product representation [r/P(r)]^{1/K} prod (1+phi_{1/K}(r_n))^{2^-n}
+    as printed, which is [r/P(r)]^{1/K} P(phi_{1/K}(r)) exactly; at K = 1 it
+    collapses to r exactly (the product cancels the prefactor).
     """
     _check_k(k)
     _check_unit(r)
     if k == 1.0:
         return r
-    kinv = 1.0 / k
-    tail = _landen_log_product(lambda t: phi_k(kinv, min(t, _ALMOST_ONE)).value, r)
-    return math.exp((math.log(r) - math.log(product_P(r))) * kinv + tail)
+    w = grotzsch_u(r)
+    return math.exp((math.log(r) - _log_P(w)) / k + _log_P(k * w))
 
 
 def phi_partial_r(a: float, k: float, r: float) -> float:

@@ -1,6 +1,12 @@
 """Grotzsch ring modulus, its generalization, inverses, Landen sequences,
 the infinite product P(r), and the auxiliary functions/constants used by
 the two-sided modulus bounds.
+
+P(r) = prod_{n>=0} (1 + r_n)^{2^-n} over the ascending Landen sequence
+r_{n+1} = 2 sqrt(r_n)/(1 + r_n) is r' e^{u(r')}: descending Landen from
+s_0 = r' gives s_{n+1} = (1 - r_n)/(1 + r_n) = s_n^2/(1 + r_n)^2 and
+u(s_n) = 2^n u(r'), so, as u(s) - ln(4/s) -> 0 when s -> 0,
+u(r') = lim 2^-n ln(4/s_n) = ln(1/r') + sum 2^-n ln(1 + r_n).
 """
 from __future__ import annotations
 
@@ -18,9 +24,8 @@ from .special import (
 
 _LN4 = math.log(4.0)
 _R_MAX = 1.0 - 1e-15        # saturation point of double-precision moduli
-_TAIL_TOL = 1e-14           # infinite-product tail width cutoff
-_ALMOST_ONE = 1.0 - 1e-16   # Landen moduli round up to 1.0 in doubles
 _LN_SQRT_HALF = -0.5 * math.log(2.0)
+_PI2_4 = math.pi ** 2 / 4.0  # u(r) u(r') = pi^2/4
 _LN_NORMAL_MIN = math.log(sys.float_info.min)
 _LN_RC_SAT = math.log(math.sqrt((1.0 - _R_MAX) * (1.0 + _R_MAX)))
 _ULP_Y_MAX = 2.0 ** -26     # one ulp of y must fix ln r to half a double's bits
@@ -94,15 +99,21 @@ def _log_asymptote(a: float, y: float, floor: float) -> float:
     return t
 
 
+def _nome_scale(y: float) -> float:
+    """r e^y for the root r <= 1/sqrt2 of u(r) = y >= pi/2: with the nome
+    q = e^{-2y} <= e^{-pi}, r = theta_2(q)^2/theta_3(q)^2
+    = 4 e^{-y} [(1 + q^2 + q^6 + q^12)/theta_3(q)]^2 to double precision."""
+    q = math.exp(-2.0 * y)
+    th3 = 1.0 + 2.0 * (q + q ** 4 + q ** 9 + q ** 16)
+    return 4.0 * ((1.0 + q ** 2 + q ** 6 + q ** 12) / th3) ** 2
+
+
 def _small_root(a: float, y: float) -> float:
     """The root r <= 1/sqrt2 of u_a(r) = y, for y >= u_a(1/sqrt2)."""
     if a == 0.5:
-        # Jacobi nome q = e^{-2y} <= e^{-pi}: r = theta_2(q)^2 / theta_3(q)^2,
-        # theta_2(q)^2 = 4 e^{-y} (sum q^{n(n+1)})^2; e^{-y} enters directly
-        # so that tiny roots are not lost to an underflowing q^{1/2}
-        q = math.exp(-2.0 * y)
-        th3 = 1.0 + 2.0 * (q + q ** 4 + q ** 9 + q ** 16)
-        r = 4.0 * math.exp(-y) * ((1.0 + q ** 2 + q ** 6 + q ** 12) / th3) ** 2
+        # e^{-y} enters directly, so tiny roots are not lost to an
+        # underflowing q^{1/2}
+        r = math.exp(-y) * _nome_scale(y)
     else:
         # Newton in t = ln r with u_a'(r) = -1/(r r'^2 F(a,1-a;1;r^2)^2), from
         # the asymptote u_a ~ R(a)/2 - ln r, which grotzsch_ua uses below 1e-7
@@ -172,58 +183,40 @@ def grotzsch_ua_inv(a: float, y: float) -> float:
 # Landen sequences and the product P(r)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LandenSequence:
-    """Ascending Landen moduli r_0..r_n, r_n = 2 sqrt(r_{n-1}) / (1 + r_{n-1})."""
-
-    terms: tuple[float, ...]
-
-
 def landen_next(r: float) -> float:
     return 2.0 * math.sqrt(r) / (1.0 + r)
 
 
-def landen_ascend(r: float, n: int) -> LandenSequence:
-    """The ascending Landen sequence of length n+1 starting at r."""
+def landen_ascend(r: float, n: int) -> tuple[float, ...]:
+    """The ascending Landen moduli r_0 = r, r_1, ..., r_n."""
     if n < 0:
         raise DomainError("sequence length must be nonnegative")
     terms = [_check_unit(r)]
     for _ in range(n):
         terms.append(landen_next(terms[-1]))
-    return LandenSequence(terms=tuple(terms))
+    return tuple(terms)
 
 
-def _landen_log_product(f, r: float) -> float:
-    """ln prod_{n>=0} (1 + f(r_n))^{2^-n} over the ascending Landen sequence
-    r_0 = r, r_1, ..., for an f with values in [0, 1] that tends to 1.
+def _log_P(y: float) -> float:
+    """ln P(s) = ln s' + u(s') for the s with u(s) = y, u(s') = pi^2/(4y).
 
-    Truncated at the first N where the tail sandwich
-    (1+f(r_N))^{2^{1-N}} <= tail <= 2^{2^{1-N}} has log-width below 1e-14;
-    the midpoint of the sandwich is added.  The sequence reaches 1.0 in
-    doubles, so an f defined only on (0, 1) clamps its argument to _ALMOST_ONE.
-    """
-    logp = 0.0
-    t = r
-    w = 1.0  # 2^-n
-    for _ in range(200):
-        s = f(t)
-        width = 2.0 * w * math.log(2.0 / (1.0 + s))
-        if width < _TAIL_TOL:
-            return logp + w * (math.log1p(s) + math.log(2.0))
-        logp += w * math.log1p(s)
-        t = landen_next(t)
-        w *= 0.5
-    return logp  # pragma: no cover - tail converges in ~50 steps
+    Of s and s', the one below 1/sqrt2 comes from its nome, the other by
+    sqrt(1 - s^2), so s is never formed where it rounds towards 1."""
+    x = _PI2_4 / y
+    if x >= math.pi / 2.0:
+        return math.log(_nome_scale(x))
+    s = math.exp(-y) * _nome_scale(y)
+    return x + 0.5 * math.log1p(-s * s)
 
 
 def product_P(r: float) -> float:
     """P(r) = prod_{n>=0} (1 + r_n)^{2^-n} over the ascending Landen sequence,
-    truncated by the tail sandwich.  At r = 1 (the complement of an s whose
-    square rounds away) this gives P(1) = 4.
-    """
+    in closed form r' e^{u(r')}; P(1) = 4, the limit, is accepted."""
     if not (0.0 < r <= 1.0):
         raise DomainError(f"domain error: r must lie in (0,1], got {r!r}")
-    return math.exp(_landen_log_product(lambda t: t, r))
+    if r == 1.0:
+        return 4.0
+    return math.exp(_log_P(grotzsch_u(r)))
 
 
 # ---------------------------------------------------------------------------
@@ -234,9 +227,10 @@ def fn_A(r: float) -> float:
     """A(r) = r'^2 arctan(r) / r, continuously extended to A(0)=1, A(1)=0."""
     if not (0.0 <= r <= 1.0):
         raise DomainError(f"domain error: r must lie in [0,1], got {r!r}")
+    rc2 = (1.0 - r) * (1.0 + r)
     if r <= 1e-12:
-        return 1.0 - r * r  # arctan(r)/r -> 1
-    return (1.0 - r * r) * math.atan(r) / r
+        return rc2  # arctan(r)/r -> 1
+    return rc2 * math.atan(r) / r
 
 
 def fn_B(r: float) -> float:

@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+import landen_oracle
 from gft import (
     BLOCH_B1,
     LANDAU_C,
@@ -201,7 +202,7 @@ class TestEtaAndProductBound:
         assert theorem3_sfk(1.0, r) == pytest.approx(1.0, rel=1e-10)
 
     def test_forms_agree_at_k1(self):
-        # with K = 1 the two product truncations evaluate the same expression
+        # with K = 1 the two forms are the same expression
         for r in (0.2, 0.5, 0.9):
             assert theorem3_sfk(1.0, r) == pytest.approx(eta_k(1.0, r), rel=1e-10)
 
@@ -213,8 +214,8 @@ class TestEtaAndProductBound:
         (0.1, 0.99999, 1.837597864610471493341428967396049767004e-04),
     ])
     def test_eta_small_k_near_one(self, k, r, expected):
-        # s = phi_K(r') is tiny and s' rounds to 1, where P(1) = 4; oracle:
-        # 60-digit mpmath (Jacobi nome for phi, the Landen product for P)
+        # s = phi_K(r') is tiny and s' = phi_{1/K}(r) lies within ulps of 1;
+        # oracle: 60-digit mpmath (Jacobi nome for phi, the Landen product for P)
         assert eta_k(k, r) == pytest.approx(expected, rel=1e-13)
 
     def test_eta_positive_finite(self):
@@ -224,18 +225,43 @@ class TestEtaAndProductBound:
                 assert math.isfinite(v) and v > 0.0
 
     @pytest.mark.parametrize("k, r, expected", [
-        (0.5, 0.3, 0.0005560095357555072751007084173781500989257),
-        (0.5, 0.9, 0.1825118089406266494592801311756282675226),
-        (2.0, 0.3, 2.448979576546606172486993362295044129521),
-        (2.0, 0.9, 359.9999993769675145619851857456607511899),
-        (4.0, 0.3, 136.1245117155909061819133180889344775138),
-        (4.0, 0.9, 2079298.814719739024530531923664880922519),
+        (0.5, 0.3, 0.0005560095347159861448552581150979824833813),
+        (0.5, 0.9, 0.1825118082649213024366372413515585404169),
+        (2.0, 0.3, 2.44897959183673452556385632504915894447),
+        (2.0, 0.9, 360.0000000000001687538997430238513368076),
+        (4.0, 0.3, 136.1363981190140312048126730072610686264),
+        (4.0, 0.9, 2079360.999999521030002255659938261095042),
     ])
     def test_theorem3_mpmath_oracle(self, k, r, expected):
-        # 60-digit mpmath: u by the AGM, phi_K and phi_{1/K} by the Jacobi nome,
-        # over the moduli that landen_next produces in doubles from r and from
-        # r' = sqrt((1-r)(1+r)), as for phi_k_product's oracle
-        assert theorem3_sfk(k, r) == pytest.approx(expected, rel=1e-13)
+        # tests/landen_oracle.py at 60 digits: u by the AGM, phi_K and
+        # phi_{1/K} by the Jacobi nome, over exact Landen moduli from r and
+        # from r', each carrying its complement
+        assert theorem3_sfk(k, r) == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("k, r", landen_oracle.GRID)
+    def test_theorem3_exact_landen_oracle(self, k, r):
+        assert theorem3_sfk(k, r) == pytest.approx(
+            landen_oracle.theorem3_product(k, r), rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("k, r", landen_oracle.GRID)
+    def test_eta_is_the_swapped_product(self, k, r):
+        # Theorem 3's product with K and 1/K swapped inside, the corrected form
+        assert eta_k(k, r) == pytest.approx(
+            landen_oracle.theorem3_product(k, r, swapped=True), rel=1e-13, abs=0.0)
+
+    def test_theorem3_k2_closed_form(self):
+        # at K = 2 the printed form is 4r/(1-r)^2
+        for r in np.linspace(0.01, 0.99, 99):
+            r = float(r)
+            expected = 4.0 * r / (1.0 - r) ** 2
+            assert theorem3_sfk(2.0, r) == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("fn, k", [(eta_k, 1000.0), (theorem3_sfk, 1000.0),
+                                       (eta_k, 1e300), (theorem3_sfk, 1e300)])
+    def test_overflow_raises(self, fn, k):
+        # exp(2K u(r')) exceeds the largest double: DomainError, not OverflowError
+        with pytest.raises(DomainError, match="overflows"):
+            fn(k, 0.5)
 
     def test_theorem3_finite(self):
         for k in (1.5, 2.0, 4.0):

@@ -10,6 +10,7 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
+import landen_oracle
 from gft import (
     DomainError,
     lemma3_fk,
@@ -164,19 +165,31 @@ class TestProductForm:
                 assert math.isfinite(v) and v > 0.0
 
     @pytest.mark.parametrize("k, r, expected", [
-        (0.5, 0.3, 0.05325443786982248208810069789573820931507),
-        (0.5, 0.9, 0.2243767313019390639992019916593010457984),
-        (2.0, 0.3, 0.5606341861568242799263482763640004674305),
-        (2.0, 0.9, 1.321387245671985843614235081089973598426),
-        (4.0, 0.3, 0.7488477326088896281430251133281085876345),
-        (4.0, 0.9, 1.197627867233348324692579872547369373183),
+        (0.5, 0.3, 0.05325443786982248217508504881614055320174),
+        (0.5, 0.9, 0.2243767313019390639988378606948002985356),
+        (2.0, 0.3, 0.5606341866809080001583228742892048301272),
+        (2.0, 0.9, 1.321387248118042395678537973844699017676),
+        (4.0, 0.3, 0.7488591410735577659635121012504705404411),
+        (4.0, 0.9, 1.197664363238942488621221656522296197729),
     ])
     def test_mpmath_oracle(self, k, r, expected):
-        # 60-digit mpmath: the Landen product for P(r), phi_{1/K} by the Jacobi
-        # nome, over the moduli r_n that landen_next produces in doubles.  Those
-        # moduli lose the complement of r_n near 1, which moves the exact
-        # product by up to 3e-5 at K = 4 (1.6e-18 at K = 1/2).
-        assert phi_k_product(k, r) == pytest.approx(expected, rel=1e-13)
+        # tests/landen_oracle.py at 60 digits: the product over exact Landen
+        # moduli, each carrying its complement
+        assert phi_k_product(k, r) == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("k, r", landen_oracle.GRID)
+    def test_exact_landen_oracle(self, k, r):
+        assert phi_k_product(k, r) == pytest.approx(
+            landen_oracle.phi_k_product(k, r), rel=1e-13, abs=0.0)
+
+    def test_k2_closed_form(self):
+        # phi_{1/2}(r) is the descending Landen modulus r_{-1} = (1-r')/(1+r'),
+        # and P(r_{-1}) = (1 + r_{-1}) P(r)^{1/2}: the form is 2 sqrt(r)/(1 + r')
+        for r in R_GRID:
+            r = float(r)
+            rc = math.sqrt((1.0 - r) * (1.0 + r))
+            expected = 2.0 * math.sqrt(r) / (1.0 + rc)
+            assert phi_k_product(2.0, r) == pytest.approx(expected, rel=1e-13, abs=0.0)
 
 
 class TestLemma3Fk:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import landen_oracle
 from gft import (
     DomainError,
     fn_A,
@@ -233,15 +234,15 @@ class TestInverses:
 class TestLanden:
     def test_recurrence(self):
         seq = landen_ascend(0.3, 5)
-        assert len(seq.terms) == 6
-        assert seq.terms[0] == 0.3
-        for prev, nxt in zip(seq.terms, seq.terms[1:]):
+        assert isinstance(seq, tuple) and len(seq) == 6
+        assert seq[0] == 0.3
+        for prev, nxt in zip(seq, seq[1:]):
             assert nxt == pytest.approx(2.0 * math.sqrt(prev) / (1.0 + prev), rel=1e-15)
 
     def test_increasing_to_one(self):
         seq = landen_ascend(0.1, 40)
-        assert all(x < y or y == 1.0 for x, y in zip(seq.terms, seq.terms[1:]))
-        assert seq.terms[-1] == pytest.approx(1.0, abs=1e-12)
+        assert all(x < y or y == 1.0 for x, y in zip(seq, seq[1:]))
+        assert seq[-1] == pytest.approx(1.0, abs=1e-12)
 
     def test_negative_length(self):
         with pytest.raises(DomainError):
@@ -262,9 +263,19 @@ class TestProductP:
     def test_frozen_oracle(self, r, expected):
         assert product_P(r) == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("r", [10.0 ** -e for e in range(300, 2, -9)]
+                             + [float(r) for r in R_GRID]
+                             + [1.0 - 10.0 ** -e for e in range(3, 16)]
+                             + [SQRT_HALF, math.nextafter(SQRT_HALF, 1.0)])
+    def test_landen_product_oracle(self, r):
+        # the closed form r' e^{u(r')} against the product itself, taken term
+        # by term over exact Landen moduli at 60 digits
+        expected = landen_oracle.product_P(r)
+        assert product_P(r) == pytest.approx(expected, rel=1e-15, abs=0.0)
+
     def test_limit_at_one(self):
         assert product_P(1.0 - 1e-12) == pytest.approx(4.0, abs=1e-11)
-        assert product_P(1.0) == 4.0  # the limit, reached by r' = sqrt(1 - s^2)
+        assert product_P(1.0) == 4.0  # the limit, accepted at r = 1
 
     def test_domain(self):
         for bad in (0.0, -0.5, 1.5, math.nan, math.inf):
@@ -293,6 +304,17 @@ class TestAuxiliaryFunctions:
 
     def test_fn_a_continuity_at_guard(self):
         assert fn_A(1e-12) == pytest.approx(fn_A(2e-12), abs=1e-12)
+
+    @pytest.mark.parametrize("e", range(1, 16))
+    def test_fn_a_near_one_mpmath(self, e):
+        # r'^2 = (1 - r)(1 + r) keeps the complement that 1 - r*r loses
+        import mpmath
+
+        r = 1.0 - 10.0 ** -e
+        with mpmath.workdps(40):
+            x = mpmath.mpf(r)
+            expected = (1 - x * x) * mpmath.atan(x) / x
+        assert fn_A(r) == pytest.approx(float(expected), rel=1e-14, abs=0.0)
 
     def test_fn_b_endpoints(self):
         assert fn_B(0.0) == pytest.approx(math.log(4.0), rel=1e-15)
