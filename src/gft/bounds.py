@@ -10,7 +10,7 @@ import sys
 from dataclasses import dataclass
 
 from .special import LANDAU_C, DomainError
-from .modulus import _PI2_4, _check_unit, _log_P, grotzsch_u, product_P
+from .modulus import _LN_NORMAL_MIN, _PI2_4, _check_unit, _log_P, grotzsch_u, product_P
 from .distortion import _check_k
 
 #: Classical lower bound for Bloch's constant, sqrt(3)/4.
@@ -151,7 +151,9 @@ def schottky_f0_window(alpha: float, beta: float) -> float:
 
 def _landen_bound(k: float, r: float, printed: bool) -> float:
     """[P(s)/P(t)]^2 exp(2K u(r') - 2u(r)/K) with (s, t) = (phi_K(r'), phi_{1/K}(r)),
-    or (phi_{1/K}(r'), phi_K(r)) as printed; u(r') = pi^2/(4u(r)) exactly."""
+    or (phi_{1/K}(r'), phi_K(r)) as printed; u(r') = pi^2/(4u(r)) exactly.
+    A value beyond the doubles, above the largest or below the smallest
+    normal one, raises DomainError."""
     _check_unit(r)
     _check_k(k)
     w = grotzsch_u(r)
@@ -161,6 +163,9 @@ def _landen_bound(k: float, r: float, printed: bool) -> float:
     if not x <= _LN_DBL_MAX:
         raise DomainError(f"domain error: the bound overflows a double at "
                           f"K = {k!r}, r = {r!r}")
+    if x < _LN_NORMAL_MIN:
+        raise DomainError(f"domain error: the bound underflows below the smallest "
+                          f"normal double at K = {k!r}, r = {r!r}")
     return math.exp(x)
 
 

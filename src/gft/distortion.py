@@ -11,7 +11,8 @@ import math
 from dataclasses import dataclass
 
 from .special import DomainError, _check_param_a, gauss_2f1_sym
-from .modulus import _check_unit, _invert_ua, _log_P, grotzsch_u, grotzsch_ua
+from .modulus import (_LN_NORMAL_MIN, _check_unit, _invert_ua, _log_P, grotzsch_u,
+                      grotzsch_ua)
 
 
 @dataclass(frozen=True)
@@ -50,14 +51,19 @@ def phi_ka(a: float, k: float, r: float) -> PhiResult:
 def phi_k_product(k: float, r: float) -> float:
     """The product representation [r/P(r)]^{1/K} prod (1+phi_{1/K}(r_n))^{2^-n}
     as printed, which is [r/P(r)]^{1/K} P(phi_{1/K}(r)) exactly; at K = 1 it
-    collapses to r exactly (the product cancels the prefactor).
+    collapses to r exactly (the product cancels the prefactor).  A value
+    below the smallest normal double raises DomainError, as phi_k does.
     """
     _check_k(k)
     _check_unit(r)
     if k == 1.0:
         return r
     w = grotzsch_u(r)
-    return math.exp((math.log(r) - _log_P(w)) / k + _log_P(k * w))
+    x = (math.log(r) - _log_P(w)) / k + _log_P(k * w)
+    if x < _LN_NORMAL_MIN:
+        raise DomainError(f"domain error: the product underflows below the smallest "
+                          f"normal double at K = {k!r}, r = {r!r}")
+    return math.exp(x)
 
 
 def phi_partial_r(a: float, k: float, r: float) -> float:

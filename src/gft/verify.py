@@ -16,7 +16,7 @@ import operator
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Iterable
 
 from . import __version__, bounds, distortion, modulus, special
 from .special import APERY_A
@@ -107,63 +107,82 @@ class InequalityReport:
 class Sampler:
     """How a sampled target draws index i: one uniform point of the unit
     disk per name in `names` (reports record each as <name>_re, <name>_im),
-    redrawn until `accept` takes the points."""
+    redrawn until `accept` takes the points.  A target samples one point or
+    one pair."""
 
     stream: str
     names: tuple[str, ...]
     accept: Callable[..., bool]
 
+    def __post_init__(self):
+        if len(self.names) not in (1, 2):
+            raise UsageError(f"a sampler draws one or two points, got {self.names!r}")
 
-def _counter_digest(seed: int, stream: str) -> Callable[[int, int], tuple[int, ...]]:
-    """(i, block) -> one BLAKE2b digest of (seed, stream, i, block) as eight
-    64-bit words, each good for one 53-bit uniform in [0, 1)."""
+
+def _sampler(sampler: Sampler, seed: int) -> Callable[[int, int], list[tuple[complex, ...]]]:
+    """(lo, hi) -> the sampled points of indices lo, ..., hi - 1.  Index i
+    hashes (seed, stream, i, block) with BLAKE2b into eight 64-bit words; an
+    attempt takes two words per point, w_u and w_v, for sqrt(u) e^{2 pi i v}
+    with u = (w_u >> 11) 2^-53 and v likewise.  The attempts of one digest
+    are used up before block + 1 is hashed, so sample i never depends on any
+    other index."""
     try:  # hashlib.blake2b itself, without the OpenSSL backend hashlib loads
         from _blake2 import blake2b
     except ImportError:  # pragma: no cover - an interpreter without _blake2
         from hashlib import blake2b
 
-    base = blake2b(f"{seed}:{stream}:".encode())
+    copy = blake2b(f"{seed}:{sampler.stream}:".encode()).copy
     pack, unpack = struct.Struct("<QQ").pack, struct.Struct("<8Q").unpack
+    rect, sqrt = cmath.rect, math.sqrt
+    tau, ulp = 2.0 * math.pi, 2.0 ** -53
+    accept, width = sampler.accept, 2 * len(sampler.names)
 
-    def digest(i: int, block: int) -> tuple[int, ...]:
-        h = base.copy()
-        h.update(pack(i, block))
-        return unpack(h.digest())
-
-    return digest
-
-
-def _disk_point(w_radius: int, w_angle: int) -> complex:
-    # sqrt(u) e^{2 pi i v}, with u = (w_radius >> 11) 2^-53 and v likewise
-    return cmath.rect(math.sqrt((w_radius >> 11) * 2.0 ** -53),
-                      2.0 * math.pi * ((w_angle >> 11) * 2.0 ** -53))
-
-
-def _sampler(sampler: Sampler, seed: int) -> Callable[[int], tuple[complex, ...]]:
-    """i -> the sampled points of index i.  An attempt takes two words per
-    point; the attempts of one digest are used up before block + 1 is
-    hashed, so sample i never depends on any other index."""
-    digest = _counter_digest(seed, sampler.stream)
-    width = 2 * len(sampler.names)
-    accept = sampler.accept
-
-    def points(i: int) -> tuple[complex, ...]:
+    def redraw(i: int, w: tuple[int, ...], j: int) -> tuple[complex, ...]:
+        # index i's attempts before word j of digest w were rejected
         block = 0
         while True:
-            w = digest(i, block)
-            for j in range(0, len(w) - width + 1, width):
-                zs = tuple([_disk_point(w[m], w[m + 1]) for m in range(j, j + width, 2)])
+            for a in range(j, len(w) - width + 1, width):
+                zs = tuple([rect(sqrt((w[m] >> 11) * ulp), tau * ((w[m + 1] >> 11) * ulp))
+                            for m in range(a, a + width, 2)])
                 if accept(*zs):
                     return zs
-            block += 1
+            block, j = block + 1, 0
+            h = copy()
+            h.update(pack(i, block))
+            w = unpack(h.digest())
 
-    return points
+    # the first attempt of each index is built inline: nearly every index
+    # keeps it, and redraw serves the rest
+    if width == 2:
+        def draw(lo: int, hi: int) -> list[tuple[complex, ...]]:
+            zss = []
+            for i in range(lo, hi):
+                h = copy()
+                h.update(pack(i, 0))
+                w = unpack(h.digest())
+                z = rect(sqrt((w[0] >> 11) * ulp), tau * ((w[1] >> 11) * ulp))
+                zss.append((z,) if accept(z) else redraw(i, w, 2))
+            return zss
+    else:
+        def draw(lo: int, hi: int) -> list[tuple[complex, ...]]:
+            zss = []
+            for i in range(lo, hi):
+                h = copy()
+                h.update(pack(i, 0))
+                w = unpack(h.digest())
+                z1 = rect(sqrt((w[0] >> 11) * ulp), tau * ((w[1] >> 11) * ulp))
+                z2 = rect(sqrt((w[2] >> 11) * ulp), tau * ((w[3] >> 11) * ulp))
+                zss.append((z1, z2) if accept(z1, z2) else redraw(i, w, 4))
+            return zss
+
+    return draw
 
 
 # ---------------------------------------------------------------------------
 # Margin functions.  Each takes a params dict and returns a signed margin;
-# a sampled target's margin takes a list of sampled points first and returns
-# the list of their margins.
+# a sampled target's margin takes a block of sampled points and the grid
+# rows, and gives one list of the points' margins per row, in row order (a
+# generator holds one row's list at a time).
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=100_000)
@@ -178,10 +197,11 @@ def _phi(k: float, r: float) -> float:
     return _phi_a(0.5, k, r)
 
 
-def _m_eq5_chain(zss: list[tuple[complex]], p: dict) -> list[float]:
+def _m_eq5_chain(zss: list[tuple[complex]], rows: list[dict]) -> Iterable[list[float]]:
     zeta, rho = bounds.zeta_map, bounds.rho_lower
-    return [1.0 / (abs(z) * abs(cmath.sqrt(z - 1.0)) * (4.0 - math.log(abs(zeta(z)))))
-            - rho(abs(z)) for z, in zss]
+    ms = [1.0 / (a * abs(cmath.sqrt(z - 1.0)) * (4.0 - math.log(abs(zeta(z))))) - rho(a)
+          for z, in zss for a in (abs(z),)]
+    return [ms] * len(rows)
 
 
 def _g5(a: float, r: float) -> float:
@@ -303,15 +323,20 @@ def _m_thm4_k1(p: dict) -> float:
     return -max(abs(lo - r), abs(hi - r))
 
 
-def _m_mori_radial(zss: list[tuple[complex, complex]], k: float,
-                   variant: str) -> list[float]:
-    # the radial stretch z -> z |z|^{1/K - 1} takes 0 to 0
-    c = bounds.mori_holder_bound(k, 1.0, variant)   # c^{1-1/K}
-    inv_k, expo = 1.0 / k, 1.0 / k - 1.0
-    return [c * abs(z2 - z1) ** inv_k
-            - abs((z2 * abs(z2) ** expo if z2 else 0.0)
-                  - (z1 * abs(z1) ** expo if z1 else 0.0))
-            for z1, z2 in zss]
+def _m_mori_radial(zss: list[tuple[complex, complex]], rows: list[dict],
+                   variant: str) -> Iterable[list[float]]:
+    # the radial stretch z -> z |z|^{1/K - 1} takes 0 to 0; the moduli and
+    # distances of the block's pairs serve every K row
+    ds = [abs(z2 - z1) for z1, z2 in zss]
+    a1s = [abs(z1) for z1, _ in zss]
+    a2s = [abs(z2) for _, z2 in zss]
+    for p in rows:
+        k = p["k"]
+        c = bounds.mori_holder_bound(k, 1.0, variant)   # c^{1-1/K}
+        inv_k, expo = 1.0 / k, 1.0 / k - 1.0
+        yield [c * d ** inv_k
+               - abs((z2 * a2 ** expo if z2 else 0.0) - (z1 * a1 ** expo if z1 else 0.0))
+               for (z1, z2), d, a1, a2 in zip(zss, ds, a1s, a2s)]
 
 
 def _m_planted_false(p: dict) -> float:
@@ -328,7 +353,7 @@ def _m_planted_false(p: dict) -> float:
 class Target:
     name: str
     classification: str                       # asserted | report_only
-    margin: Callable[..., float]
+    margin: Callable[..., float]              # sampled: (points, rows) -> row lists
     axes: tuple[str, ...]                     # subset of (a, k, r, alpha)
     default_tol: float = 1e-9
     pairwise_r: bool = False                  # margin uses (r, r_next)
@@ -389,11 +414,11 @@ _TARGETS = [
            lambda p: _m_phi_identity(p, literal=False), ("k", "r")),
     Target("thm4_k1_equality", "asserted", _m_thm4_k1, ("r",), default_tol=1e-15),
     Target("mori_radial_16", "asserted",
-           lambda zss, p: _m_mori_radial(zss, p["k"], "sixteen"), ("k",),
+           lambda zss, rows: _m_mori_radial(zss, rows, "sixteen"), ("k",),
            sample=Sampler("mori_sixteen", ("z1", "z2"), operator.ne),
            k_filter=lambda k: k >= 1.0),
     Target("mori_radial_64", "asserted",
-           lambda zss, p: _m_mori_radial(zss, p["k"], "sixtyfour"), ("k",),
+           lambda zss, rows: _m_mori_radial(zss, rows, "sixtyfour"), ("k",),
            sample=Sampler("mori_sixtyfour", ("z1", "z2"), operator.ne),
            k_filter=lambda k: k >= 1.0),
     Target("planted_false", "asserted", _m_planted_false, ("r",), sanity=True),
@@ -461,8 +486,9 @@ def margin_at(target_name: str, params: dict) -> float:
     target = target_info(target_name)
     if target.sample is None:
         return target.margin(params)
-    zs = _sampler(target.sample, params["seed"])(params["i"])
-    return target.margin([zs], params)[0]
+    i = params["i"]
+    [ms] = target.margin(_sampler(target.sample, params["seed"])(i, i + 1), [params])
+    return ms[0]
 
 
 def _rank(m: float) -> float:
@@ -492,13 +518,20 @@ def sweep(spec: SweepSpec) -> InequalityReport:
         bad = len(ms) - sum(map(ok, ms))
         if bad:
             count += bad
-            # the candidates: margins that violate, or that rank with the
-            # worst kept violation when MAX_VIOLATIONS are kept already
-            over = kept[-1][0].__lt__ if len(kept) == MAX_VIOLATIONS else ok
+            # the candidates: margins that violate or, once MAX_VIOLATIONS
+            # are kept, that rank below the worst kept one; a tie displaces
+            # it only from orders before its own, so only a block starting
+            # there may offer ties
+            if len(kept) < MAX_VIOLATIONS:
+                over = ok
+            else:
+                rank, order, _ = kept[-1]
+                over = rank.__le__ if base > order else rank.__lt__
             picked = itertools.compress(zip(ms, itertools.count(base)),
                                         map(operator.not_, map(over, ms)))
             cand = [(_rank(m), o, m) for m, o in picked]
-            kept = heapq.nsmallest(MAX_VIOLATIONS, kept + cand)
+            if cand:
+                kept = heapq.nsmallest(MAX_VIOLATIONS, kept + cand)
             if any(m != m for _, _, m in cand):
                 return min(cand)      # every NaN is a candidate
         m = min(ms)
@@ -516,9 +549,9 @@ def sweep(spec: SweepSpec) -> InequalityReport:
         draw = _sampler(target.sample, spec.seed)
         rows: list = [None] * len(grid)        # each row's worst, as fold returns it
         for lo in range(0, n, SAMPLE_BLOCK):
-            zss = [draw(i) for i in range(lo, min(lo + SAMPLE_BLOCK, n))]
-            for j, p in enumerate(grid):
-                worst = fold(target.margin(zss, p), j * n + lo)
+            zss = draw(lo, min(lo + SAMPLE_BLOCK, n))
+            for j, ms in enumerate(target.margin(zss, grid)):
+                worst = fold(ms, j * n + lo)
                 if rows[j] is None or worst < rows[j]:
                     rows[j] = worst
         best = min(rows)
@@ -527,7 +560,7 @@ def sweep(spec: SweepSpec) -> InequalityReport:
         def params(order: int) -> dict:
             j, i = divmod(order, n)
             p = dict(grid[j], i=i, seed=spec.seed)
-            for name, z in zip(target.sample.names, draw(i)):
+            for name, z in zip(target.sample.names, draw(i, i + 1)[0]):
                 p[f"{name}_re"], p[f"{name}_im"] = z.real, z.imag
             return p
 

@@ -199,12 +199,21 @@ def test_criterion_10_theorem4_degeneracy():
 
 
 def test_criterion_11_harness_sanity():
+    import os
+    import pathlib
     import subprocess
     import sys
 
+    import gft
+
+    # the child imports the gft this process imports, also when only
+    # pytest's pythonpath setting put it on sys.path
+    src = str(pathlib.Path(gft.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "gft.cli", "verify", "sanity", "--samples", "100"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     exit_ok = proc.returncode == 2
 
     import json

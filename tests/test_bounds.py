@@ -263,6 +263,19 @@ class TestEtaAndProductBound:
         with pytest.raises(DomainError, match="overflows"):
             fn(k, 0.5)
 
+    @pytest.mark.parametrize("fn, k, r", [(eta_k, 1e-300, 0.5), (theorem3_sfk, 1 / 16, 1e-300)])
+    def test_underflow_raises(self, fn, k, r):
+        # the bound lies below the smallest normal double: DomainError, as
+        # phi_k raises, rather than 0.0 or a subnormal
+        with pytest.raises(DomainError, match="underflows.*smallest normal double"):
+            fn(k, r)
+
+    @pytest.mark.parametrize("fn, least", [(eta_k, 2.2e-212), (theorem3_sfk, 8.6e-211)])
+    def test_benchmarked_corner_returns(self, fn, least):
+        # K = 1/16, r = 1e-6 gives the smallest values of the kernel
+        # benchmark's domain K in [1/16, 16], r in [1e-6, 1 - 1e-6]
+        assert least < fn(1 / 16, 1e-6) < 1.01 * least
+
     def test_theorem3_finite(self):
         for k in (1.5, 2.0, 4.0):
             for r in (0.1, 0.5, 0.9):

@@ -9,6 +9,7 @@ CHANGES.md then lists it.
 """
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -423,6 +424,17 @@ class TestVerify:
         assert all(len(d["violations"]) <= gft.verify.MAX_VIOLATIONS for d in data)
         counts = {d["target"]: d["violation_count"] for d in data}
         assert counts["eq5_chain"] == 9271 and counts["lemma3_literal"] == 882
+
+    def test_default_report_bytes_are_pinned(self, capsys, tmp_path):
+        # every target at the default spec, sampled ones over 10 blocks;
+        # the version string is part of the bytes
+        path = tmp_path / "all.json"
+        rc, _, _ = run_cli(capsys, "verify", "all", "--report", str(path))
+        assert rc == 0
+        data = path.read_bytes()
+        assert len(data) == 43_630
+        assert hashlib.sha256(data).hexdigest() == (
+            "a831965678fc097dedbb5e4e636c8d6d034969e6a3dc826306e2084cc1e43b55")
 
     def test_report_dir_env(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("GFT_REPORT_DIR", str(tmp_path))

@@ -158,6 +158,14 @@ class TestProductForm:
         for r in (0.1, 0.37, 0.9):
             assert phi_k_product(1.0, r) == r
 
+    def test_underflow_raises(self):
+        # [r/P(r)]^{1/K} P(phi_{1/K}(r)) at K = 1e-3 lies far below the
+        # smallest normal double: DomainError, as phi_k raises, not 0.0
+        with pytest.raises(DomainError, match="underflows.*smallest normal double"):
+            phi_k_product(1e-3, 0.5)
+        # the smallest value of the kernel benchmark's domain still returns
+        assert 2.9e-97 < phi_k_product(1 / 16, 1e-6) < 3.0e-97
+
     def test_finite_positive(self):
         for k in K_VALUES:
             for r in (0.05, 0.5, 0.95):

@@ -1,8 +1,12 @@
 """Verification engine: registry coverage, determinism, margin re-evaluation,
 the planted-false sanity target, and configuration validation.
 """
+import cmath
+import hashlib
+import heapq
 import json
 import math
+import struct
 
 import pytest
 
@@ -147,6 +151,30 @@ def _in_omega1(z: complex) -> bool:
     return abs(z) < 1.0 and 0.01 < abs(z) < abs(z - 1.0)
 
 
+def _reference_attempts(sampler, seed: int, i: int, block: int) -> list:
+    """The attempts of one digest, straight from hashlib as the README
+    describes the scheme: BLAKE2b of "seed:stream:" and the little-endian
+    64-bit i and block; eight 64-bit words, two per point, u and v, for the
+    point sqrt(u) e^{2 pi i v} with u = (w >> 11) 2^-53; one attempt holds
+    one point per sampler name."""
+    data = f"{seed}:{sampler.stream}:".encode() + struct.pack("<QQ", i, block)
+    w = struct.unpack("<8Q", hashlib.blake2b(data).digest())
+    pts = [cmath.rect(math.sqrt((w[m] >> 11) * 2.0 ** -53),
+                      2.0 * math.pi * ((w[m + 1] >> 11) * 2.0 ** -53)) for m in range(0, 8, 2)]
+    width = len(sampler.names)
+    return [tuple(pts[j:j + width]) for j in range(0, 4, width)]
+
+
+def _reference_points(sampler, seed: int, i: int) -> tuple:
+    """Sample i: the first accepted attempt of blocks 0, 1, 2, ..."""
+    block = 0
+    while True:
+        for zs in _reference_attempts(sampler, seed, i, block):
+            if sampler.accept(*zs):
+                return zs
+        block += 1
+
+
 def _stream(spec: SweepSpec) -> list:
     """The sweep's margins one evaluation at a time, as (margin, grid params,
     sample index or None, sampled points or None) rows in lexicographic
@@ -156,12 +184,12 @@ def _stream(spec: SweepSpec) -> list:
     grid = verify._param_list(target, spec)
     if target.sample is None:
         return [(target.margin(p), p, None, None) for p in grid]
-    draw = verify._sampler(target.sample, spec.seed)
-    points = [draw(i) for i in range(spec.samples)]
+    points = [_reference_points(target.sample, spec.seed, i) for i in range(spec.samples)]
     rows = []
     for p in grid:
         for i, zs in enumerate(points):
-            rows.append((target.margin([zs], p)[0], p, i, zs))
+            [(m,)] = target.margin([zs], [p])
+            rows.append((m, p, i, zs))
     return rows
 
 
@@ -271,12 +299,13 @@ class TestBlockStreaming:
         sampler = target_info("eq5_chain").sample
         nan_near_0 = verify.Target(
             "nan_near_0", "asserted",
-            lambda zss, p: [math.nan if abs(z) < 0.08 else -1.0 for z, in zss], (),
+            lambda zss, rows: [[math.nan if abs(z) < 0.08 else -1.0 for z, in zss]
+                               for _ in rows], (),
             sample=sampler)
         monkeypatch.setitem(verify._REGISTRY, "nan_near_0", nan_near_0)
         spec = SweepSpec(target="nan_near_0", samples=2500)
-        draw = verify._sampler(sampler, spec.seed)
-        nans = [i for i in range(2500) if abs(draw(i)[0]) < 0.08]
+        zss = verify._sampler(sampler, spec.seed)(0, 2500)
+        nans = [i for i in range(2500) if abs(zss[i][0]) < 0.08]
         assert 3 <= len(nans) < verify.MAX_VIOLATIONS
         assert {i // verify.SAMPLE_BLOCK for i in nans} == {0, 1, 2}
         rep = sweep(spec)
@@ -293,18 +322,51 @@ class TestBlockStreaming:
         sampler = target_info("mori_radial_16").sample
         ties = verify.Target(
             "ties_across_blocks", "asserted",
-            lambda zss, p: [-1.0 if p["k"] == 2.0 or abs(z1) < 0.12 else 0.0
-                            for z1, _ in zss], ("k",), sample=sampler)
+            lambda zss, rows: [[-1.0 if p["k"] == 2.0 or abs(z1) < 0.12 else 0.0
+                                for z1, _ in zss] for p in rows], ("k",), sample=sampler)
         monkeypatch.setitem(verify._REGISTRY, "ties_across_blocks", ties)
         spec = SweepSpec(target="ties_across_blocks", samples=2500, k_values=(1.0, 2.0))
-        draw = verify._sampler(sampler, spec.seed)
-        k1 = [i for i in range(2500) if abs(draw(i)[0]) < 0.12]
+        zss = verify._sampler(sampler, spec.seed)(0, 2500)
+        k1 = [i for i in range(2500) if abs(zss[i][0]) < 0.12]
         assert sum(i < verify.SAMPLE_BLOCK for i in k1) < verify.MAX_VIOLATIONS <= len(k1)
         rep = sweep(spec)
         assert rep.violation_count == len(k1) + 2500
         assert [(p["k"], p["i"]) for p, _ in rep.violations] == (
             [(1.0, i) for i in k1[:verify.MAX_VIOLATIONS]])
         assert rep.argmin["k"] == 1.0 and rep.argmin["i"] == k1[0]
+
+    def test_ties_after_the_worst_kept_are_no_candidates(self, monkeypatch):
+        # every margin ties at -1, so block 0 of row K = 1 fills the kept list
+        # with orders 0-19; no later (row, block) segment starts before order
+        # 19, so none of its ties can displace a kept one and none may reach
+        # heapq.nsmallest
+        sampler = target_info("mori_radial_16").sample
+        ties = verify.Target("all_ties", "asserted",
+                             lambda zss, rows: [[-1.0] * len(zss) for _ in rows], ("k",),
+                             sample=sampler)
+        monkeypatch.setitem(verify._REGISTRY, "all_ties", ties)
+        calls = []
+        nsmallest = heapq.nsmallest
+
+        def spy(n, iterable):
+            items = list(iterable)
+            kept = nsmallest(n, items)
+            calls.append((items, kept))
+            return kept
+        monkeypatch.setattr(heapq, "nsmallest", spy)
+        spec = SweepSpec(target="all_ties", samples=2500, k_values=(1.0, 2.0))
+        rep = sweep(spec)
+        assert rep.violation_count == 5000
+        assert [(p["k"], p["i"]) for p, _ in rep.violations] == [
+            (1.0, i) for i in range(verify.MAX_VIOLATIONS)]
+        assert calls
+        kept_before: list = []
+        for items, kept in calls:
+            if len(kept_before) == verify.MAX_VIOLATIONS:
+                worst = kept_before[-1]
+                assert all(c[:2] < worst[:2] for c in items[len(kept_before):])
+            kept_before = kept
+        assert len(calls) == 1
 
     def test_empty_sweep_raises(self):
         # K < 1 is filtered out of eq60, a = 1/2 out of lemma2_item2: nothing
@@ -331,13 +393,15 @@ class TestSampling:
             # the points the report records are the ones margin_at redraws
             recorded = tuple(complex(params[f"{n}_re"], params[f"{n}_im"])
                              for n in sample.names)
-            assert verify._sampler(sample, params["seed"])(params["i"]) == recorded
+            i = params["i"]
+            assert verify._sampler(sample, params["seed"])(i, i + 1) == [recorded]
         # the report keeps the worst violations only: redraw every violating
         # row of the sweep's own stream
         violating = [row for row in _stream(spec) if row[0] < -1e-9]
+        draw = verify._sampler(sample, spec.seed)
         for m, p, i, zs in violating:
             assert margin_at(name, dict(p, i=i, seed=spec.seed)) == m
-            assert verify._sampler(sample, spec.seed)(i) == zs
+            assert draw(i, i + 1) == [zs]
         assert rep.violation_count == len(violating)
         if name == "eq5_chain":
             assert rep.violation_count > 100  # the report-only chain fails often
@@ -351,45 +415,76 @@ class TestSampling:
 
     def test_points_independent_of_draw_order(self):
         draw = verify._sampler(target_info("mori_radial_16").sample, 7)
-        forward = [draw(i) for i in range(50)]
-        assert [draw(i) for i in reversed(range(50))][::-1] == forward
+        forward = draw(0, 50)
+        assert [draw(i, i + 1)[0] for i in reversed(range(50))][::-1] == forward
+        assert draw(0, 17) + draw(17, 50) == forward
+
+    @pytest.mark.parametrize("name", SAMPLED_TARGETS)
+    def test_draw_equals_the_reference(self, name):
+        # the block drawer against the scheme built from hashlib, on splits
+        # that do and do not align with SAMPLE_BLOCK
+        seed = SweepSpec(target=name).seed
+        sampler = target_info(name).sample
+        draw = verify._sampler(sampler, seed)
+        want = [_reference_points(sampler, seed, i) for i in range(3000)]
+        for cuts in ((0, verify.SAMPLE_BLOCK, 2 * verify.SAMPLE_BLOCK, 3000),
+                     (0, 1, 1000, 1025, 2047, 2999, 3000)):
+            got = []
+            for lo, hi in zip(cuts, cuts[1:]):
+                got += draw(lo, hi)
+            assert got == want
+        assert draw(5, 5) == []
 
     def test_rejected_first_digest_moves_to_next_block(self):
         # Omega_1 takes about 80% of the disk, so all four attempts of block 0
         # fail for a few indices in every thousand
         seed = SweepSpec(target="eq5_chain").seed
         sampler = target_info("eq5_chain").sample
-        digest = verify._counter_digest(seed, sampler.stream)
-        draw = verify._sampler(sampler, seed)
-
-        def block0_points(i):
-            w = digest(i, 0)
-            return [verify._disk_point(w[j], w[j + 1]) for j in range(0, 8, 2)]
-
-        samples = 1000
+        samples = 3000
+        zss = verify._sampler(sampler, seed)(0, samples)
         rejected = []
         for i in range(samples):
-            accepted = [z for z in block0_points(i) if sampler.accept(z)]
+            accepted = [zs for zs in _reference_attempts(sampler, seed, i, 0)
+                        if sampler.accept(*zs)]
             if accepted:
-                assert draw(i) == (accepted[0],)  # the first attempt that passes
+                assert zss[i] == accepted[0]  # the first attempt that passes
             else:
                 rejected.append(i)
-        assert rejected
+        assert len(rejected) >= 3
         spec = SweepSpec(target="eq5_chain", samples=samples)
         violations = {i: (m, p, zs) for m, p, i, zs in _stream(spec) if m < -1e-9}
         checked = 0
         for i in rejected:
-            (z,) = draw(i)
+            (z,) = zss[i]
             assert _in_omega1(z)
-            assert z not in block0_points(i)
-            w = digest(i, 1)
-            assert z in [verify._disk_point(w[j], w[j + 1]) for j in range(0, 8, 2)]
+            assert (z,) == next(zs for zs in _reference_attempts(sampler, seed, i, 1)
+                                if sampler.accept(*zs))
             if i in violations:
                 margin, p, zs = violations[i]
                 assert zs == (z,)
                 assert margin_at("eq5_chain", dict(p, i=i, seed=seed)) == margin
                 checked += 1
         assert checked
+
+    def test_sampler_draws_one_point_or_a_pair(self):
+        with pytest.raises(UsageError, match="one or two points"):
+            verify.Sampler("triples", ("z1", "z2", "z3"), lambda *zs: True)
+
+
+# sha256 of json.dumps(sweep(SweepSpec(target=name, samples=25_000)).to_dict(),
+# sort_keys=True): 25 blocks, the last partial, and indices that hash block 1
+SAMPLED_REPORT_SHA256 = {
+    "eq5_chain": "29d34997d0dab520334b337dfceca6c93e1b8af270cb6341ec85ef54d1029a16",
+    "mori_radial_16": "5d2eb6ef8575b24f4ec7c98f3c825e21d761ecebd3821238a598369252c6b2b7",
+    "mori_radial_64": "7ce835b47416977221715f10a11c2961c004cd9ed49b07f4afe527cfe5199711",
+}
+
+
+@pytest.mark.parametrize("name", SAMPLED_TARGETS)
+def test_sampled_reports_are_pinned_across_many_blocks(name):
+    # the golden CLI corpus samples at most 300 indices, all in block 0
+    doc = json.dumps(sweep(SweepSpec(target=name, samples=25_000)).to_dict(), sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest() == SAMPLED_REPORT_SHA256[name]
 
 
 class TestBoundedReport:
