@@ -200,18 +200,6 @@ def qc_schwarz_bounds(k: float, z_abs: float) -> tuple[float, float]:
     return z_abs ** k * p ** (1.0 - k), z_abs ** (1.0 / k) * p ** (1.0 - 1.0 / k)
 
 
-def qc_schwarz_bounds_product_literal(k: float, z_abs: float) -> tuple[float, float]:
-    """The same bound with the product exponent 2^{1-n} as printed, which is
-    P(|z|)^{2(1-K)} / P(|z|)^{2(1-1/K)}; kept separate so the ratio to the
-    P-form can be reported rather than asserted."""
-    if not (1.0 <= k < math.inf):
-        raise DomainError(f"domain error: K must be finite and >= 1, got {k!r}")
-    _check_unit(z_abs)
-    p = product_P(z_abs)
-    return (z_abs ** k * p ** (2.0 * (1.0 - k)),
-            z_abs ** (1.0 / k) * p ** (2.0 * (1.0 - 1.0 / k)))
-
-
 # ---------------------------------------------------------------------------
 # Mori-type quantities
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .special import DomainError, _check_param_a, gauss_2f1_sym
+from .special import DomainError, _2f1_sym, _check_param_a
 from .modulus import (_LN_NORMAL_MIN, _check_unit, _invert_ua, _log_P, grotzsch_u,
                       grotzsch_ua)
 
@@ -72,8 +72,8 @@ def phi_partial_r(a: float, k: float, r: float) -> float:
     s = phi_ka(a, k, r).value
     sc2 = (1.0 - s) * (1.0 + s)
     rc2 = (1.0 - r) * (1.0 + r)
-    num = math.sqrt(sc2) * gauss_2f1_sym(a, s * s)
-    den = math.sqrt(rc2) * gauss_2f1_sym(a, r * r)
+    num = math.sqrt(sc2) * _2f1_sym(a, s * s, sc2)
+    den = math.sqrt(rc2) * _2f1_sym(a, r * r, rc2)
     return s / (k * r) * (num / den) ** 2
 
 
@@ -83,7 +83,7 @@ def phi_partial_k(a: float, k: float, r: float) -> float:
     s = phi_ka(a, k, r).value
     sc2 = (1.0 - s) * (1.0 + s)
     return (math.pi / (2.0 * k * math.sin(math.pi * a))
-            * s * sc2 * gauss_2f1_sym(a, s * s) * gauss_2f1_sym(a, sc2))
+            * s * sc2 * _2f1_sym(a, s * s, sc2) * _2f1_sym(a, sc2, s * s))
 
 
 def lemma3_fk(a: float, k: float, r: float, literal: bool = False) -> float:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .special import (
     DomainError,
-    _2f1_sym,
+    _2f1_pair,
     _check_param_a,
     agm,
     ramanujan_R,
@@ -24,6 +24,7 @@ from .special import (
 
 _LN4 = math.log(4.0)
 _R_MAX = 1.0 - 1e-15        # saturation point of double-precision moduli
+_SQRT_HALF = math.sqrt(0.5)
 _LN_SQRT_HALF = -0.5 * math.log(2.0)
 _PI2_4 = math.pi ** 2 / 4.0  # u(r) u(r') = pi^2/4
 _LN_NORMAL_MIN = math.log(sys.float_info.min)
@@ -52,24 +53,29 @@ def grotzsch_u(r: float) -> float:
 
 
 def grotzsch_ua(a: float, r: float) -> float:
-    """Generalized modulus u_a(r); u_{1/2} coincides with grotzsch_u."""
+    """Generalized modulus u_a(r); u_{1/2} coincides with grotzsch_u.  Above
+    1/sqrt2 it is s^2/u_a(r'), s = pi/(2 sin pi a), so r'^2 = (1-r)(1+r) is
+    never taken from a rounded r^2."""
     _check_param_a(a)
     _check_unit(r)
     if a == 0.5:
         return grotzsch_u(r)
-    return _ua_and_f(a, r)[0]
+    if r <= _SQRT_HALF:
+        return _ua_and_f(a, r)[0]
+    s = _sym_value(a)
+    # s / u * s, as s * s overflows below a ~ 1e-154
+    return s / _ua_and_f(a, math.sqrt((1.0 - r) * (1.0 + r)))[0] * s
 
 
 def _ua_and_f(a: float, r: float) -> tuple[float, float]:
-    """(u_a(r), F(a,1-a;1;r^2)) for a != 1/2, from one evaluation of each 2F1."""
-    x = r * r
-    f = _2f1_sym(a, x, 1.0 - x)
-    if r < 1e-7:
-        # u_a(r) = R(a)/2 - ln r + O(r^2 ln r); the correction is below 1e-12
-        return ramanujan_R(a) / 2.0 - math.log(r), f
-    # the numerator F(a,1-a;1;1-x) is fed the exact complement x, avoiding
-    # the 1 - r^2 cancellation as r -> 0
-    return _sym_value(a) * _2f1_sym(a, 1.0 - x, x) / f, f
+    """(u_a(r), F(a,1-a;1;r^2)) for a != 1/2 and r <= 1/sqrt2, from one series.
+
+    By DLMF 15.8.10, F(a,1-a;1;1-x) = (sin(pi a)/pi)(B(x) - F(x) ln x), so
+    u_a(r) = s F(a,1-a;1;1-r^2)/F(a,1-a;1;r^2) = B(r^2)/(2 F(r^2)) - ln r,
+    a sum of positive terms; its n = 0 term is the asymptote R(a)/2 - ln r.
+    """
+    f, g = _2f1_pair(a, r * r)
+    return 0.5 * g / f - math.log(r), f
 
 
 def _sym_value(a: float) -> float:
@@ -116,7 +122,7 @@ def _small_root(a: float, y: float) -> float:
         r = math.exp(-y) * _nome_scale(y)
     else:
         # Newton in t = ln r with u_a'(r) = -1/(r r'^2 F(a,1-a;1;r^2)^2), from
-        # the asymptote u_a ~ R(a)/2 - ln r, which grotzsch_ua uses below 1e-7
+        # the asymptote u_a ~ R(a)/2 - ln r, an upper bound of u_a (b_n <= R(a))
         t = min(_log_asymptote(a, y, _LN_NORMAL_MIN), _LN_SQRT_HALF)
         for _ in range(16):  # from the asymptote, 5 steps at most are seen
             if t < _LN_NORMAL_MIN:

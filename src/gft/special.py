@@ -96,30 +96,28 @@ def _2f1_sym_series(a: float, x: float) -> float:
             raise RuntimeError("hypergeometric series failed to converge")
 
 
-def _2f1_sym_near_one(a: float, y: float) -> float:
-    # Logarithmic connection expansion around x = 1 (c = a + b = 1 case) in
-    # the complement y = 1 - x (DLMF 15.8.10):
-    # F(a,1-a;1;1-y) = (sin(pi a)/pi) * sum p_n [b_n - ln y] y^n,
-    # p_n = (a)_n (1-a)_n / (n!)^2, b_n = 2 psi(n+1) - psi(a+n) - psi(1-a+n),
-    # so b_0 = R(a) and b_{n+1} = b_n + 2/(n+1) - 1/(a+n) - 1/(1-a+n).
-    lny = math.log(y)
+def _2f1_pair(a: float, x: float) -> tuple[float, float]:
+    # (F(x), B(x)) for x <= 1/2 from one loop: F = sum p_n x^n and
+    # B = sum p_n b_n x^n, p_n = (a)_n (1-a)_n / (n!)^2,
+    # b_n = 2 psi(n+1) - psi(a+n) - psi(1-a+n), so b_0 = R(a) and
+    # b_{n+1} = b_n + 2/(n+1) - 1/(a+n) - 1/(1-a+n).  Every term is positive
+    # (b_n > 0), and DLMF 15.8.10 gives F(1-x) = (sin(pi a)/pi)(B - F ln x).
+    # b_n -> 0 like 1/n, so a stop on the B terms alone would end F early.
     p = 1.0
     b = ramanujan_R(a)
-    total = 0.0
-    ypow = 1.0
-    n = 0
+    f = 1.0
+    g = b
+    n = 0.0
     while True:
-        term = p * (b - lny) * ypow
-        total += term
-        if n > 2 and abs(term) < 1e-17 * abs(total):
-            break
-        p *= (a + n) * (1.0 - a + n) / ((n + 1.0) * (n + 1.0))
+        p *= (a + n) * (1.0 - a + n) / ((n + 1.0) * (n + 1.0)) * x
         b += 2.0 / (n + 1.0) - 1.0 / (a + n) - 1.0 / (1.0 - a + n)
-        ypow *= y
-        n += 1
-        if n > 500:  # pragma: no cover - y < 1/2 converges in under 50 terms
-            raise RuntimeError("near-one expansion failed to converge")
-    return math.sin(math.pi * a) / math.pi * total
+        f += p
+        g += p * b
+        n += 1.0
+        if p < 1e-17 * f and p * b < 1e-17 * g:
+            return f, g
+        if n > 500.0:  # pragma: no cover - x <= 1/2 converges in under 50 terms
+            raise RuntimeError("hypergeometric series failed to converge")
 
 
 def _2f1_sym(a: float, x: float, y: float) -> float:
@@ -134,7 +132,8 @@ def _2f1_sym(a: float, x: float, y: float) -> float:
     if a == 0.5:
         # F(1/2,1/2;1;x) = (2/pi) kappa(sqrt(x)) = 1/agm(1, sqrt(1-x))
         return 1.0 / agm(1.0, math.sqrt(y))
-    return _2f1_sym_near_one(a, y)
+    f, g = _2f1_pair(a, y)
+    return math.sin(math.pi * a) / math.pi * (g - f * math.log(y))
 
 
 def gauss_2f1_sym(a: float, x: float) -> float:
@@ -150,7 +149,7 @@ def elliptic_ka(a: float, r: float) -> float:
     _check_param_a(a)
     if not (0.0 <= r < 1.0):
         raise DomainError("domain error: r must lie in [0,1)")
-    return math.pi / 2.0 * gauss_2f1_sym(a, r * r)
+    return math.pi / 2.0 * _2f1_sym(a, r * r, (1.0 - r) * (1.0 + r))
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from gft import (
     mori_sin_bound_clamped,
     product_P,
     qc_schwarz_bounds,
-    qc_schwarz_bounds_product_literal,
     rho_lower,
     schottky_F,
     schottky_classical,
@@ -307,11 +306,6 @@ class TestQcSchwarz:
         assert lo == pytest.approx(z ** k * p ** (1.0 - k), rel=1e-14)
         assert hi == pytest.approx(z ** (1.0 / k) * p ** (1.0 - 1.0 / k), rel=1e-14)
 
-    def test_literal_variant_differs(self):
-        lo, hi = qc_schwarz_bounds(2.0, 0.5)
-        llo, lhi = qc_schwarz_bounds_product_literal(2.0, 0.5)
-        assert llo != lo and lhi != hi
-
     def test_domain(self):
         with pytest.raises(DomainError):
             qc_schwarz_bounds(0.5, 0.5)
@@ -321,8 +315,6 @@ class TestQcSchwarz:
             # K = inf would give the upper bound P(|z|) > 1
             with pytest.raises(DomainError):
                 qc_schwarz_bounds(bad_k, 0.5)
-            with pytest.raises(DomainError):
-                qc_schwarz_bounds_product_literal(bad_k, 0.5)
 
 
 class TestMori:

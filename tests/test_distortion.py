@@ -152,6 +152,21 @@ class TestDerivatives:
     def test_frozen_oracle_classical(self, fn, expected):
         assert fn(0.5, 1.5, 0.6) == pytest.approx(expected, rel=1e-9)
 
+    @pytest.mark.parametrize("k", range(4, 13))
+    def test_partial_k_at_k1_near_one_mpmath(self, k):
+        # at K = 1, s = r exactly, so the derivative is
+        # pi/(2 sin pi a) r r'^2 F(r^2) F(r'^2); F(r^2) needs the complement
+        # r'^2, which the rounded r^2 loses as r -> 1
+        import mpmath
+        a, r = 0.3, 1.0 - 10.0 ** -k
+        with mpmath.workdps(40):
+            am, rm = mpmath.mpf(a), mpmath.mpf(r)
+            rc2 = 1 - rm * rm
+            expected = (mpmath.pi / (2 * mpmath.sin(mpmath.pi * am)) * rm * rc2
+                        * mpmath.hyp2f1(am, 1 - am, 1, rm * rm)
+                        * mpmath.hyp2f1(am, 1 - am, 1, rc2))
+        assert phi_partial_k(a, 1.0, r) == pytest.approx(float(expected), rel=2e-15, abs=0.0)
+
 
 class TestProductForm:
     def test_collapses_at_k1(self):

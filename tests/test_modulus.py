@@ -4,6 +4,7 @@ mpmath evaluation of pi/(2 sin pi a) * F(a,1-a;1;r'^2)/F(a,1-a;1;r^2).
 """
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +22,7 @@ from gft import (
     landen_next,
     lemma2_constants,
     product_P,
+    ramanujan_R,
 )
 
 R_GRID = np.linspace(0.01, 0.99, 99)
@@ -110,11 +112,42 @@ class TestGrotzschUa:
                     target, rel=1e-11)
 
     def test_small_r_asymptote_is_continuous(self):
-        # the series branch and the asymptote branch must agree at the seam
+        # one series covers r -> 0: its n = 0 term is the asymptote
+        # R(a)/2 - ln r, and the rest is O(r^2) of it
         for a in (0.1, 0.25, 0.4):
             left = grotzsch_ua(a, 1e-7 * (1.0 - 1e-10))
             right = grotzsch_ua(a, 1e-7 * (1.0 + 1e-10))
             assert left == pytest.approx(right, rel=1e-10)
+            assert grotzsch_ua(a, 1e-160) == ramanujan_R(a) / 2.0 - math.log(1e-160)
+
+    @staticmethod
+    def _mpmath_ua(a: float, r: float) -> float:
+        with mpmath.workdps(40):
+            am, rm = mpmath.mpf(a), mpmath.mpf(r)
+            s = mpmath.pi / (2 * mpmath.sin(mpmath.pi * am))
+            return float(s * mpmath.hyp2f1(am, 1 - am, 1, 1 - rm * rm)
+                         / mpmath.hyp2f1(am, 1 - am, 1, rm * rm))
+
+    @pytest.mark.parametrize("k", range(1, 16))
+    def test_near_one_mpmath(self, k):
+        # above 1/sqrt2, u_a comes from r' = sqrt((1-r)(1+r)); 1 - r^2 from
+        # the rounded r^2 keeps only about 10^-k of r'^2 (2.6e-11 off at k = 8)
+        r = 1.0 - 10.0 ** -k
+        assert grotzsch_ua(0.3162, r) == pytest.approx(self._mpmath_ua(0.3162, r),
+                                                       rel=2e-15, abs=0.0)
+
+    def test_small_a_series_stops_on_both_sums(self):
+        # at small a, b_n -> 0 like 1/n: a stop on the B terms alone ends
+        # F early and puts u_a 5.6e-15 off here
+        assert grotzsch_ua(0.0125, 0.7735) == pytest.approx(
+            self._mpmath_ua(0.0125, 0.7735), rel=2e-15, abs=0.0)
+
+    def test_continuous_at_the_symmetric_point(self):
+        # the series below 1/sqrt2 and the complement identity above it
+        for a in (0.01, 0.25, 0.49):
+            left = grotzsch_ua(a, math.nextafter(SQRT_HALF, 0.0))
+            right = grotzsch_ua(a, math.nextafter(SQRT_HALF, 1.0))
+            assert left == pytest.approx(right, rel=1e-15)
 
     def test_decreasing(self):
         vals = [grotzsch_ua(0.25, float(r)) for r in R_GRID]

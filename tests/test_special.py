@@ -6,7 +6,9 @@ cross-checks recompute the elliptic integrals with scipy's adaptive
 quadrature at test time.
 """
 import math
+import random
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -147,6 +149,29 @@ class TestGauss2F1:
     def test_elliptic_ka_matches_classical(self):
         for r in (0.1, 0.5, 0.9):
             assert elliptic_ka(0.5, r) == pytest.approx(elliptic_k(r), rel=1e-12)
+
+    @pytest.mark.parametrize("k", range(4, 13))
+    def test_elliptic_ka_near_one_mpmath(self, k):
+        # F(r^2) is read from the complement (1 - r)(1 + r): 1 - r^2 from the
+        # rounded r^2 keeps only about 10^-k of it (2.6e-11 off at k = 8)
+        a, r = 0.3, 1.0 - 10.0 ** -k
+        with mpmath.workdps(40):
+            expected = mpmath.pi / 2 * mpmath.hyp2f1(a, 1 - mpmath.mpf(a), 1,
+                                                     mpmath.mpf(r) ** 2)
+        assert elliptic_ka(a, r) == pytest.approx(float(expected), rel=2e-15, abs=0.0)
+
+    def test_seeded_points_within_1_3e_15(self):
+        # 300 seeded points, half with x uniform on [0, 1) and half with
+        # 1 - x = 10^-U(0, 12), against 40-digit mpmath hyp2f1
+        rng = random.Random(20261018)
+        worst = 0.0
+        with mpmath.workdps(40):
+            for i in range(300):
+                a = rng.uniform(0.001, 0.5)
+                x = rng.uniform(0.0, 1.0) if i % 2 else 1.0 - 10.0 ** -rng.uniform(0.0, 12.0)
+                expected = mpmath.hyp2f1(a, 1 - mpmath.mpf(a), 1, x)
+                worst = max(worst, float(abs(gauss_2f1_sym(a, x) / expected - 1)))
+        assert worst <= 1.3e-15
 
 
 class TestDigamma:
