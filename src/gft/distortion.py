@@ -11,8 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .special import DomainError, _2f1_sym, _check_param_a
-from .modulus import (_LN_NORMAL_MIN, _check_unit, _invert_ua, _log_P, grotzsch_u,
-                      grotzsch_ua)
+from .modulus import _LN_NORMAL_MIN, _check_unit, _invert_ua, _log_P, _ra, _ua, grotzsch_u
 
 
 @dataclass(frozen=True)
@@ -38,14 +37,20 @@ def phi_k(k: float, r: float) -> PhiResult:
 
 def phi_ka(a: float, k: float, r: float) -> PhiResult:
     """Generalized distortion u_a^{-1}(u_a(r)/K); a = 1/2 recovers phi_k."""
+    return _phi_and_ra(a, k, r)[0]
+
+
+def _phi_and_ra(a: float, k: float, r: float) -> tuple[PhiResult, float]:
+    """phi_ka and R(a): one R(a) serves the forward u_a(r), its inverse and
+    the F factors of the partials."""
     _check_param_a(a)
     _check_k(k)
     _check_unit(r)
+    ra = _ra(a)
     if k == 1.0:
-        return PhiResult(value=r, residual=0.0)
-    y = grotzsch_ua(a, r) / k
-    value, residual = _invert_ua(a, y)
-    return PhiResult(value=value, residual=residual)
+        return PhiResult(value=r, residual=0.0), ra
+    value, residual = _invert_ua(a, _ua(a, r, ra) / k, ra)
+    return PhiResult(value=value, residual=residual), ra
 
 
 def phi_k_product(k: float, r: float) -> float:
@@ -69,21 +74,23 @@ def phi_k_product(k: float, r: float) -> float:
 def phi_partial_r(a: float, k: float, r: float) -> float:
     """d phi_K(a, r) / d r = (s/(K r)) [s' F(a,1-a;1;s^2) / (r' F(a,1-a;1;r^2))]^2
     with s = phi_K(a, r)."""
-    s = phi_ka(a, k, r).value
+    phi, ra = _phi_and_ra(a, k, r)
+    s = phi.value
     sc2 = (1.0 - s) * (1.0 + s)
     rc2 = (1.0 - r) * (1.0 + r)
-    num = math.sqrt(sc2) * _2f1_sym(a, s * s, sc2)
-    den = math.sqrt(rc2) * _2f1_sym(a, r * r, rc2)
+    num = math.sqrt(sc2) * _2f1_sym(a, s * s, sc2, ra)
+    den = math.sqrt(rc2) * _2f1_sym(a, r * r, rc2, ra)
     return s / (k * r) * (num / den) ** 2
 
 
 def phi_partial_k(a: float, k: float, r: float) -> float:
     """d phi_K(a, r) / d K = pi/(2 K sin(pi a)) * s s'^2 F(a,1-a;1;s^2) F(a,1-a;1;s'^2)
     with s = phi_K(a, r)."""
-    s = phi_ka(a, k, r).value
+    phi, ra = _phi_and_ra(a, k, r)
+    s = phi.value
     sc2 = (1.0 - s) * (1.0 + s)
     return (math.pi / (2.0 * k * math.sin(math.pi * a))
-            * s * sc2 * _2f1_sym(a, s * s, sc2) * _2f1_sym(a, sc2, s * s))
+            * s * sc2 * _2f1_sym(a, s * s, sc2, ra) * _2f1_sym(a, sc2, s * s, ra))
 
 
 def lemma3_fk(a: float, k: float, r: float, literal: bool = False) -> float:

@@ -23,6 +23,7 @@ from .special import (
 )
 
 _LN4 = math.log(4.0)
+_LN16 = math.log(16.0)       # R(1/2)
 _R_MAX = 1.0 - 1e-15        # saturation point of double-precision moduli
 _SQRT_HALF = math.sqrt(0.5)
 _LN_SQRT_HALF = -0.5 * math.log(2.0)
@@ -53,28 +54,38 @@ def grotzsch_u(r: float) -> float:
 
 
 def grotzsch_ua(a: float, r: float) -> float:
-    """Generalized modulus u_a(r); u_{1/2} coincides with grotzsch_u.  Above
-    1/sqrt2 it is s^2/u_a(r'), s = pi/(2 sin pi a), so r'^2 = (1-r)(1+r) is
-    never taken from a rounded r^2."""
+    """Generalized modulus u_a(r); u_{1/2} coincides with grotzsch_u."""
     _check_param_a(a)
     _check_unit(r)
+    return _ua(a, r, _ra(a))
+
+
+def _ra(a: float) -> float:
+    # R(a), formed once per public call and passed down; ln 16 at a = 1/2,
+    # where only _invert_ua's saturation test reads it
+    return _LN16 if a == 0.5 else ramanujan_R(a)
+
+
+def _ua(a: float, r: float, ra: float) -> float:
+    """u_a(r) given ra = R(a).  Above 1/sqrt2 it is s^2/u_a(r'),
+    s = pi/(2 sin pi a), so r'^2 = (1-r)(1+r) is never taken from a rounded r^2."""
     if a == 0.5:
         return grotzsch_u(r)
     if r <= _SQRT_HALF:
-        return _ua_and_f(a, r)[0]
+        return _ua_and_f(a, r, ra)[0]
     s = _sym_value(a)
     # s / u * s, as s * s overflows below a ~ 1e-154
-    return s / _ua_and_f(a, math.sqrt((1.0 - r) * (1.0 + r)))[0] * s
+    return s / _ua_and_f(a, math.sqrt((1.0 - r) * (1.0 + r)), ra)[0] * s
 
 
-def _ua_and_f(a: float, r: float) -> tuple[float, float]:
+def _ua_and_f(a: float, r: float, ra: float) -> tuple[float, float]:
     """(u_a(r), F(a,1-a;1;r^2)) for a != 1/2 and r <= 1/sqrt2, from one series.
 
     By DLMF 15.8.10, F(a,1-a;1;1-x) = (sin(pi a)/pi)(B(x) - F(x) ln x), so
     u_a(r) = s F(a,1-a;1;1-r^2)/F(a,1-a;1;r^2) = B(r^2)/(2 F(r^2)) - ln r,
     a sum of positive terms; its n = 0 term is the asymptote R(a)/2 - ln r.
     """
-    f, g = _2f1_pair(a, r * r)
+    f, g = _2f1_pair(a, r * r, ra)
     return 0.5 * g / f - math.log(r), f
 
 
@@ -87,8 +98,8 @@ def _sym_value(a: float) -> float:
 # Inverses
 # ---------------------------------------------------------------------------
 
-def _log_asymptote(a: float, y: float, floor: float) -> float:
-    """R(a)/2 - y, the asymptote of ln r on u_a(r) = y, for a != 1/2.
+def _log_asymptote(a: float, y: float, floor: float, ra: float) -> float:
+    """R(a)/2 - y, the asymptote of ln r on u_a(r) = y, given ra = R(a).
 
     Below r = 1/sqrt2, one ulp of y moves ln r by ulp(y)/2 to 1.4 ulp(y).
     For tiny a, u_a stays near pi/(2 sin pi a) ~ 1/(2a), whose ulp spans a
@@ -96,7 +107,7 @@ def _log_asymptote(a: float, y: float, floor: float) -> float:
     lie above e^floor (the rounding of t counted), y no longer determines
     the root: raise DomainError rather than return one.
     """
-    t = ramanujan_R(a) / 2.0 - y
+    t = ra / 2.0 - y
     step = math.ulp(y)
     if step > _ULP_Y_MAX and t > floor - 4.0 * step:
         raise DomainError(f"modulus inverse undetermined: one ulp of y = {y!r} is "
@@ -114,7 +125,7 @@ def _nome_scale(y: float) -> float:
     return 4.0 * ((1.0 + q ** 2 + q ** 6 + q ** 12) / th3) ** 2
 
 
-def _small_root(a: float, y: float) -> float:
+def _small_root(a: float, y: float, ra: float) -> float:
     """The root r <= 1/sqrt2 of u_a(r) = y, for y >= u_a(1/sqrt2)."""
     if a == 0.5:
         # e^{-y} enters directly, so tiny roots are not lost to an
@@ -123,12 +134,12 @@ def _small_root(a: float, y: float) -> float:
     else:
         # Newton in t = ln r with u_a'(r) = -1/(r r'^2 F(a,1-a;1;r^2)^2), from
         # the asymptote u_a ~ R(a)/2 - ln r, an upper bound of u_a (b_n <= R(a))
-        t = min(_log_asymptote(a, y, _LN_NORMAL_MIN), _LN_SQRT_HALF)
+        t = min(_log_asymptote(a, y, _LN_NORMAL_MIN, ra), _LN_SQRT_HALF)
         for _ in range(16):  # from the asymptote, 5 steps at most are seen
             if t < _LN_NORMAL_MIN:
                 break  # the asymptote is the root, which underflows
             r = math.exp(t)
-            u, f = _ua_and_f(a, r)
+            u, f = _ua_and_f(a, r, ra)
             dt = (u - y) * (1.0 - r * r) * f ** 2
             t += dt
             # u_a rounds to within ~8 ulps of y, where the steps stall; the
@@ -144,8 +155,9 @@ def _small_root(a: float, y: float) -> float:
     return r
 
 
-def _invert_ua(a: float, y: float) -> tuple[float, float]:
-    """Return (r, residual) with u_a(r) = y; residual measured in u-space.
+def _invert_ua(a: float, y: float, ra: float) -> tuple[float, float]:
+    """Return (r, residual) with u_a(r) = y, given ra = R(a) (ln 16 at
+    a = 1/2, see _ra); residual measured in u-space.
 
     For y below the symmetric value the complementary identity
     u_a(r) u_a(r') = [pi/(2 sin pi a)]^2 gives r' instead, which keeps the
@@ -157,32 +169,30 @@ def _invert_ua(a: float, y: float) -> tuple[float, float]:
     if not (y > 0.0):
         raise DomainError(f"modulus inverse requires y > 0, got {y!r}")
     s = _sym_value(a)
-    # a = 1/2 calls grotzsch_u directly: one forward evaluation, not two
-    fwd = grotzsch_u if a == 0.5 else (lambda r: grotzsch_ua(a, r))
     if y >= s:
-        r = _small_root(a, y)
-        return r, abs(fwd(r) - y)
+        r = _small_root(a, y, ra)
+        return r, abs(_ua(a, r, ra) - y)
     yc = s * s / y
     if yc == math.inf:
         yc = s / y * s  # s * s overflows below a ~ 1e-154
-    if _log_asymptote(a, yc, _LN_RC_SAT) <= _LN_RC_SAT:
+    if _log_asymptote(a, yc, _LN_RC_SAT, ra) <= _LN_RC_SAT:
         # r' below sqrt(1 - _R_MAX^2), where u_a is exactly its asymptote
-        return _R_MAX, abs(fwd(_R_MAX) - y)
-    rc = _small_root(a, yc)
+        return _R_MAX, abs(_ua(a, _R_MAX, ra) - y)
+    rc = _small_root(a, yc, ra)
     # |d y| = (y^2 / s^2) |d u_a(r')| maps the residual back to y-units
-    resid = abs(fwd(rc) - yc) * y * y / (s * s)
+    resid = abs(_ua(a, rc, ra) - yc) * y * y / (s * s)
     return min(math.sqrt(1.0 - rc * rc), _R_MAX), resid
 
 
 def grotzsch_u_inv(y: float) -> float:
     """The unique r in (0,1) with u(r) = y."""
-    return _invert_ua(0.5, y)[0]
+    return _invert_ua(0.5, y, _LN16)[0]
 
 
 def grotzsch_ua_inv(a: float, y: float) -> float:
     """The unique r in (0,1) with u_a(r) = y."""
     _check_param_a(a)
-    return _invert_ua(a, y)[0]
+    return _invert_ua(a, y, _ra(a))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +283,7 @@ def lemma2_constants(a: float) -> Lemma2Constants:
     if a == 0.5:
         return Lemma2Constants(a=a, c1=0.0, c2=0.0, c3=0.0, c4=1.0, c5=1.0,
                                c6=math.nan, degenerate=True)
-    c1 = (ramanujan_R(a) - math.log(16.0)) / 2.0
+    c1 = (ramanujan_R(a) - _LN16) / 2.0
     c2 = c1 / _LN4
     c3 = (1.0 - 2.0 * a) ** 2 / ((1.0 - a) * math.pi)
     return Lemma2Constants(a=a, c1=c1, c2=c2, c3=c3,

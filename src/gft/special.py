@@ -96,15 +96,15 @@ def _2f1_sym_series(a: float, x: float) -> float:
             raise RuntimeError("hypergeometric series failed to converge")
 
 
-def _2f1_pair(a: float, x: float) -> tuple[float, float]:
-    # (F(x), B(x)) for x <= 1/2 from one loop: F = sum p_n x^n and
-    # B = sum p_n b_n x^n, p_n = (a)_n (1-a)_n / (n!)^2,
+def _2f1_pair(a: float, x: float, ra: float) -> tuple[float, float]:
+    # (F(x), B(x)) for x <= 1/2 from one loop, given ra = R(a): F = sum p_n x^n
+    # and B = sum p_n b_n x^n, p_n = (a)_n (1-a)_n / (n!)^2,
     # b_n = 2 psi(n+1) - psi(a+n) - psi(1-a+n), so b_0 = R(a) and
     # b_{n+1} = b_n + 2/(n+1) - 1/(a+n) - 1/(1-a+n).  Every term is positive
     # (b_n > 0), and DLMF 15.8.10 gives F(1-x) = (sin(pi a)/pi)(B - F ln x).
     # b_n -> 0 like 1/n, so a stop on the B terms alone would end F early.
     p = 1.0
-    b = ramanujan_R(a)
+    b = ra
     f = 1.0
     g = b
     n = 0.0
@@ -120,19 +120,21 @@ def _2f1_pair(a: float, x: float) -> tuple[float, float]:
             raise RuntimeError("hypergeometric series failed to converge")
 
 
-def _2f1_sym(a: float, x: float, y: float) -> float:
+def _2f1_sym(a: float, x: float, y: float, ra: float | None = None) -> float:
     """F(a, 1-a; 1; x) given x and its complement y = 1 - x.
 
     The series runs for y >= 1/2, where x <= 1/2, and the connection sum for
     y < 1/2; whichever of x and y a caller computes as 1 minus the other is
-    exact (Sterbenz) in the branch that reads it.
+    exact (Sterbenz) in the branch that reads it.  Only the connection sum
+    reads R(a): a caller that holds it passes it as ra, else it is formed
+    there.
     """
     if y >= 0.5:
         return _2f1_sym_series(a, x)
     if a == 0.5:
         # F(1/2,1/2;1;x) = (2/pi) kappa(sqrt(x)) = 1/agm(1, sqrt(1-x))
         return 1.0 / agm(1.0, math.sqrt(y))
-    f, g = _2f1_pair(a, y)
+    f, g = _2f1_pair(a, y, ramanujan_R(a) if ra is None else ra)
     return math.sin(math.pi * a) / math.pi * (g - f * math.log(y))
 
 
@@ -156,32 +158,24 @@ def elliptic_ka(a: float, r: float) -> float:
 # Digamma and constants
 # ---------------------------------------------------------------------------
 
-# Asymptotic coefficients of psi(x) ~ ln x - 1/(2x) - sum c_k / x^{2k}
-_PSI_ASYMP = (
-    1.0 / 12.0,
-    -1.0 / 120.0,
-    1.0 / 252.0,
-    -1.0 / 240.0,
-    1.0 / 132.0,
-    -691.0 / 32760.0,
-)
+def _psi_tail(x: float) -> float:
+    """ln x - psi(x) = 1/(2x) + sum_{k=1}^{9} B_2k / (2k x^2k) for x >= 8, by
+    Horner in x^-2; the first dropped term, B_20 / (20 x^20), is 2.3e-17."""
+    z = 1.0 / (x * x)
+    return 0.5 / x + z * (1.0 / 12.0 + z * (-1.0 / 120.0 + z * (1.0 / 252.0 + z * (
+        -1.0 / 240.0 + z * (1.0 / 132.0 + z * (-691.0 / 32760.0 + z * (1.0 / 12.0 + z * (
+            -3617.0 / 8160.0 + z * (43867.0 / 14364.0)))))))))
 
 
 def digamma(x: float) -> float:
-    """psi(x) = Gamma'(x)/Gamma(x) for x > 0, accurate to ~1e-15 absolute."""
+    """psi(x) = Gamma'(x)/Gamma(x) for x > 0, to ~1e-15 absolute or 4 ulps."""
     if not (x > 0.0):
         raise DomainError(f"digamma requires x > 0, got {x!r}")
     acc = 0.0
-    while x < 16.0:  # the first dropped term, x^-14 / 12, is then 1.2e-18
+    while x < 8.0:
         acc -= 1.0 / x
         x += 1.0
-    inv2 = 1.0 / (x * x)
-    s = 0.0
-    p = inv2
-    for c in _PSI_ASYMP:
-        s += c * p
-        p *= inv2
-    return acc + math.log(x) - 0.5 / x - s
+    return acc + math.log(x) - _psi_tail(x)
 
 
 def euler_gamma() -> float:
@@ -190,9 +184,20 @@ def euler_gamma() -> float:
 
 
 def ramanujan_R(a: float) -> float:
-    """R(a) = -2*gamma - psi(a) - psi(1-a); R(1/2) = ln 16."""
+    """R(a) = -2*gamma - psi(a) - psi(1-a); R(1/2) = ln 16.
+
+    Both digammas shift up by 8 in one recursion: with c = a(1-a),
+    1/(a+k) + 1/(1-a+k) = (2k+1)/(k(k+1) + c) and (a+8)(9-a) = 72 + c, so
+    R(a) = 1/a + 1/(1-a) + sum_{k=1}^{7} (2k+1)/(k(k+1) + c)
+           - 2 gamma - ln(72 + c) + _psi_tail(a+8) + _psi_tail(9-a).
+    """
     _check_param_a(a)
-    return -2.0 * EULER_GAMMA - digamma(a) - digamma(1.0 - a)
+    c = a * (1.0 - a)
+    # k = 7, ..., 1: smallest first
+    s = (15.0 / (56.0 + c) + 13.0 / (42.0 + c) + 11.0 / (30.0 + c) + 9.0 / (20.0 + c)
+         + 7.0 / (12.0 + c) + 5.0 / (6.0 + c) + 3.0 / (2.0 + c))
+    t = _psi_tail(a + 8.0) + _psi_tail(9.0 - a) - 2.0 * EULER_GAMMA - math.log(72.0 + c)
+    return s + t + 1.0 / (1.0 - a) + 1.0 / a
 
 
 def landau_constant() -> float:

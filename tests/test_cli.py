@@ -432,9 +432,9 @@ class TestVerify:
         rc, _, _ = run_cli(capsys, "verify", "all", "--report", str(path))
         assert rc == 0
         data = path.read_bytes()
-        assert len(data) == 43_621
+        assert len(data) == 43_612
         assert hashlib.sha256(data).hexdigest() == (
-            "648c9802298491e3e0fda52e37e5fe30c1704f6c2d8da1f66c8be5d087cd1fa9")
+            "c5682bb448b755c717ffd8135a617e6e05c828742d5fc2b355ce0cff2b127c80")
 
     def test_report_dir_env(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("GFT_REPORT_DIR", str(tmp_path))

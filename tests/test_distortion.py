@@ -7,12 +7,17 @@ Frozen values come from 40-digit mpmath bisection of u_a(s) = u_a(r)/K.
 import math
 from decimal import Decimal
 
+import mpmath
 import numpy as np
 import pytest
 
 import landen_oracle
 from gft import (
     DomainError,
+    elliptic_ka,
+    gauss_2f1_sym,
+    grotzsch_ua,
+    grotzsch_ua_inv,
     lemma3_fk,
     phi_k,
     phi_k_product,
@@ -20,6 +25,7 @@ from gft import (
     phi_partial_k,
     phi_partial_r,
 )
+from gft import distortion, modulus, special
 
 R_GRID = np.linspace(0.01, 0.99, 99)
 K_VALUES = (1.5, 2.0, 4.0)
@@ -264,3 +270,111 @@ class TestDomains:
     def test_bad_a(self):
         with pytest.raises(DomainError):
             phi_ka(0.7, 2.0, 0.5)
+
+
+def _ua_mp(a, x):
+    """u_a(x) from 40-digit hyp2f1; x is the small one of a modulus and its
+    complement, so 1 - x^2 loses nothing."""
+    a, x2 = mpmath.mpf(a), mpmath.mpf(x) ** 2
+    return (mpmath.pi / (2 * mpmath.sin(mpmath.pi * a))
+            * mpmath.hyp2f1(a, 1 - a, 1, 1 - x2) / mpmath.hyp2f1(a, 1 - a, 1, x2))
+
+
+def _small_root_mp(a, y):
+    """The root x near 0 of u_a(x) = y: Newton in ln x from the asymptote
+    R(a)/2 - ln x."""
+    am = mpmath.mpf(a)
+    t0 = (-2 * mpmath.euler - mpmath.digamma(am) - mpmath.digamma(1 - am)) / 2 - y
+    return mpmath.exp(mpmath.findroot(lambda t: _ua_mp(a, mpmath.exp(t)) - y, t0))
+
+
+class TestNearSaturation:
+    """Roots with 1 - phi between 1e-15 and 1.6e-14 lie just below the
+    saturation point 1 - 1e-15, where the inversion tests R(a)/2 - y on the
+    complement: an R(a) below the true one (ln 16 at a = 1/2) clamps them
+    to it."""
+
+    K = 2.0
+
+    @pytest.mark.parametrize("a", (0.1, 0.25, 0.5))
+    @pytest.mark.parametrize("delta", (2e-15, 5e-15, 1.5e-14))
+    def test_root_is_unsaturated_and_round_trips(self, a, delta):
+        k = self.K
+        with mpmath.workdps(40):
+            # u_a(s') = K u_a(r'): pick r so that 1 - phi is about delta,
+            # then take the exact 1 - phi of that double r
+            d = mpmath.mpf(delta)
+            rc = _small_root_mp(a, _ua_mp(a, mpmath.sqrt(d * (2 - d))) / k)
+            r = float(mpmath.sqrt(1 - rc * rc))
+            sc = _small_root_mp(a, k * _ua_mp(a, mpmath.sqrt(1 - mpmath.mpf(r) ** 2)))
+            exact = float(1 - mpmath.sqrt(1 - sc * sc))
+        assert 1e-15 < exact < 1.6e-14
+        results = [phi_ka(a, k, r).value] + ([phi_k(k, r).value] if a == 0.5 else [])
+        rc = math.sqrt((1.0 - r) * (1.0 + r))
+        for value in results:
+            assert value < modulus._R_MAX
+            assert abs((1.0 - value) - exact) <= 2.0 * math.ulp(1.0)
+            # forward modulus in the complement: u_a(s') = K u_a(r'), to
+            # what one ulp of value moves ln s' by
+            back = grotzsch_ua(a, math.sqrt((1.0 - value) * (1.0 + value)))
+            assert back == pytest.approx(k * grotzsch_ua(a, rc), rel=0.0,
+                                         abs=math.ulp(1.0) / (1.0 - value))
+
+
+class TestRFormedOnce:
+    """R(a) is formed once per public call and passed down as a parameter,
+    counted through every gft namespace that binds ramanujan_R."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+        real = special.ramanujan_R
+
+        def counting(a):
+            seen.append(a)
+            return real(a)
+
+        for mod in (special, modulus, distortion):
+            if getattr(mod, "ramanujan_R", None) is real:
+                monkeypatch.setattr(mod, "ramanujan_R", counting)
+        return seen
+
+    # K > 1 near 1 takes the complement branch and K < 1 the direct one;
+    # (2, 1 - 1e-7) saturates at 1 - 1e-15 for both a
+    @pytest.mark.parametrize("k, r", [(2.0, 0.5), (0.5, 0.5), (2.0, 1.0 - 1e-7), (4.0, 0.99)])
+    @pytest.mark.parametrize("a", (0.1, 0.3))
+    def test_phi_ka_and_partials_form_r_once(self, calls, a, k, r):
+        for fn in (lambda: phi_ka(a, k, r), lambda: phi_partial_r(a, k, r),
+                   lambda: phi_partial_k(a, k, r)):
+            calls.clear()
+            fn()
+            assert calls == [a]
+
+    @pytest.mark.parametrize("y", (0.5, 2.0, 30.0))
+    @pytest.mark.parametrize("a", (0.1, 0.3))
+    def test_inverse_forms_r_once(self, calls, a, y):
+        grotzsch_ua_inv(a, y)
+        assert calls == [a]
+
+    @pytest.mark.parametrize("r", (0.1, 0.9))
+    def test_forward_forms_r_at_most_once(self, calls, r):
+        grotzsch_ua(0.3, r)
+        assert calls == [0.3]
+        calls.clear()
+        grotzsch_ua(0.5, r)
+        assert calls == []
+
+    def test_half_forms_none(self, calls):
+        phi_k(2.0, 0.5)
+        phi_ka(0.5, 2.0, 1.0 - 1e-7)
+        phi_partial_k(0.5, 2.0, 0.5)
+        assert calls == []
+
+    def test_hypergeometric_forms_r_only_for_the_connection_sum(self, calls):
+        gauss_2f1_sym(0.3, 0.4)
+        elliptic_ka(0.3, 0.6)
+        assert calls == []
+        gauss_2f1_sym(0.3, 0.9)
+        assert calls == [0.3]
+        elliptic_ka(0.3, 0.9)
+        assert calls == [0.3, 0.3]

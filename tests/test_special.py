@@ -205,6 +205,17 @@ class TestDigamma:
             lhs = digamma(1.0 - x) - digamma(x)
             assert lhs == pytest.approx(math.pi / math.tan(math.pi * x), rel=1e-12)
 
+    def test_seeded_points_within_1e_15_or_4_ulps(self):
+        # 300 seeded x in (0, 20], half uniform and half 10^-U(0, 6), against
+        # 40-digit mpmath; the absolute floor covers the zero of psi near 1.46
+        rng = random.Random(20261019)
+        with mpmath.workdps(40):
+            for i in range(300):
+                x = rng.uniform(0.0, 20.0) if i % 2 else 10.0 ** -rng.uniform(0.0, 6.0)
+                expected = float(mpmath.digamma(x))
+                tol = max(1e-15, 4.0 * math.ulp(expected))
+                assert abs(digamma(x) - expected) <= tol, x
+
 
 class TestConstants:
     def test_euler_gamma(self):
@@ -241,6 +252,22 @@ class TestRamanujanR:
 
     def test_frozen_oracle(self):
         assert ramanujan_R(0.1) == pytest.approx(10.024250560555062, rel=1e-13)
+
+    def test_seeded_points_within_1e_15(self):
+        # 300 seeded a in [1e-3, 1/2] against 40-digit mpmath; the fused
+        # recursion reads 5.2e-16 at worst and 0.75 ulps on average here, two
+        # full digammas 1.06e-15 and 1.48 ulps, the fused terms summed
+        # largest first 1.15 ulps
+        rng = random.Random(20261020)
+        worst = ulps = 0.0
+        with mpmath.workdps(40):
+            for _ in range(300):
+                a = rng.uniform(1e-3, 0.5)
+                expected = -2 * mpmath.euler - mpmath.digamma(a) - mpmath.digamma(1 - mpmath.mpf(a))
+                worst = max(worst, float(abs(ramanujan_R(a) / expected - 1)))
+                ulps += abs(ramanujan_R(a) - float(expected)) / math.ulp(float(expected))
+        assert worst <= 1e-15
+        assert ulps / 300 <= 1.0
 
     def test_digamma_composition(self):
         a = 0.3
