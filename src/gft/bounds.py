@@ -6,11 +6,10 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 from dataclasses import dataclass
 
 from .special import LANDAU_C, DomainError
-from .modulus import _LN_NORMAL_MIN, _PI2_4, _check_unit, _log_P, grotzsch_u, product_P
+from .modulus import _PI2_4, _check_unit, _checked_exp, _log_P, grotzsch_u, product_P
 from .distortion import _check_k
 
 #: Classical lower bound for Bloch's constant, sqrt(3)/4.
@@ -26,8 +25,6 @@ BLOCH_B1 = math.sqrt(3.0) / 4.0
 #: nearer.  The widest strips, next to x = 0, give the sup, attained at
 #: (ln(1+sqrt2)/2, pi).
 LATTICE_GAP_D = math.hypot(math.pi, math.log1p(math.sqrt(2.0)) / 2.0)
-
-_LN_DBL_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -46,15 +43,8 @@ class BoundConfig:
 
 
 # ---------------------------------------------------------------------------
-# Branch policy: principal logarithm, square roots with Re >= 0
+# Branch policy: principal logarithm and square root (Re >= 0)
 # ---------------------------------------------------------------------------
-
-def _sqrt_re_nonneg(w: complex) -> complex:
-    s = cmath.sqrt(w)  # principal branch already has Re >= 0
-    if s.real < 0.0:  # pragma: no cover - defensive
-        s = -s
-    return s
-
 
 def _off_domain(z: complex) -> bool:
     """True for a non-finite z and for z on the branch cut [1, inf)."""
@@ -73,24 +63,27 @@ def rho_lower(z_abs: float) -> float:
 
 
 def zeta_map(z: complex) -> complex:
-    """Conformal map (sqrt(1-z) - 1)/(sqrt(1-z) + 1) into the unit disk,
-    fixing 0 and symmetric about the real axis."""
+    """Conformal map (w - 1)/(w + 1), w = sqrt(1-z), into the unit disk, fixing
+    0 and symmetric about the real axis.  As w - 1 = -z/(1 + w) and
+    (1 + w)^2 = 2(1 + w) - z exactly, it is -z/(2(1 + w) - z), which does not
+    cancel near z = 0."""
     z = complex(z)
     if _off_domain(z):
         raise DomainError("domain error: z must be finite and off the cut [1, inf)")
-    w = _sqrt_re_nonneg(1.0 - z)
-    return (w - 1.0) / (w + 1.0)
+    # 0 - z, not -z, keeps a real z's +0.0 imaginary part
+    return (0.0 - z) / (2.0 * (1.0 + cmath.sqrt(1.0 - z)) - z)
 
 
 def sigma_metric(z: complex) -> float:
-    """Density |zeta'(z)/zeta(z)| / (4 - ln|zeta(z)|) of the comparison metric."""
+    """Density |zeta'(z)/zeta(z)| / (4 - ln|zeta(z)|) of the comparison metric;
+    as zeta'/zeta = 1/(z w) and |zeta| = |z|/|2(1 + w) - z| (see zeta_map), it
+    is 1/(|z| |w| (4 - ln(|z|/|2(1 + w) - z|)))."""
     z = complex(z)
     if z == 0 or _off_domain(z):
         raise DomainError("domain error: z must be finite, nonzero and off [1, inf)")
-    w = _sqrt_re_nonneg(1.0 - z)
-    zeta = (w - 1.0) / (w + 1.0)
-    dzeta = -1.0 / (w * (w + 1.0) ** 2)
-    return abs(dzeta / zeta) / (4.0 - math.log(abs(zeta)))
+    w = cmath.sqrt(1.0 - z)
+    a = abs(z)
+    return 1.0 / (a * abs(w) * (4.0 - math.log(a / abs(2.0 * (1.0 + w) - z))))
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +104,7 @@ def schottky_F(w: complex) -> complex:
     if w == 0 or w == 1:
         raise DomainError("domain error: w must avoid the omitted values 0 and 1")
     q = cmath.log(w) / (2.0j * math.pi)
-    return 0.5 * cmath.log(1.0 + 2.0 * _sqrt_re_nonneg(q * (1.0 - q)))
+    return 0.5 * cmath.log(1.0 + 2.0 * cmath.sqrt(q * (1.0 - q)))
 
 
 def schottky_sf(f_abs: float) -> float:
@@ -160,13 +153,7 @@ def _landen_bound(k: float, r: float, printed: bool) -> float:
     v = _PI2_4 / w
     us, ut = (k * v, w / k) if printed else (v / k, k * w)
     x = 2.0 * (_log_P(us) - _log_P(ut)) + 2.0 * k * v - 2.0 * w / k
-    if not x <= _LN_DBL_MAX:
-        raise DomainError(f"domain error: the bound overflows a double at "
-                          f"K = {k!r}, r = {r!r}")
-    if x < _LN_NORMAL_MIN:
-        raise DomainError(f"domain error: the bound underflows below the smallest "
-                          f"normal double at K = {k!r}, r = {r!r}")
-    return math.exp(x)
+    return _checked_exp(x, "the bound", k, r)
 
 
 def eta_k(k: float, r: float) -> float:

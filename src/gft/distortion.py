@@ -8,10 +8,11 @@ moduli of phi_{1/K}(r), and prod (1 + phi_{1/K}(r_n))^{2^-n} = P(phi_{1/K}(r)).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .special import DomainError, _2f1_sym, _check_param_a
-from .modulus import _LN_NORMAL_MIN, _check_unit, _invert_ua, _log_P, _ra, _ua, grotzsch_u
+from .modulus import _check_unit, _checked_exp, _invert_ua, _log_P, _ra, _ua, grotzsch_u
 
 
 @dataclass(frozen=True)
@@ -37,20 +38,21 @@ def phi_k(k: float, r: float) -> PhiResult:
 
 def phi_ka(a: float, k: float, r: float) -> PhiResult:
     """Generalized distortion u_a^{-1}(u_a(r)/K); a = 1/2 recovers phi_k."""
-    return _phi_and_ra(a, k, r)[0]
+    s, _, residual, _ = _phi_parts(a, k, r)
+    return PhiResult(value=s, residual=residual)
 
 
-def _phi_and_ra(a: float, k: float, r: float) -> tuple[PhiResult, float]:
-    """phi_ka and R(a): one R(a) serves the forward u_a(r), its inverse and
-    the F factors of the partials."""
+def _phi_parts(a: float, k: float, r: float) -> tuple[float, float, float, float]:
+    """(s, s', residual, R(a)) for s = phi_K(a, r), with s' as the inverse
+    solved it; one R(a) serves the forward u_a(r), its inverse and the F
+    factors of the partials."""
     _check_param_a(a)
     _check_k(k)
     _check_unit(r)
     ra = _ra(a)
     if k == 1.0:
-        return PhiResult(value=r, residual=0.0), ra
-    value, residual = _invert_ua(a, _ua(a, r, ra) / k, ra)
-    return PhiResult(value=value, residual=residual), ra
+        return r, math.sqrt((1.0 - r) * (1.0 + r)), 0.0, ra
+    return (*_invert_ua(a, _ua(a, r, ra) / k, ra), ra)
 
 
 def phi_k_product(k: float, r: float) -> float:
@@ -64,33 +66,29 @@ def phi_k_product(k: float, r: float) -> float:
     if k == 1.0:
         return r
     w = grotzsch_u(r)
-    x = (math.log(r) - _log_P(w)) / k + _log_P(k * w)
-    if x < _LN_NORMAL_MIN:
-        raise DomainError(f"domain error: the product underflows below the smallest "
+    return _checked_exp((math.log(r) - _log_P(w)) / k + _log_P(k * w), "the product", k, r)
+
+
+def _neg_inv_du(a: float, x: float, xc2: float, ra: float, k: float, r: float) -> float:
+    """-1/u_a'(x) = x x'^2 F(a,1-a;1;x^2)^2, xc2 = x'^2; DomainError where it underflows."""
+    if xc2 < sys.float_info.min:
+        raise DomainError(f"domain error: 1 - phi^2 underflows below the smallest "
                           f"normal double at K = {k!r}, r = {r!r}")
-    return math.exp(x)
+    return x * xc2 * _2f1_sym(a, x * x, xc2, ra) ** 2
 
 
 def phi_partial_r(a: float, k: float, r: float) -> float:
-    """d phi_K(a, r) / d r = (s/(K r)) [s' F(a,1-a;1;s^2) / (r' F(a,1-a;1;r^2))]^2
-    with s = phi_K(a, r)."""
-    phi, ra = _phi_and_ra(a, k, r)
-    s = phi.value
-    sc2 = (1.0 - s) * (1.0 + s)
+    """d phi_K(a, r) / d r = u_a'(r) / (K u_a'(s)) with s = phi_K(a, r), whose
+    complement s' the inverse hands over, so it keeps its digits as s -> 1."""
+    s, sc, _, ra = _phi_parts(a, k, r)
     rc2 = (1.0 - r) * (1.0 + r)
-    num = math.sqrt(sc2) * _2f1_sym(a, s * s, sc2, ra)
-    den = math.sqrt(rc2) * _2f1_sym(a, r * r, rc2, ra)
-    return s / (k * r) * (num / den) ** 2
+    return _neg_inv_du(a, s, sc * sc, ra, k, r) / (k * _neg_inv_du(a, r, rc2, ra, k, r))
 
 
 def phi_partial_k(a: float, k: float, r: float) -> float:
-    """d phi_K(a, r) / d K = pi/(2 K sin(pi a)) * s s'^2 F(a,1-a;1;s^2) F(a,1-a;1;s'^2)
-    with s = phi_K(a, r)."""
-    phi, ra = _phi_and_ra(a, k, r)
-    s = phi.value
-    sc2 = (1.0 - s) * (1.0 + s)
-    return (math.pi / (2.0 * k * math.sin(math.pi * a))
-            * s * sc2 * _2f1_sym(a, s * s, sc2, ra) * _2f1_sym(a, sc2, s * s, ra))
+    """d phi_K(a, r) / d K = -u_a(s) / (K u_a'(s)), u_a(s) = u_a(r)/K, s = phi_K(a, r)."""
+    s, sc, _, ra = _phi_parts(a, k, r)
+    return _ua(a, r, ra) / (k * k) * _neg_inv_du(a, s, sc * sc, ra, k, r)
 
 
 def lemma3_fk(a: float, k: float, r: float, literal: bool = False) -> float:

@@ -29,6 +29,7 @@ _SQRT_HALF = math.sqrt(0.5)
 _LN_SQRT_HALF = -0.5 * math.log(2.0)
 _PI2_4 = math.pi ** 2 / 4.0  # u(r) u(r') = pi^2/4
 _LN_NORMAL_MIN = math.log(sys.float_info.min)
+_LN_DBL_MAX = math.log(sys.float_info.max)
 _LN_RC_SAT = math.log(math.sqrt((1.0 - _R_MAX) * (1.0 + _R_MAX)))
 _ULP_Y_MAX = 2.0 ** -26     # one ulp of y must fix ln r to half a double's bits
 
@@ -37,6 +38,16 @@ def _check_unit(r: float, name: str = "r") -> float:
     if not (0.0 < r < 1.0):
         raise DomainError(f"domain error: {name} must lie in (0,1), got {r!r}")
     return r
+
+
+def _checked_exp(x: float, what: str, k: float, r: float) -> float:
+    """e^x, or DomainError naming what (e^x at K = k, r) where it is no normal double."""
+    if not x <= _LN_DBL_MAX:
+        raise DomainError(f"domain error: {what} overflows a double at K = {k!r}, r = {r!r}")
+    if x < _LN_NORMAL_MIN:
+        raise DomainError(f"domain error: {what} underflows below the smallest "
+                          f"normal double at K = {k!r}, r = {r!r}")
+    return math.exp(x)
 
 
 # ---------------------------------------------------------------------------
@@ -155,33 +166,35 @@ def _small_root(a: float, y: float, ra: float) -> float:
     return r
 
 
-def _invert_ua(a: float, y: float, ra: float) -> tuple[float, float]:
-    """Return (r, residual) with u_a(r) = y, given ra = R(a) (ln 16 at
+def _invert_ua(a: float, y: float, ra: float) -> tuple[float, float, float]:
+    """Return (r, r', residual) with u_a(r) = y, given ra = R(a) (ln 16 at
     a = 1/2, see _ra); residual measured in u-space.
 
     For y below the symmetric value the complementary identity
     u_a(r) u_a(r') = [pi/(2 sin pi a)]^2 gives r' instead, which keeps the
-    solve well conditioned as r -> 1.  Roots above 1 - 1e-15 saturate
-    there; roots below the smallest normal double, y = inf among them,
-    raise DomainError, and so does a y that no longer determines its root
-    (see _log_asymptote).
+    solve well conditioned as r -> 1, and r' keeps its digits where r rounds
+    to 1.  Roots above 1 - 1e-15 saturate there (r' may underflow to 0);
+    roots below the smallest normal double, y = inf among them, raise
+    DomainError, and so does a y that no longer determines its root (see
+    _log_asymptote).
     """
     if not (y > 0.0):
         raise DomainError(f"modulus inverse requires y > 0, got {y!r}")
     s = _sym_value(a)
     if y >= s:
         r = _small_root(a, y, ra)
-        return r, abs(_ua(a, r, ra) - y)
+        return r, math.sqrt((1.0 - r) * (1.0 + r)), abs(_ua(a, r, ra) - y)
     yc = s * s / y
     if yc == math.inf:
         yc = s / y * s  # s * s overflows below a ~ 1e-154
-    if _log_asymptote(a, yc, _LN_RC_SAT, ra) <= _LN_RC_SAT:
+    t = _log_asymptote(a, yc, _LN_RC_SAT, ra)
+    if t <= _LN_RC_SAT:
         # r' below sqrt(1 - _R_MAX^2), where u_a is exactly its asymptote
-        return _R_MAX, abs(_ua(a, _R_MAX, ra) - y)
+        return _R_MAX, math.exp(t), abs(_ua(a, _R_MAX, ra) - y)
     rc = _small_root(a, yc, ra)
     # |d y| = (y^2 / s^2) |d u_a(r')| maps the residual back to y-units
     resid = abs(_ua(a, rc, ra) - yc) * y * y / (s * s)
-    return min(math.sqrt(1.0 - rc * rc), _R_MAX), resid
+    return min(math.sqrt(1.0 - rc * rc), _R_MAX), rc, resid
 
 
 def grotzsch_u_inv(y: float) -> float:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable
 
-from . import __version__, bounds, distortion, modulus, special
+from . import __version__, bounds, distortion, modulus
 from .special import APERY_A
 
 
@@ -198,9 +198,8 @@ def _phi(k: float, r: float) -> float:
 
 
 def _m_eq5_chain(zss: list[tuple[complex]], rows: list[dict]) -> Iterable[list[float]]:
-    zeta, rho = bounds.zeta_map, bounds.rho_lower
-    ms = [1.0 / (a * abs(cmath.sqrt(z - 1.0)) * (4.0 - math.log(abs(zeta(z))))) - rho(a)
-          for z, in zss for a in (abs(z),)]
+    sigma, rho = bounds.sigma_metric, bounds.rho_lower
+    ms = [sigma(z) - rho(abs(z)) for z, in zss]
     return [ms] * len(rows)
 
 
@@ -237,13 +236,12 @@ def _m_lemma2_item3(p: dict) -> float:
 
 def _m_eq42(p: dict, base_is_c1: bool) -> float:
     a, r = p["a"], p["r"]
-    cs = modulus.lemma2_constants(a)
-    big_c = 0.25 * math.exp(special.ramanujan_R(a) / 2.0)
+    cs = modulus.lemma2_constants(a)  # the constant C = 1/4 e^{R(a)/2} is c4
     base = cs.c1 if base_is_c1 else math.exp((a - 0.5) ** 2)
     pr = modulus.product_P(r)
     mid = math.exp(modulus.grotzsch_ua(a, r)) / r
-    lo = big_c ** (1.0 - r * r) * pr
-    hi = big_c * base ** (-r * r) * pr
+    lo = cs.c4 ** (1.0 - r * r) * pr
+    hi = cs.c4 * base ** (-r * r) * pr
     return min(mid - lo, hi - mid)
 
 

@@ -51,6 +51,23 @@ class TestMetricObjects:
         # z = -3: w = 2, zeta = 1/3
         assert zeta_map(-3.0) == pytest.approx(1.0 / 3.0, abs=1e-15)
         assert zeta_map(0.0) == 0.0
+        # a real z < 1 maps to a real zeta with a +0.0 imaginary part
+        for z in (-3.0, 0.0, 0.5, -1e-6):
+            assert math.copysign(1.0, zeta_map(z).imag) == 1.0
+
+    @pytest.mark.parametrize("z", [1e-8, -1e-6, 1e-12j, 1e-4 + 1e-4j, 0.3 + 0.2j, -3.0,
+                                   0.5 - 0.9j])
+    def test_zeta_and_sigma_against_mpmath(self, z):
+        # zeta = -z/(2(1 + w) - z) with w = sqrt(1-z) does not cancel near 0,
+        # and sigma = 1/(|z| |w| (4 - ln|zeta|)) reads no zeta'
+        import mpmath
+        with mpmath.workdps(40):
+            zm = mpmath.mpc(z)
+            w = mpmath.sqrt(1 - zm)
+            zeta = (w - 1) / (w + 1)
+            sigma = abs(-1 / (w * (w + 1) ** 2) / zeta) / (4 - mpmath.log(abs(zeta)))
+        assert abs(zeta_map(z) - complex(zeta)) <= 1e-15 * float(abs(zeta))
+        assert sigma_metric(z) == pytest.approx(float(sigma), rel=1e-15, abs=0.0)
 
     def test_zeta_map_into_disk(self):
         for z in (-5.0, 0.5, 0.5 + 2.0j, -1.0 - 1.0j):
@@ -359,9 +376,9 @@ class TestMori:
         assert mori_holder_bound(1.0, 0.3) == pytest.approx(0.3, rel=1e-15)
 
     def test_domains(self):
-        with pytest.raises(DomainError):
-            mori_h(2.0, 0.0)
-        with pytest.raises(DomainError):
-            mori_sin_bound(0.5, 1.0)
-        with pytest.raises(DomainError):
-            mori_holder_bound(2.0, -0.1)
+        for call in (lambda: mori_h(2.0, 0.0), lambda: mori_h(0.0, 1.0),
+                     lambda: mori_h(-1.0, 1.0), lambda: mori_sin_bound(0.5, 1.0),
+                     lambda: mori_holder_bound(2.0, -0.1),
+                     lambda: mori_holder_bound(0.5, 0.1)):
+            with pytest.raises(DomainError):
+                call()

@@ -432,9 +432,9 @@ class TestVerify:
         rc, _, _ = run_cli(capsys, "verify", "all", "--report", str(path))
         assert rc == 0
         data = path.read_bytes()
-        assert len(data) == 43_612
+        assert len(data) == 43_613
         assert hashlib.sha256(data).hexdigest() == (
-            "c5682bb448b755c717ffd8135a617e6e05c828742d5fc2b355ce0cff2b127c80")
+            "5e9b0c9bc8e3f4b32ae611d6a2924987da513b4c885b30ccff0dc8f967312ce5")
 
     def test_report_dir_env(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("GFT_REPORT_DIR", str(tmp_path))

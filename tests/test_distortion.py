@@ -272,12 +272,23 @@ class TestDomains:
             phi_ka(0.7, 2.0, 0.5)
 
 
-def _ua_mp(a, x):
-    """u_a(x) from 40-digit hyp2f1; x is the small one of a modulus and its
-    complement, so 1 - x^2 loses nothing."""
+def _f_mp(a, x):
+    """(F(a,1-a;1;x^2), F(a,1-a;1;1-x^2)) from 40-digit hyp2f1; x is the small
+    one of a modulus and its complement, and 1 - x^2 is formed with as many
+    extra digits as x^2 has leading zeros, so it loses nothing."""
     a, x2 = mpmath.mpf(a), mpmath.mpf(x) ** 2
-    return (mpmath.pi / (2 * mpmath.sin(mpmath.pi * a))
-            * mpmath.hyp2f1(a, 1 - a, 1, 1 - x2) / mpmath.hyp2f1(a, 1 - a, 1, x2))
+    with mpmath.extradps(max(0, int(-mpmath.log10(x2)))):
+        return mpmath.hyp2f1(a, 1 - a, 1, x2), mpmath.hyp2f1(a, 1 - a, 1, 1 - x2)
+
+
+def _sym_mp(a):
+    return mpmath.pi / (2 * mpmath.sin(mpmath.pi * mpmath.mpf(a)))
+
+
+def _ua_mp(a, x):
+    """u_a(x) for the small one x of a modulus and its complement."""
+    f, fc = _f_mp(a, x)
+    return _sym_mp(a) * fc / f
 
 
 def _small_root_mp(a, y):
@@ -319,6 +330,69 @@ class TestNearSaturation:
             back = grotzsch_ua(a, math.sqrt((1.0 - value) * (1.0 + value)))
             assert back == pytest.approx(k * grotzsch_ua(a, rc), rel=0.0,
                                          abs=math.ulp(1.0) / (1.0 - value))
+
+
+def _partials_mp(a, k, r):
+    """(d phi/dr, d phi/dK) at the double (a, K, r) from 40 digits: s' solves
+    u_a(s') = K u_a(r') when s' is the small one, else s solves
+    u_a(s) = s^2/(K u_a(r')), s = pi/(2 sin pi a)."""
+    km, rm, sym = mpmath.mpf(k), mpmath.mpf(r), _sym_mp(a)
+    rc = mpmath.sqrt((1 - rm) * (1 + rm))
+    frc, fr = _f_mp(a, rc) if rc <= rm else _f_mp(a, r)[::-1]
+    yc = km * sym * fr / frc
+    if yc >= sym:
+        sc = _small_root_mp(a, yc)
+        s = mpmath.sqrt((1 - sc) * (1 + sc))
+        fsc, fs = _f_mp(a, sc)
+    else:
+        s = _small_root_mp(a, sym ** 2 / yc)
+        sc = mpmath.sqrt((1 - s) * (1 + s))
+        fs, fsc = _f_mp(a, s)
+    return (s / (km * rm) * (sc * fs / (rc * fr)) ** 2,
+            sym / km * s * sc ** 2 * fs * fsc)
+
+
+def _near_one_points(n, seed=1301):
+    """(a, K, r) with 1 - phi_K(a, r) about 10^-U(2, 15): r = phi_{1/K}(a, 1 - d),
+    then K moved by up to 1%, so that phi_K(a, r) is no double by construction
+    (near 1, phi is so flat in r and K that a rounded input keeps it one)."""
+    rng = np.random.default_rng(seed)
+    pts = []
+    for _ in range(n):
+        a = float(rng.choice((0.05, 0.1, 0.2, 0.3, 0.4, 0.5)))
+        k = float(rng.uniform(1.1, 8.0))
+        r = phi_ka(a, 1.0 / k, 1.0 - 10.0 ** -rng.uniform(2.0, 15.0)).value
+        pts.append((a, k * (1.0 + float(rng.uniform(-0.01, 0.01))), r))
+    return pts
+
+
+class TestPartialsNearOne:
+    """The partials read s' = sqrt(1 - phi^2) as the inverse solved it; taken
+    from the rounded phi, it loses all digits as phi -> 1."""
+
+    @pytest.mark.parametrize("a, k, r", [(0.3, 4.0, 0.99), (0.3, 2.0, 0.999), (0.3, 8.0, 0.9)]
+                             + _near_one_points(16))
+    def test_against_mpmath(self, a, k, r):
+        with mpmath.workdps(40):
+            dr, dk = _partials_mp(a, k, r)
+        assert phi_partial_r(a, k, r) == pytest.approx(float(dr), rel=1e-13, abs=0.0)
+        assert phi_partial_k(a, k, r) == pytest.approx(float(dk), rel=1e-13, abs=0.0)
+
+    def test_saturated_point(self):
+        # phi saturates at 1 - 1e-15, while the true 1 - phi is about 2e-52
+        assert phi_ka(0.3, 16.0, 0.99).value == modulus._R_MAX
+        with mpmath.workdps(40):
+            dk = _partials_mp(0.3, 16.0, 0.99)[1]
+        assert float(dk) == pytest.approx(1.5517278602e-50, rel=1e-10)
+        assert phi_partial_k(0.3, 16.0, 0.99) == pytest.approx(float(dk), rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("a, k, r", [(0.5, 1000.0, 0.9), (0.3, 1e6, 0.5)])
+    def test_underflowing_complement_raises(self, a, k, r):
+        # 1 - phi^2 lies below the smallest normal double; phi itself saturates
+        assert phi_ka(a, k, r).value == modulus._R_MAX
+        for fn in (phi_partial_r, phi_partial_k):
+            with pytest.raises(DomainError, match="underflows.*smallest normal double"):
+                fn(a, k, r)
 
 
 class TestRFormedOnce:

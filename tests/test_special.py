@@ -85,6 +85,7 @@ class TestEllipticIntegrals:
         (0.5, 1.4674622093394272),
         (0.9, 1.1716970527816141),
         (0.99, 1.0284758090288040),
+        (1.0, 1.0),
     ])
     def test_e_frozen(self, r, expected):
         assert elliptic_e(r) == pytest.approx(expected, rel=1e-13)
@@ -104,10 +105,13 @@ class TestEllipticIntegrals:
             assert abs(resid) < 1e-10
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            elliptic_k(1.0)
-        with pytest.raises(DomainError):
-            elliptic_k(-0.1)
+        for call in (lambda: elliptic_k(1.0), lambda: elliptic_k(-0.1),
+                     lambda: elliptic_e(-0.1), lambda: elliptic_e(1.5),
+                     lambda: elliptic_ka(0.25, 1.0), lambda: elliptic_ka(0.25, -0.1),
+                     lambda: gauss_2f1_sym(0.25, 1.0), lambda: gauss_2f1_sym(0.25, -0.1),
+                     lambda: agm(0.0, 1.0), lambda: agm(1.0, -2.0)):
+            with pytest.raises(DomainError):
+                call()
 
 
 class TestGauss2F1:

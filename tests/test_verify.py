@@ -474,7 +474,7 @@ class TestSampling:
 # sha256 of json.dumps(sweep(SweepSpec(target=name, samples=25_000)).to_dict(),
 # sort_keys=True): 25 blocks, the last partial, and indices that hash block 1
 SAMPLED_REPORT_SHA256 = {
-    "eq5_chain": "29d34997d0dab520334b337dfceca6c93e1b8af270cb6341ec85ef54d1029a16",
+    "eq5_chain": "b58762c8808885a9937fff7cbd73318faf7043682004fd79544dc62c1afa43fc",
     "mori_radial_16": "5d2eb6ef8575b24f4ec7c98f3c825e21d761ecebd3821238a598369252c6b2b7",
     "mori_radial_64": "7ce835b47416977221715f10a11c2961c004cd9ed49b07f4afe527cfe5199711",
 }
