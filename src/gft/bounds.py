@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from .special import LANDAU_C, DomainError
 from .modulus import _PI2_4, _check_unit, _checked_exp, _log_P, grotzsch_u, product_P
@@ -27,21 +26,6 @@ BLOCH_B1 = math.sqrt(3.0) / 4.0
 LATTICE_GAP_D = math.hypot(math.pi, math.log1p(math.sqrt(2.0)) / 2.0)
 
 
-@dataclass(frozen=True)
-class BoundConfig:
-    """Constants feeding the Bloch-route growth bound."""
-
-    bloch_lower: float = BLOCH_B1
-    lattice_gap_d: float = LATTICE_GAP_D
-    theta: float = 0.0
-
-    def __post_init__(self):
-        if not (self.bloch_lower > 0.0 and self.lattice_gap_d > 0.0):
-            raise DomainError("bloch_lower and lattice_gap_d must be positive")
-        if not (0.0 <= self.theta < 1.0):
-            raise DomainError("theta must lie in [0,1)")
-
-
 # ---------------------------------------------------------------------------
 # Branch policy: principal logarithm and square root (Re >= 0)
 # ---------------------------------------------------------------------------
@@ -58,7 +42,7 @@ def _off_domain(z: complex) -> bool:
 def rho_lower(z_abs: float) -> float:
     """Lower bound 1/(|z| (C - ln|z|)) for the punctured-disk Poincare metric."""
     if not (0.0 < z_abs < 1.0):
-        raise DomainError(f"domain error: |z| must lie in (0,1), got {z_abs!r}")
+        raise DomainError(f"|z| must lie in (0,1), got {z_abs!r}")
     return 1.0 / (z_abs * (LANDAU_C - math.log(z_abs)))
 
 
@@ -66,12 +50,15 @@ def zeta_map(z: complex) -> complex:
     """Conformal map (w - 1)/(w + 1), w = sqrt(1-z), into the unit disk, fixing
     0 and symmetric about the real axis.  As w - 1 = -z/(1 + w) and
     (1 + w)^2 = 2(1 + w) - z exactly, it is -z/(2(1 + w) - z), which does not
-    cancel near z = 0."""
+    cancel near z = 0.  Where |zeta| rounds above 1 (the true 1 - |zeta| ~
+    2/sqrt|z| is then below an ulp), zeta/|zeta| keeps it in the closed disk."""
     z = complex(z)
     if _off_domain(z):
-        raise DomainError("domain error: z must be finite and off the cut [1, inf)")
+        raise DomainError("z must be finite and off the cut [1, inf)")
     # 0 - z, not -z, keeps a real z's +0.0 imaginary part
-    return (0.0 - z) / (2.0 * (1.0 + cmath.sqrt(1.0 - z)) - z)
+    zeta = (0.0 - z) / (2.0 * (1.0 + cmath.sqrt(1.0 - z)) - z)
+    m = abs(zeta)
+    return zeta / m if m > 1.0 else zeta
 
 
 def sigma_metric(z: complex) -> float:
@@ -80,7 +67,7 @@ def sigma_metric(z: complex) -> float:
     is 1/(|z| |w| (4 - ln(|z|/|2(1 + w) - z|)))."""
     z = complex(z)
     if z == 0 or _off_domain(z):
-        raise DomainError("domain error: z must be finite, nonzero and off [1, inf)")
+        raise DomainError("z must be finite, nonzero and off [1, inf)")
     w = cmath.sqrt(1.0 - z)
     a = abs(z)
     return 1.0 / (a * abs(w) * (4.0 - math.log(a / abs(2.0 * (1.0 + w) - z))))
@@ -94,7 +81,7 @@ def schottky_classical(ln_f0: float, z_abs: float) -> float:
     """Sharp classical upper bound for ln|f(z)|:
     [C + max(ln|f(0)|, 0)] (1+|z|)/(1-|z|) - C."""
     if not (0.0 <= z_abs < 1.0):
-        raise DomainError("domain error: |z| must lie in [0,1)")
+        raise DomainError("|z| must lie in [0,1)")
     return (LANDAU_C + max(ln_f0, 0.0)) * (1.0 + z_abs) / (1.0 - z_abs) - LANDAU_C
 
 
@@ -102,7 +89,7 @@ def schottky_F(w: complex) -> complex:
     """F(w) = (1/2) ln[1 + 2 sqrt(q (1-q))], q = ln(w)/(2 pi i), for w not 0 or 1."""
     w = complex(w)
     if w == 0 or w == 1:
-        raise DomainError("domain error: w must avoid the omitted values 0 and 1")
+        raise DomainError("w must avoid the omitted values 0 and 1")
     q = cmath.log(w) / (2.0j * math.pi)
     return 0.5 * cmath.log(1.0 + 2.0 * cmath.sqrt(q * (1.0 - q)))
 
@@ -110,27 +97,31 @@ def schottky_F(w: complex) -> complex:
 def schottky_sf(f_abs: float) -> float:
     """S_f = exp(pi e^{2|F|}) for f_abs = |F|; returns inf on overflow."""
     if not (f_abs >= 0.0):
-        raise DomainError("domain error: |F| must be nonnegative")
+        raise DomainError("|F| must be nonnegative")
     try:
         return math.exp(math.pi * math.exp(2.0 * f_abs))
     except OverflowError:
         return math.inf
 
 
-def f_growth_bound(f0_abs_F: float, cfg: BoundConfig | None = None) -> float:
-    """Bloch-route growth bound |F(z)| <= |F(0)| + (d/B1) ln(1/(1-theta))."""
-    if not (0.0 <= f0_abs_F < math.inf):
-        raise DomainError("domain error: |F(0)| must be finite and nonnegative")
-    if cfg is None:
-        cfg = BoundConfig()
-    return f0_abs_F + cfg.lattice_gap_d / cfg.bloch_lower * math.log(1.0 / (1.0 - cfg.theta))
+def f_growth_bound(f_abs: float, theta: float = 0.0, d: float = LATTICE_GAP_D,
+                   b1: float = BLOCH_B1) -> float:
+    """Bloch-route growth bound |F(z)| <= |F(0)| + (d/B1) ln(1/(1-theta)),
+    f_abs = |F(0)|, with Bloch lower bound b1 and lattice gap d."""
+    if not (b1 > 0.0 and d > 0.0):
+        raise DomainError("bloch_lower and lattice_gap_d must be positive")
+    if not (0.0 <= theta < 1.0):
+        raise DomainError("theta must lie in [0,1)")
+    if not (0.0 <= f_abs < math.inf):
+        raise DomainError("|F(0)| must be finite and nonnegative")
+    return f_abs + d / b1 * math.log(1.0 / (1.0 - theta))
 
 
 def schottky_f0_window(alpha: float, beta: float) -> float:
     """|ln|f(0)|| window ln(beta) - ln(alpha) after normalizing to alpha < 1 < beta:
     alpha >= 1 is replaced by 1/(alpha+1), beta <= 1 by beta + 1."""
     if not (alpha > 0.0 and beta > 0.0):
-        raise DomainError("domain error: alpha and beta must be positive")
+        raise DomainError("alpha and beta must be positive")
     if alpha >= 1.0:
         alpha = 1.0 / (alpha + 1.0)
     if beta <= 1.0:
@@ -179,7 +170,7 @@ def qc_schwarz_bounds(k: float, z_abs: float) -> tuple[float, float]:
     """Two-sided Schwarz bound (|z|^K P(|z|)^{1-K}, |z|^{1/K} P(|z|)^{1-1/K})
     for |f(z) - f(0)| under a K-quasiconformal self-map, K >= 1."""
     if not (1.0 <= k < math.inf):
-        raise DomainError(f"domain error: K must be finite and >= 1, got {k!r}")
+        raise DomainError(f"K must be finite and >= 1, got {k!r}")
     _check_unit(z_abs)
     if k == 1.0:
         return z_abs, z_abs
@@ -191,40 +182,30 @@ def qc_schwarz_bounds(k: float, z_abs: float) -> tuple[float, float]:
 # Mori-type quantities
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TriplePoints:
-    """Three pairwise-distinct points of the plane."""
-
-    z0: complex
-    z1: complex
-    z2: complex
-
-    def __post_init__(self):
-        if self.z0 == self.z1 or self.z0 == self.z2 or self.z1 == self.z2:
-            raise DomainError("triple points must be pairwise distinct")
-
-
-def triple_angle(points: TriplePoints, images: TriplePoints) -> tuple[float, float]:
+def triple_angle(z0: complex, z1: complex, z2: complex,
+                 w0: complex, w1: complex, w2: complex) -> tuple[float, float]:
     """Angles alpha = arcsin(|z2-z1|/(|z2-z0|+|z1-z0|)) for the source triple
-    and beta for the image triple; both lie in (0, pi/2]."""
+    z0, z1, z2 and beta for the image triple w0, w1, w2; both lie in (0, pi/2]."""
 
-    def ang(t: TriplePoints) -> float:
-        ratio = abs(t.z2 - t.z1) / (abs(t.z2 - t.z0) + abs(t.z1 - t.z0))
+    def ang(p0: complex, p1: complex, p2: complex) -> float:
+        if p0 == p1 or p0 == p2 or p1 == p2:
+            raise DomainError("triple points must be pairwise distinct")
+        ratio = abs(p2 - p1) / (abs(p2 - p0) + abs(p1 - p0))
         return math.asin(min(1.0, ratio))  # triangle inequality keeps ratio <= 1
 
-    return ang(points), ang(images)
+    return ang(z0, z1, z2), ang(w0, w1, w2)
 
 
 def _check_alpha(alpha: float) -> float:
     if not (0.0 < alpha <= math.pi / 2.0):
-        raise DomainError(f"domain error: alpha must lie in (0, pi/2], got {alpha!r}")
+        raise DomainError(f"alpha must lie in (0, pi/2], got {alpha!r}")
     return alpha
 
 
 def mori_h(k: float, alpha: float) -> float:
     """H(K, alpha) = sin(alpha)^{-1/K}."""
     if not (k > 0.0):
-        raise DomainError("domain error: K must be positive")
+        raise DomainError("K must be positive")
     _check_alpha(alpha)
     return math.sin(alpha) ** (-1.0 / k)
 
@@ -233,7 +214,7 @@ def mori_sin_bound(k: float, alpha: float) -> float:
     """Raw angular bound 2^{1-1/K} sin^{1/K}(alpha); may exceed 1 (see the
     clamped accessor)."""
     if not (k >= 1.0):
-        raise DomainError("domain error: K must be >= 1")
+        raise DomainError("K must be >= 1")
     _check_alpha(alpha)
     return 2.0 ** (1.0 - 1.0 / k) * math.sin(alpha) ** (1.0 / k)
 
@@ -246,9 +227,9 @@ def mori_sin_bound_clamped(k: float, alpha: float) -> float:
 def mori_holder_bound(k: float, dz_abs: float, variant: str = "sixteen") -> float:
     """Holder bound c^{1-1/K} |z2-z1|^{1/K} with c = 16 or 64."""
     if not (k >= 1.0):
-        raise DomainError("domain error: K must be >= 1")
+        raise DomainError("K must be >= 1")
     if not (dz_abs >= 0.0):
-        raise DomainError("domain error: |z2-z1| must be nonnegative")
+        raise DomainError("|z2-z1| must be nonnegative")
     if variant == "sixteen":
         c = 16.0
     elif variant == "sixtyfour":

@@ -35,18 +35,6 @@ def _fmt(v) -> str:
 # defaults and get no flag.
 # ---------------------------------------------------------------------------
 
-def _growth(f_abs: float, theta: float = 0.0, d: float = bounds.LATTICE_GAP_D,
-            b1: float = bounds.BLOCH_B1) -> float:
-    cfg = bounds.BoundConfig(bloch_lower=b1, lattice_gap_d=d, theta=theta)
-    return bounds.f_growth_bound(f_abs, cfg)
-
-
-def _triple_angle(z0: complex, z1: complex, z2: complex,
-                  w0: complex, w1: complex, w2: complex) -> tuple[float, float]:
-    return bounds.triple_angle(bounds.TriplePoints(z0, z1, z2),
-                               bounds.TriplePoints(w0, w1, w2))
-
-
 FUNCTIONS: dict = {fn.__name__: fn for fn in (
     special.agm, special.elliptic_k, special.elliptic_e, special.elliptic_ka,
     special.gauss_2f1_sym, special.digamma, special.euler_gamma,
@@ -57,11 +45,11 @@ FUNCTIONS: dict = {fn.__name__: fn for fn in (
     distortion.phi_partial_r, distortion.phi_partial_k, distortion.lemma3_fk,
     bounds.rho_lower, bounds.zeta_map, bounds.sigma_metric,
     bounds.schottky_classical, bounds.schottky_F, bounds.schottky_sf,
-    bounds.schottky_f0_window, bounds.eta_k, bounds.theorem3_sfk,
-    bounds.qc_schwarz_bounds, bounds.mori_h, bounds.mori_sin_bound,
-    bounds.mori_sin_bound_clamped, bounds.mori_holder_bound,
+    bounds.f_growth_bound, bounds.schottky_f0_window, bounds.eta_k,
+    bounds.theorem3_sfk, bounds.qc_schwarz_bounds, bounds.triple_angle,
+    bounds.mori_h, bounds.mori_sin_bound, bounds.mori_sin_bound_clamped,
+    bounds.mori_holder_bound,
 )}
-FUNCTIONS.update(f_growth_bound=_growth, triple_angle=_triple_angle)
 
 
 def _params(fn) -> list[tuple[str, str, type, bool]]:
@@ -313,10 +301,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except DomainError as e:
-        msg = str(e)
-        if not msg.startswith("domain error"):
-            msg = f"domain error: {msg}"
-        print(msg, file=sys.stderr)
+        print(f"domain error: {e}", file=sys.stderr)
         return 1
 
 

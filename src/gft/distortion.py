@@ -72,7 +72,7 @@ def phi_k_product(k: float, r: float) -> float:
 def _neg_inv_du(a: float, x: float, xc2: float, ra: float, k: float, r: float) -> float:
     """-1/u_a'(x) = x x'^2 F(a,1-a;1;x^2)^2, xc2 = x'^2; DomainError where it underflows."""
     if xc2 < sys.float_info.min:
-        raise DomainError(f"domain error: 1 - phi^2 underflows below the smallest "
+        raise DomainError(f"1 - phi^2 underflows below the smallest "
                           f"normal double at K = {k!r}, r = {r!r}")
     return x * xc2 * _2f1_sym(a, x * x, xc2, ra) ** 2
 

@@ -36,16 +36,16 @@ _ULP_Y_MAX = 2.0 ** -26     # one ulp of y must fix ln r to half a double's bits
 
 def _check_unit(r: float, name: str = "r") -> float:
     if not (0.0 < r < 1.0):
-        raise DomainError(f"domain error: {name} must lie in (0,1), got {r!r}")
+        raise DomainError(f"{name} must lie in (0,1), got {r!r}")
     return r
 
 
 def _checked_exp(x: float, what: str, k: float, r: float) -> float:
     """e^x, or DomainError naming what (e^x at K = k, r) where it is no normal double."""
     if not x <= _LN_DBL_MAX:
-        raise DomainError(f"domain error: {what} overflows a double at K = {k!r}, r = {r!r}")
+        raise DomainError(f"{what} overflows a double at K = {k!r}, r = {r!r}")
     if x < _LN_NORMAL_MIN:
-        raise DomainError(f"domain error: {what} underflows below the smallest "
+        raise DomainError(f"{what} underflows below the smallest "
                           f"normal double at K = {k!r}, r = {r!r}")
     return math.exp(x)
 
@@ -209,21 +209,11 @@ def grotzsch_ua_inv(a: float, y: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Landen sequences and the product P(r)
+# The ascending Landen step and the product P(r)
 # ---------------------------------------------------------------------------
 
 def landen_next(r: float) -> float:
     return 2.0 * math.sqrt(r) / (1.0 + r)
-
-
-def landen_ascend(r: float, n: int) -> tuple[float, ...]:
-    """The ascending Landen moduli r_0 = r, r_1, ..., r_n."""
-    if n < 0:
-        raise DomainError("sequence length must be nonnegative")
-    terms = [_check_unit(r)]
-    for _ in range(n):
-        terms.append(landen_next(terms[-1]))
-    return tuple(terms)
 
 
 def _log_P(y: float) -> float:
@@ -242,7 +232,7 @@ def product_P(r: float) -> float:
     """P(r) = prod_{n>=0} (1 + r_n)^{2^-n} over the ascending Landen sequence,
     in closed form r' e^{u(r')}; P(1) = 4, the limit, is accepted."""
     if not (0.0 < r <= 1.0):
-        raise DomainError(f"domain error: r must lie in (0,1], got {r!r}")
+        raise DomainError(f"r must lie in (0,1], got {r!r}")
     if r == 1.0:
         return 4.0
     return math.exp(_log_P(grotzsch_u(r)))
@@ -255,7 +245,7 @@ def product_P(r: float) -> float:
 def fn_A(r: float) -> float:
     """A(r) = r'^2 arctan(r) / r, continuously extended to A(0)=1, A(1)=0."""
     if not (0.0 <= r <= 1.0):
-        raise DomainError(f"domain error: r must lie in [0,1], got {r!r}")
+        raise DomainError(f"r must lie in [0,1], got {r!r}")
     rc2 = (1.0 - r) * (1.0 + r)
     if r <= 1e-12:
         return rc2  # arctan(r)/r -> 1
@@ -265,7 +255,7 @@ def fn_A(r: float) -> float:
 def fn_B(r: float) -> float:
     """B(r) = r'^2 ln(4/r'), continuously extended to B(0)=ln4, B(1)=0."""
     if not (0.0 <= r <= 1.0):
-        raise DomainError(f"domain error: r must lie in [0,1], got {r!r}")
+        raise DomainError(f"r must lie in [0,1], got {r!r}")
     rc2 = (1.0 - r) * (1.0 + r)
     if rc2 <= 0.0:
         return 0.0

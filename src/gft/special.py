@@ -51,7 +51,7 @@ def elliptic_k(r: float) -> float:
     kappa(r) = integral_0^{pi/2} dt / sqrt(1 - r^2 sin^2 t) = pi / (2 agm(1, r')).
     """
     if not (0.0 <= r < 1.0):
-        raise DomainError("domain error: r must lie in [0,1)")
+        raise DomainError("r must lie in [0,1)")
     return math.pi / (2.0 * agm(1.0, math.sqrt((1.0 - r) * (1.0 + r))))
 
 
@@ -61,7 +61,7 @@ def elliptic_e(r: float) -> float:
     Computed from the AGM c_n-sum: E = K * (1 - sum_n 2^{n-1} c_n^2).
     """
     if not (0.0 <= r <= 1.0):
-        raise DomainError("domain error: r must lie in [0,1]")
+        raise DomainError("r must lie in [0,1]")
     if r == 0.0:
         return math.pi / 2.0
     if r == 1.0:
@@ -142,7 +142,7 @@ def gauss_2f1_sym(a: float, x: float) -> float:
     """Gauss hypergeometric F(a, 1-a; 1; x) for a in (0, 1/2], x in [0, 1)."""
     _check_param_a(a)
     if not (0.0 <= x < 1.0):
-        raise DomainError("domain error: x must lie in [0,1)")
+        raise DomainError("x must lie in [0,1)")
     return _2f1_sym(a, x, 1.0 - x)
 
 
@@ -150,7 +150,7 @@ def elliptic_ka(a: float, r: float) -> float:
     """Generalized complete elliptic integral kappa_a(r) = (pi/2) F(a,1-a;1;r^2)."""
     _check_param_a(a)
     if not (0.0 <= r < 1.0):
-        raise DomainError("domain error: r must lie in [0,1)")
+        raise DomainError("r must lie in [0,1)")
     return math.pi / 2.0 * _2f1_sym(a, r * r, (1.0 - r) * (1.0 + r))
 
 

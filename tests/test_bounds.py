@@ -13,9 +13,7 @@ from gft import (
     BLOCH_B1,
     LANDAU_C,
     LATTICE_GAP_D,
-    BoundConfig,
     DomainError,
-    TriplePoints,
     eta_k,
     f_growth_bound,
     mori_h,
@@ -72,6 +70,22 @@ class TestMetricObjects:
     def test_zeta_map_into_disk(self):
         for z in (-5.0, 0.5, 0.5 + 2.0j, -1.0 - 1.0j):
             assert abs(zeta_map(z)) < 1.0
+
+    def test_zeta_map_rounding_stays_in_closed_disk(self):
+        # -z/(2(1 + w) - z) itself rounds to |zeta| = 1 + 2^-52 here
+        assert abs(zeta_map(1.0502746706616732e32 + 5.286571965404616e32j)) <= 1.0
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, 300.0), (30.0, 36.0)])
+    def test_zeta_map_seeded_scan_stays_in_closed_disk(self, lo, hi):
+        # |z| = 10^U(lo, hi).  The bare quotient rounds above 1 only near
+        # |z| ~ 1e33: for 30 of the narrow band's 20,000 points, and about
+        # 1 in 36,000 over the wide band, which checks every scale
+        rng = np.random.default_rng(20261019)
+        n = 20_000
+        mags = 10.0 ** rng.uniform(lo, hi, n)
+        args = rng.uniform(-math.pi, math.pi, n)
+        worst = max(abs(zeta_map(cmath.rect(m, t))) for m, t in zip(mags, args))
+        assert worst <= 1.0
 
     def test_zeta_map_real_symmetry(self):
         z = 0.3 + 0.7j
@@ -141,9 +155,10 @@ class TestSchottky:
         assert f_growth_bound(2.5) == 2.5
 
     def test_growth_bound_formula(self):
-        cfg = BoundConfig(theta=0.5)
         expected = 1.0 + LATTICE_GAP_D / BLOCH_B1 * math.log(2.0)
-        assert f_growth_bound(1.0, cfg) == pytest.approx(expected, rel=1e-14)
+        assert f_growth_bound(1.0, theta=0.5) == pytest.approx(expected, rel=1e-14)
+        assert f_growth_bound(1.0, 0.5, 3.0, 0.5) == pytest.approx(
+            1.0 + 6.0 * math.log(2.0), rel=1e-14)
 
     def test_growth_bound_domain(self):
         for bad in (math.nan, math.inf, -1.0):
@@ -151,10 +166,11 @@ class TestSchottky:
                 f_growth_bound(bad)
 
     def test_growth_bound_config_validation(self):
-        with pytest.raises(DomainError):
-            BoundConfig(theta=1.0)
-        with pytest.raises(DomainError):
-            BoundConfig(bloch_lower=0.0)
+        with pytest.raises(DomainError, match="theta"):
+            f_growth_bound(1.0, theta=1.0)
+        for bad in ({"b1": 0.0}, {"d": 0.0}):
+            with pytest.raises(DomainError, match="must be positive"):
+                f_growth_bound(1.0, **bad)
 
     def test_f0_window_normalization(self):
         # already normalized: alpha < 1 < beta
@@ -336,20 +352,22 @@ class TestQcSchwarz:
 
 class TestMori:
     def test_triple_angle_right_isoceles(self):
-        t = TriplePoints(0.0, 1.0, 1.0j)
-        a, b = triple_angle(t, t)
+        t = (0.0, 1.0, 1.0j)
+        a, b = triple_angle(*t, *t)
         assert a == pytest.approx(math.pi / 4.0, rel=1e-14)
         assert a == b
 
     def test_triple_angle_collinear_degenerate(self):
         # z1, z2 on opposite sides of z0: ratio = 1, angle = pi/2
-        t = TriplePoints(0.0, -1.0, 1.0)
-        a, _ = triple_angle(t, t)
+        t = (0.0, -1.0, 1.0)
+        a, _ = triple_angle(*t, *t)
         assert a == pytest.approx(math.pi / 2.0, rel=1e-14)
 
     def test_triple_points_distinct(self):
-        with pytest.raises(DomainError):
-            TriplePoints(0.0, 0.0, 1.0)
+        # a coincident pair in the source triple, then in the image triple
+        for points in ((0.0, 0.0, 1.0, 0.0, 1.0, 1.0j), (0.0, 1.0, 1.0j, 0.0, 1.0j, 1.0j)):
+            with pytest.raises(DomainError, match="pairwise distinct"):
+                triple_angle(*points)
 
     def test_mori_h(self):
         assert mori_h(2.0, math.pi / 2.0) == pytest.approx(1.0, rel=1e-15)

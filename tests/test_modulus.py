@@ -18,7 +18,6 @@ from gft import (
     grotzsch_u_inv,
     grotzsch_ua,
     grotzsch_ua_inv,
-    landen_ascend,
     landen_next,
     lemma2_constants,
     product_P,
@@ -262,29 +261,6 @@ class TestInverses:
             grotzsch_u_inv(-1.0)
         with pytest.raises(DomainError):
             grotzsch_u_inv(math.inf)
-
-
-class TestLanden:
-    def test_recurrence(self):
-        seq = landen_ascend(0.3, 5)
-        assert isinstance(seq, tuple) and len(seq) == 6
-        assert seq[0] == 0.3
-        for prev, nxt in zip(seq, seq[1:]):
-            assert nxt == pytest.approx(2.0 * math.sqrt(prev) / (1.0 + prev), rel=1e-15)
-
-    def test_increasing_to_one(self):
-        seq = landen_ascend(0.1, 40)
-        assert all(x < y or y == 1.0 for x, y in zip(seq, seq[1:]))
-        assert seq[-1] == pytest.approx(1.0, abs=1e-12)
-
-    def test_negative_length(self):
-        with pytest.raises(DomainError):
-            landen_ascend(0.5, -1)
-
-    def test_start_outside_unit_interval(self):
-        for r in (1.5, math.nan):
-            with pytest.raises(DomainError):
-                landen_ascend(r, 3)
 
 
 class TestProductP:
