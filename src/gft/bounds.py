@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 
 from .special import LANDAU_C, DomainError
 from .modulus import _PI2_4, _check_unit, _checked_exp, _log_P, grotzsch_u, product_P
@@ -82,14 +83,16 @@ def schottky_classical(ln_f0: float, z_abs: float) -> float:
     [C + max(ln|f(0)|, 0)] (1+|z|)/(1-|z|) - C."""
     if not (0.0 <= z_abs < 1.0):
         raise DomainError("|z| must lie in [0,1)")
+    if not math.isfinite(ln_f0):
+        raise DomainError(f"ln|f(0)| must be finite, got {ln_f0!r}")
     return (LANDAU_C + max(ln_f0, 0.0)) * (1.0 + z_abs) / (1.0 - z_abs) - LANDAU_C
 
 
 def schottky_F(w: complex) -> complex:
     """F(w) = (1/2) ln[1 + 2 sqrt(q (1-q))], q = ln(w)/(2 pi i), for w not 0 or 1."""
     w = complex(w)
-    if w == 0 or w == 1:
-        raise DomainError("w must avoid the omitted values 0 and 1")
+    if w == 0 or w == 1 or not cmath.isfinite(w):
+        raise DomainError("w must be finite and avoid the omitted values 0 and 1")
     q = cmath.log(w) / (2.0j * math.pi)
     return 0.5 * cmath.log(1.0 + 2.0 * cmath.sqrt(q * (1.0 - q)))
 
@@ -108,8 +111,9 @@ def f_growth_bound(f_abs: float, theta: float = 0.0, d: float = LATTICE_GAP_D,
                    b1: float = BLOCH_B1) -> float:
     """Bloch-route growth bound |F(z)| <= |F(0)| + (d/B1) ln(1/(1-theta)),
     f_abs = |F(0)|, with Bloch lower bound b1 and lattice gap d."""
-    if not (b1 > 0.0 and d > 0.0):
-        raise DomainError("bloch_lower and lattice_gap_d must be positive")
+    for name, value in (("b1", b1), ("d", d)):
+        if not (0.0 < value < math.inf):
+            raise DomainError(f"{name} must be positive and finite, got {value!r}")
     if not (0.0 <= theta < 1.0):
         raise DomainError("theta must lie in [0,1)")
     if not (0.0 <= f_abs < math.inf):
@@ -120,8 +124,8 @@ def f_growth_bound(f_abs: float, theta: float = 0.0, d: float = LATTICE_GAP_D,
 def schottky_f0_window(alpha: float, beta: float) -> float:
     """|ln|f(0)|| window ln(beta) - ln(alpha) after normalizing to alpha < 1 < beta:
     alpha >= 1 is replaced by 1/(alpha+1), beta <= 1 by beta + 1."""
-    if not (alpha > 0.0 and beta > 0.0):
-        raise DomainError("alpha and beta must be positive")
+    if not (0.0 < alpha < math.inf and 0.0 < beta < math.inf):
+        raise DomainError(f"alpha and beta must be positive and finite, got {alpha!r}, {beta!r}")
     if alpha >= 1.0:
         alpha = 1.0 / (alpha + 1.0)
     if beta <= 1.0:
@@ -175,7 +179,11 @@ def qc_schwarz_bounds(k: float, z_abs: float) -> tuple[float, float]:
     if k == 1.0:
         return z_abs, z_abs
     p = product_P(z_abs)
-    return z_abs ** k * p ** (1.0 - k), z_abs ** (1.0 / k) * p ** (1.0 - 1.0 / k)
+    lo = z_abs ** k * p ** (1.0 - k)
+    if lo < sys.float_info.min:
+        raise DomainError(f"the lower bound underflows below the smallest "
+                          f"normal double at K = {k!r}, |z| = {z_abs!r}")
+    return lo, z_abs ** (1.0 / k) * p ** (1.0 - 1.0 / k)
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +198,10 @@ def triple_angle(z0: complex, z1: complex, z2: complex,
     def ang(p0: complex, p1: complex, p2: complex) -> float:
         if p0 == p1 or p0 == p2 or p1 == p2:
             raise DomainError("triple points must be pairwise distinct")
-        ratio = abs(p2 - p1) / (abs(p2 - p0) + abs(p1 - p0))
-        return math.asin(min(1.0, ratio))  # triangle inequality keeps ratio <= 1
+        span = abs(p2 - p0) + abs(p1 - p0)   # not finite for a NaN or infinite point
+        if not span < math.inf:
+            raise DomainError("triple points must be finite, and so must their distances")
+        return math.asin(min(1.0, abs(p2 - p1) / span))  # triangle inequality: ratio <= 1
 
     return ang(z0, z1, z2), ang(w0, w1, w2)
 
@@ -207,7 +217,13 @@ def mori_h(k: float, alpha: float) -> float:
     if not (k > 0.0):
         raise DomainError("K must be positive")
     _check_alpha(alpha)
-    return math.sin(alpha) ** (-1.0 / k)
+    try:
+        h = math.sin(alpha) ** (-1.0 / k)   # an infinite 1/K gives inf, no OverflowError
+        if h < math.inf:
+            return h
+    except OverflowError:
+        pass
+    raise DomainError(f"H overflows a double at K = {k!r}, alpha = {alpha!r}")
 
 
 def mori_sin_bound(k: float, alpha: float) -> float:

@@ -34,9 +34,9 @@ _LN_RC_SAT = math.log(math.sqrt((1.0 - _R_MAX) * (1.0 + _R_MAX)))
 _ULP_Y_MAX = 2.0 ** -26     # one ulp of y must fix ln r to half a double's bits
 
 
-def _check_unit(r: float, name: str = "r") -> float:
+def _check_unit(r: float) -> float:
     if not (0.0 < r < 1.0):
-        raise DomainError(f"{name} must lie in (0,1), got {r!r}")
+        raise DomainError(f"r must lie in (0,1), got {r!r}")
     return r
 
 

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import cmath
 import heapq
+import inspect
 import itertools
 import math
 import operator
 import struct
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Iterable
 
 from . import __version__, bounds, distortion, modulus
@@ -179,10 +180,10 @@ def _sampler(sampler: Sampler, seed: int) -> Callable[[int, int], list[tuple[com
 
 
 # ---------------------------------------------------------------------------
-# Margin functions.  Each takes a params dict and returns a signed margin;
-# a sampled target's margin takes a block of sampled points and the grid
-# rows, and gives one list of the points' margins per row, in row order (a
-# generator holds one row's list at a time).
+# Margin functions.  A grid margin takes a grid row's numbers by keyword and
+# returns a signed margin.  A sampled margin takes a block of sampled points
+# and, per axis, the grid rows' values, and gives one list of the points'
+# margins per row, in row order (a generator holds one row at a time).
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=100_000)
@@ -197,33 +198,29 @@ def _phi(k: float, r: float) -> float:
     return _phi_a(0.5, k, r)
 
 
-def _m_eq5_chain(zss: list[tuple[complex]], rows: list[dict]) -> Iterable[list[float]]:
+def _m_eq5_chain(zss: list[tuple[complex]]) -> list[list[float]]:
     sigma, rho = bounds.sigma_metric, bounds.rho_lower
-    ms = [sigma(z) - rho(abs(z)) for z, in zss]
-    return [ms] * len(rows)
+    return [[sigma(z) - rho(abs(z)) for z, in zss]]
 
 
 def _g5(a: float, r: float) -> float:
     return modulus.grotzsch_ua(a, r) - modulus.grotzsch_u(r)
 
 
-def _m_lemma2_item1(p: dict) -> float:
-    a, r = p["a"], p["r"]
+def _m_lemma2_item1(a: float, r: float) -> float:
     cs = modulus.lemma2_constants(a)
     g5 = _g5(a, r)
     return min(g5 - cs.c2 * modulus.fn_B(r), cs.c1 - g5)
 
 
-def _m_lemma2_item2(p: dict) -> float:
-    a, r = p["a"], p["r"]
+def _m_lemma2_item2(a: float, r: float) -> float:
     cs = modulus.lemma2_constants(a)
     g5 = _g5(a, r)
     A = modulus.fn_A(r)
     return min(g5 - cs.c1 * A, cs.c2 * (1.0 - cs.c6 * (1.0 - A)) - g5)
 
 
-def _m_lemma2_item3(p: dict) -> float:
-    a, r = p["a"], p["r"]
+def _m_lemma2_item3(a: float, r: float) -> float:
     cs = modulus.lemma2_constants(a)
     A = modulus.fn_A(r)
     B = modulus.fn_B(r)
@@ -234,8 +231,7 @@ def _m_lemma2_item3(p: dict) -> float:
     return min(mid - lo, hi - mid)
 
 
-def _m_eq42(p: dict, base_is_c1: bool) -> float:
-    a, r = p["a"], p["r"]
+def _m_eq42(a: float, r: float, base_is_c1: bool) -> float:
     cs = modulus.lemma2_constants(a)  # the constant C = 1/4 e^{R(a)/2} is c4
     base = cs.c1 if base_is_c1 else math.exp((a - 0.5) ** 2)
     pr = modulus.product_P(r)
@@ -245,8 +241,7 @@ def _m_eq42(p: dict, base_is_c1: bool) -> float:
     return min(mid - lo, hi - mid)
 
 
-def _m_eq48(p: dict) -> float:
-    a = p["a"]
+def _m_eq48(a: float) -> float:
     c1 = modulus.lemma2_constants(a).c1
     w = (1.0 - 2.0 * a) ** 2
     lo = w * max(APERY_A / 4.0, 1.0 / a)
@@ -254,92 +249,79 @@ def _m_eq48(p: dict) -> float:
     return min(2.0 * c1 - lo, hi - 2.0 * c1)
 
 
-def _m_lemma3(p: dict, literal: bool) -> float:
+def _m_lemma3(a: float, k: float, r: float, r_next: float, literal: bool) -> float:
     # lemma3_fk(a, k, r, literal) = phi_K(a, r) * r^{+-1/K}
-    a, k, r, r_next = p["a"], p["k"], p["r"], p["r_next"]
     expo = 1.0 / k if literal else -1.0 / k
     return _phi_a(a, k, r) * r ** expo - _phi_a(a, k, r_next) * r_next ** expo
 
 
-def _m_eq49(p: dict) -> float:
-    k, r = p["k"], p["r"]
+def _m_eq49(k: float, r: float) -> float:
     phi = _phi(k, r)
     return -abs(distortion.phi_k_product(k, r) - phi) / phi
 
 
-def _half_angle(p: dict) -> tuple[float, float, float]:
-    alpha = p["alpha"]
-    return p["k"], math.sin(alpha / 2.0), math.cos(alpha / 2.0)
-
-
-def _m_eq54(p: dict) -> float:
-    k, s, c = _half_angle(p)
+def _m_eq54(k: float, alpha: float) -> float:
+    s, c = math.sin(alpha / 2.0), math.cos(alpha / 2.0)
     lhs = 2.0 * _phi(k, s) * _phi(1.0 / k, c) / (_phi(1.0 / k, s) ** 2 + _phi(k, c) ** 2)
     rhs = 2.0 * _phi(k, s) * _phi(1.0 / k, s)
     return rhs - lhs
 
 
-def _m_eq55(p: dict) -> float:
-    k, s, c = _half_angle(p)
+def _m_eq55(k: float, alpha: float) -> float:
+    s, c = math.sin(alpha / 2.0), math.cos(alpha / 2.0)
     return (_phi(1.0 / k, s) + _phi(k, c)) ** 2 - (1.0 + 2.0 * _phi(k, s) * _phi(1.0 / k, s))
 
 
-def _m_eq59(p: dict) -> float:
-    k, s, c = _half_angle(p)
+def _m_eq59(k: float, alpha: float) -> float:
+    s, c = math.sin(alpha / 2.0), math.cos(alpha / 2.0)
     return 1.0 - _phi(k, s) * _phi(1.0 / k, s) / (s ** (1.0 / k) * c ** (1.0 / k))
 
 
-def _m_eq60(p: dict) -> float:
-    k, r = p["k"], p["r"]
+def _m_eq60(k: float, r: float) -> float:
     return 4.0 ** (1.0 - 1.0 / k) * r ** (1.0 / k) - _phi(k, r)
 
 
-def _m_eq61(p: dict) -> float:
-    k, s, c = _half_angle(p)
+def _m_eq61(k: float, alpha: float) -> float:
+    s, c = math.sin(alpha / 2.0), math.cos(alpha / 2.0)
     return c ** k - _phi(1.0 / k, s)
 
 
-def _m_eq62(p: dict) -> float:
-    k, s, c = _half_angle(p)
+def _m_eq62(k: float, alpha: float) -> float:
+    s, c = math.sin(alpha / 2.0), math.cos(alpha / 2.0)
     return c ** (k - 1.0 / k) - _phi(1.0 / k, s) / c ** (1.0 / k)
 
 
-def _m_eq64(p: dict) -> float:
-    k, r = p["k"], p["r"]
+def _m_eq64(k: float, r: float) -> float:
     return 8.0 ** (1.0 - 1.0 / k) - 2.0 ** (1.0 - 1.0 / k) * _phi(k, r) / r ** (1.0 / k)
 
 
-def _m_phi_identity(p: dict, literal: bool) -> float:
-    k, r = p["k"], p["r"]
+def _m_phi_identity(k: float, r: float, literal: bool) -> float:
     arg = r if literal else math.sqrt((1.0 - r) * (1.0 + r))
     return -abs(_phi(k, r) ** 2 + _phi(1.0 / k, arg) ** 2 - 1.0)
 
 
-def _m_thm4_k1(p: dict) -> float:
-    r = p["r"]
+def _m_thm4_k1(r: float) -> float:
     lo, hi = bounds.qc_schwarz_bounds(1.0, r)
     return -max(abs(lo - r), abs(hi - r))
 
 
-def _m_mori_radial(zss: list[tuple[complex, complex]], rows: list[dict],
+def _m_mori_radial(zss: list[tuple[complex, complex]], k: list[float],
                    variant: str) -> Iterable[list[float]]:
     # the radial stretch z -> z |z|^{1/K - 1} takes 0 to 0; the moduli and
     # distances of the block's pairs serve every K row
     ds = [abs(z2 - z1) for z1, z2 in zss]
     a1s = [abs(z1) for z1, _ in zss]
     a2s = [abs(z2) for _, z2 in zss]
-    for p in rows:
-        k = p["k"]
-        c = bounds.mori_holder_bound(k, 1.0, variant)   # c^{1-1/K}
-        inv_k, expo = 1.0 / k, 1.0 / k - 1.0
+    for kj in k:
+        c = bounds.mori_holder_bound(kj, 1.0, variant)   # c^{1-1/K}
+        inv_k, expo = 1.0 / kj, 1.0 / kj - 1.0
         yield [c * d ** inv_k
                - abs((z2 * a2 ** expo if z2 else 0.0) - (z1 * a1 ** expo if z1 else 0.0))
                for (z1, z2), d, a1, a2 in zip(zss, ds, a1s, a2s)]
 
 
-def _m_planted_false(p: dict) -> float:
+def _m_planted_false(r: float) -> float:
     # Intentionally false claim phi_2(r) <= r; guards against a vacuous harness.
-    r = p["r"]
     return r - _phi(2.0, r)
 
 
@@ -349,77 +331,75 @@ def _m_planted_false(p: dict) -> float:
 
 @dataclass(frozen=True)
 class Target:
+    """A registered inequality.  Its axes are the margin's parameters among
+    a, k, r and alpha, in the margin's order; an r_next parameter makes the
+    r axis pairwise."""
+
     name: str
     classification: str                       # asserted | report_only
-    margin: Callable[..., float]              # sampled: (points, rows) -> row lists
-    axes: tuple[str, ...]                     # subset of (a, k, r, alpha)
+    margin: Callable[..., float]              # sampled: (points, columns) -> row lists
     default_tol: float = 1e-9
-    pairwise_r: bool = False                  # margin uses (r, r_next)
     sample: Sampler | None = None             # margin takes sampled points
     k_filter: Callable[[float], bool] | None = None
     a_filter: Callable[[float], bool] | None = None
     sanity: bool = False                      # harness self-check, outside "all"
 
     @property
+    def axes(self) -> tuple[str, ...]:
+        names = inspect.signature(self.margin).parameters
+        return tuple(n for n in names if n in ("a", "k", "r", "alpha"))
+
+    @property
+    def pairwise_r(self) -> bool:
+        return "r_next" in inspect.signature(self.margin).parameters
+
+    @property
     def randomized(self) -> bool:
         return self.sample is not None
 
 
-def _not_degenerate(a: float) -> bool:
+def _k_above_1(k: float) -> bool:
+    return k > 1.0
+
+
+def _k_at_least_1(k: float) -> bool:
+    return k >= 1.0
+
+
+def _a_not_half(a: float) -> bool:
     return a != 0.5
 
 
 _TARGETS = [
     # eq5 samples {|z| < 1, |z| < |z-1|}, bounded away from the puncture at 0
-    Target("eq5_chain", "report_only", _m_eq5_chain, (),
+    Target("eq5_chain", "report_only", _m_eq5_chain,
            sample=Sampler("eq5", ("z",), lambda z: 0.01 < abs(z) < abs(z - 1.0))),
-    Target("lemma2_item1", "report_only", _m_lemma2_item1, ("a", "r")),
-    Target("lemma2_item2", "report_only", _m_lemma2_item2, ("a", "r"),
-           a_filter=_not_degenerate),
-    Target("lemma2_item3", "report_only", _m_lemma2_item3, ("a", "r"),
-           a_filter=_not_degenerate),
-    Target("eq42_sandwich_literal", "report_only",
-           lambda p: _m_eq42(p, base_is_c1=True), ("a", "r"),
-           a_filter=_not_degenerate),
-    Target("eq42_sandwich_cprime", "report_only",
-           lambda p: _m_eq42(p, base_is_c1=False), ("a", "r"),
-           a_filter=_not_degenerate),
-    Target("eq48_c1_bracket", "report_only", _m_eq48, ("a",)),
-    Target("lemma3_literal", "report_only",
-           lambda p: _m_lemma3(p, literal=True), ("a", "k", "r"),
-           pairwise_r=True, k_filter=lambda k: k > 1.0),
-    Target("lemma3_corrected", "asserted",
-           lambda p: _m_lemma3(p, literal=False), ("a", "k", "r"),
-           pairwise_r=True, k_filter=lambda k: k > 1.0),
-    Target("eq49_product_equality", "report_only", _m_eq49, ("k", "r")),
-    Target("eq54_sinbeta", "report_only", _m_eq54, ("k", "alpha"),
-           k_filter=lambda k: k >= 1.0),
-    Target("eq55_sum_square", "report_only", _m_eq55, ("k", "alpha"),
-           k_filter=lambda k: k >= 1.0),
-    Target("eq59_h_product", "report_only", _m_eq59, ("k", "alpha"),
-           k_filter=lambda k: k >= 1.0),
-    Target("eq60_phi_4bound", "asserted", _m_eq60, ("k", "r"),
-           default_tol=1e-12, k_filter=lambda k: k >= 1.0),
-    Target("eq61_phi_cos", "report_only", _m_eq61, ("k", "alpha"),
-           k_filter=lambda k: k >= 1.0),
-    Target("eq62_ratio_infinitesimal", "report_only", _m_eq62, ("k", "alpha"),
-           k_filter=lambda k: k >= 1.0),
-    Target("eq64_extremal_8", "report_only", _m_eq64, ("k", "r"),
-           k_filter=lambda k: k >= 1.0),
-    Target("paper_phi_identity_literal", "report_only",
-           lambda p: _m_phi_identity(p, literal=True), ("k", "r")),
-    Target("std_phi_identity", "asserted",
-           lambda p: _m_phi_identity(p, literal=False), ("k", "r")),
-    Target("thm4_k1_equality", "asserted", _m_thm4_k1, ("r",), default_tol=1e-15),
-    Target("mori_radial_16", "asserted",
-           lambda zss, rows: _m_mori_radial(zss, rows, "sixteen"), ("k",),
-           sample=Sampler("mori_sixteen", ("z1", "z2"), operator.ne),
-           k_filter=lambda k: k >= 1.0),
-    Target("mori_radial_64", "asserted",
-           lambda zss, rows: _m_mori_radial(zss, rows, "sixtyfour"), ("k",),
-           sample=Sampler("mori_sixtyfour", ("z1", "z2"), operator.ne),
-           k_filter=lambda k: k >= 1.0),
-    Target("planted_false", "asserted", _m_planted_false, ("r",), sanity=True),
+    Target("lemma2_item1", "report_only", _m_lemma2_item1),
+    Target("lemma2_item2", "report_only", _m_lemma2_item2, a_filter=_a_not_half),
+    Target("lemma2_item3", "report_only", _m_lemma2_item3, a_filter=_a_not_half),
+    Target("eq42_sandwich_literal", "report_only", partial(_m_eq42, base_is_c1=True),
+           a_filter=_a_not_half),
+    Target("eq42_sandwich_cprime", "report_only", partial(_m_eq42, base_is_c1=False),
+           a_filter=_a_not_half),
+    Target("eq48_c1_bracket", "report_only", _m_eq48),
+    Target("lemma3_literal", "report_only", partial(_m_lemma3, literal=True), k_filter=_k_above_1),
+    Target("lemma3_corrected", "asserted", partial(_m_lemma3, literal=False), k_filter=_k_above_1),
+    Target("eq49_product_equality", "report_only", _m_eq49),
+    Target("eq54_sinbeta", "report_only", _m_eq54, k_filter=_k_at_least_1),
+    Target("eq55_sum_square", "report_only", _m_eq55, k_filter=_k_at_least_1),
+    Target("eq59_h_product", "report_only", _m_eq59, k_filter=_k_at_least_1),
+    Target("eq60_phi_4bound", "asserted", _m_eq60, default_tol=1e-12, k_filter=_k_at_least_1),
+    Target("eq61_phi_cos", "report_only", _m_eq61, k_filter=_k_at_least_1),
+    Target("eq62_ratio_infinitesimal", "report_only", _m_eq62, k_filter=_k_at_least_1),
+    Target("eq64_extremal_8", "report_only", _m_eq64, k_filter=_k_at_least_1),
+    Target("paper_phi_identity_literal", "report_only", partial(_m_phi_identity, literal=True)),
+    Target("std_phi_identity", "asserted", partial(_m_phi_identity, literal=False)),
+    Target("thm4_k1_equality", "asserted", _m_thm4_k1, default_tol=1e-15),
+    Target("mori_radial_16", "asserted", partial(_m_mori_radial, variant="sixteen"),
+           sample=Sampler("mori_sixteen", ("z1", "z2"), operator.ne), k_filter=_k_at_least_1),
+    Target("mori_radial_64", "asserted", partial(_m_mori_radial, variant="sixtyfour"),
+           sample=Sampler("mori_sixtyfour", ("z1", "z2"), operator.ne), k_filter=_k_at_least_1),
+    Target("planted_false", "asserted", _m_planted_false, sanity=True),
 ]
 
 _REGISTRY = {t.name: t for t in _TARGETS}
@@ -449,7 +429,7 @@ def _linspace(lo: float, hi: float, steps: int) -> list[float]:
 
 
 def _param_list(target: Target, spec: SweepSpec) -> list[dict]:
-    """Cartesian parameter grid in lexicographic (a, k, r/alpha) order."""
+    """Cartesian parameter grid, axes in name order (a, alpha, k, r)."""
     a_vals = [a for a in spec.a_values if target.a_filter is None or target.a_filter(a)]
     k_vals = [k for k in spec.k_values if target.k_filter is None or target.k_filter(k)]
     rs = _linspace(*spec.r_grid)
@@ -483,9 +463,10 @@ def margin_at(target_name: str, params: dict) -> float:
     """Re-evaluate a target's margin at a report's argmin parameters."""
     target = target_info(target_name)
     if target.sample is None:
-        return target.margin(params)
+        return target.margin(**params)
     i = params["i"]
-    [ms] = target.margin(_sampler(target.sample, params["seed"])(i, i + 1), [params])
+    [ms] = target.margin(_sampler(target.sample, params["seed"])(i, i + 1),
+                         **{name: [params[name]] for name in target.axes})
     return ms[0]
 
 
@@ -536,7 +517,7 @@ def sweep(spec: SweepSpec) -> InequalityReport:
         return m, base + ms.index(m), m
 
     if target.sample is None:
-        ms = [target.margin(p) for p in grid]
+        ms = [target.margin(**p) for p in grid]
         best = fold(ms, 0)
         row_minima = ms
 
@@ -546,9 +527,10 @@ def sweep(spec: SweepSpec) -> InequalityReport:
         n = spec.samples
         draw = _sampler(target.sample, spec.seed)
         rows: list = [None] * len(grid)        # each row's worst, as fold returns it
+        columns = {name: [p[name] for p in grid] for name in grid[0]}
         for lo in range(0, n, SAMPLE_BLOCK):
             zss = draw(lo, min(lo + SAMPLE_BLOCK, n))
-            for j, ms in enumerate(target.margin(zss, grid)):
+            for j, ms in enumerate(target.margin(zss, **columns)):
                 worst = fold(ms, j * n + lo)
                 if rows[j] is None or worst < rows[j]:
                     rows[j] = worst
@@ -562,7 +544,7 @@ def sweep(spec: SweepSpec) -> InequalityReport:
                 p[f"{name}_re"], p[f"{name}_im"] = z.real, z.imag
             return p
 
-    axis_minima: dict = {name: {} for name in ("a", "k") if name in target.axes}
+    axis_minima: dict = {name: {} for name in ("a", "k") if name in grid[0]}
     for p, m in zip(grid, row_minima):
         for name, minima in axis_minima.items():
             if p[name] not in minima or _rank(m) < _rank(minima[p[name]]):
@@ -589,9 +571,8 @@ def sweep(spec: SweepSpec) -> InequalityReport:
 def mori_radial_experiment(k: float, samples: int = 10_000, seed: int = 20240811,
                            variant: str = "sixteen") -> InequalityReport:
     """Holder-bound check of the canonical K-quasiconformal radial stretch
-    z -> z |z|^{1/K - 1} on seeded uniform disk pairs."""
-    if not (k >= 1.0):
-        raise UsageError("K must be >= 1")
+    z -> z |z|^{1/K - 1} on seeded uniform disk pairs; the target's K filter
+    rejects K < 1."""
     if variant not in ("sixteen", "sixtyfour"):
         raise UsageError(f"unknown variant {variant!r}")
     spec = SweepSpec(target=f"mori_radial_{16 if variant == 'sixteen' else 64}",

@@ -133,6 +133,12 @@ class TestSchottky:
         with pytest.raises(DomainError):
             schottky_classical(0.0, 1.0)
 
+    @pytest.mark.parametrize("ln_f0", [math.nan, math.inf, -math.inf])
+    def test_classical_non_finite_ln_f0(self, ln_f0):
+        # a non-finite ln|f(0)| gives no bound (NaN would pass through max)
+        with pytest.raises(DomainError, match="ln\\|f\\(0\\)\\| must be finite"):
+            schottky_classical(ln_f0, 0.5)
+
     def test_F_at_minus_one(self):
         # w = -1: q = 1/2, F = (1/2) ln 2
         v = schottky_F(-1.0)
@@ -144,6 +150,14 @@ class TestSchottky:
             schottky_F(0.0)
         with pytest.raises(DomainError):
             schottky_F(1.0)
+
+    @pytest.mark.parametrize("w", [complex(math.nan, 0.4), complex(math.inf, 0.4),
+                                   complex(-math.inf, 0.4), complex(0.3, math.nan),
+                                   complex(0.3, math.inf), complex(0.3, -math.inf)])
+    def test_F_non_finite_w(self, w):
+        # log and sqrt of a non-finite w give F = nan + nan i
+        with pytest.raises(DomainError, match="w must be finite"):
+            schottky_F(w)
 
     def test_sf_values(self):
         assert schottky_sf(0.0) == pytest.approx(math.exp(math.pi), rel=1e-14)
@@ -168,9 +182,12 @@ class TestSchottky:
     def test_growth_bound_config_validation(self):
         with pytest.raises(DomainError, match="theta"):
             f_growth_bound(1.0, theta=1.0)
-        for bad in ({"b1": 0.0}, {"d": 0.0}):
-            with pytest.raises(DomainError, match="must be positive"):
-                f_growth_bound(1.0, **bad)
+        # the message names the parameter (and the CLI flag) that is bad
+        for name in ("b1", "d"):
+            for bad in (0.0, -1.0, math.nan, math.inf):
+                with pytest.raises(DomainError, match=f"^{name} must be positive and finite, "
+                                                      f"got {bad!r}$"):
+                    f_growth_bound(1.0, **{name: bad})
 
     def test_f0_window_normalization(self):
         # already normalized: alpha < 1 < beta
@@ -180,6 +197,13 @@ class TestSchottky:
         assert schottky_f0_window(0.5, 1.0) == pytest.approx(math.log(4.0), rel=1e-14)
         with pytest.raises(DomainError):
             schottky_f0_window(0.0, 2.0)
+
+    @pytest.mark.parametrize("alpha, beta", [(math.inf, 2.0), (0.5, math.inf),
+                                             (math.nan, 2.0), (0.5, math.nan)])
+    def test_f0_window_non_finite(self, alpha, beta):
+        # alpha = inf would reach ln(1/(inf + 1)) = ln 0
+        with pytest.raises(DomainError, match="positive and finite"):
+            schottky_f0_window(alpha, beta)
 
 
 def grid_lattice_gap(resolution: float) -> float:
@@ -349,6 +373,21 @@ class TestQcSchwarz:
             with pytest.raises(DomainError):
                 qc_schwarz_bounds(bad_k, 0.5)
 
+    @pytest.mark.parametrize("k, z", [(1000.0, 0.5), (400.0, 0.5), (2.0, 1e-300),
+                                      (1e6, 0.99)])
+    def test_underflowing_lower_bound_raises(self, k, z):
+        # |z|^K P^{1-K} lies below the smallest normal double (at K = 400,
+        # |z| = 1/2 it is 5.5e-309), where 0.0 or a subnormal would be
+        # returned; eta_k and phi_k_product raise there too
+        with pytest.raises(DomainError, match="lower bound underflows.*smallest normal double"):
+            qc_schwarz_bounds(k, z)
+
+    def test_lower_bound_just_above_the_smallest_normal_double(self):
+        # 2^-399 P(1/2)^-398 = 3.2e-308, a normal double: returned
+        lo, hi = qc_schwarz_bounds(399.0, 0.5)
+        assert lo == pytest.approx(0.5 ** 399 * product_P(0.5) ** -398, rel=1e-12)
+        assert 2.2250738585072014e-308 < lo < 4e-308 and 0.5 < hi < product_P(0.5)
+
 
 class TestMori:
     def test_triple_angle_right_isoceles(self):
@@ -363,6 +402,14 @@ class TestMori:
         a, _ = triple_angle(*t, *t)
         assert a == pytest.approx(math.pi / 2.0, rel=1e-14)
 
+    @pytest.mark.parametrize("bad", [math.nan, complex(0.0, math.nan), math.inf, -math.inf])
+    def test_triple_points_finite(self, bad):
+        # min(1, NaN) is 1, so a NaN point would give an angle of pi/2
+        with pytest.raises(DomainError, match="must be finite"):
+            triple_angle(0.0, 1.0, 1.0j, 0.0, bad, 1.0j)
+        with pytest.raises(DomainError, match="must be finite"):
+            triple_angle(bad, 1.0, 1.0j, 0.0, 1.0, 1.0j)
+
     def test_triple_points_distinct(self):
         # a coincident pair in the source triple, then in the image triple
         for points in ((0.0, 0.0, 1.0, 0.0, 1.0, 1.0j), (0.0, 1.0, 1.0j, 0.0, 1.0j, 1.0j)):
@@ -373,6 +420,14 @@ class TestMori:
         assert mori_h(2.0, math.pi / 2.0) == pytest.approx(1.0, rel=1e-15)
         assert mori_h(2.0, math.pi / 6.0) == pytest.approx(
             0.5 ** (-0.5), rel=1e-14)
+
+    @pytest.mark.parametrize("k", [1e-16, 5e-324])
+    def test_mori_h_overflow_raises(self, k):
+        # sin(0.5)^(-1/K) is far beyond the largest double; at K = 5e-324,
+        # 1/K itself is infinite
+        with pytest.raises(DomainError, match=f"H overflows a double at K = {k!r}"):
+            mori_h(k, 0.5)
+        assert mori_h(k, math.pi / 2.0) == 1.0
 
     def test_sin_bound_and_clamp(self):
         raw = mori_sin_bound(2.0, math.pi / 2.0)

@@ -215,6 +215,45 @@ class TestGoldenCorpus:
         assert _run_captured(GOLDEN_COMMANDS[index]) == expected
 
 
+def _first_eval_entries() -> dict:
+    """Each registered function's first golden eval command with exit code 0."""
+    first: dict = {}
+    for e in json.loads(GOLDEN_PATH.read_text()):
+        argv = e["argv"]
+        if argv[:1] == ["eval"] and e["rc"] == 0:
+            first.setdefault(argv[1], argv)
+    return first
+
+
+def _extreme_value_cases() -> list:
+    """Each first eval command with one numeric flag set to an extreme."""
+    cases = []
+    for argv in _first_eval_entries().values():
+        for j in range(3, len(argv), 2):
+            try:
+                float(argv[j])
+            except ValueError:
+                continue                # a string flag, e.g. --variant
+            cases += [argv[:j] + [v] + argv[j + 1:]
+                      for v in ("nan", "inf", "-inf", "1e-300", "1e300")]
+    return cases
+
+
+def test_every_function_has_a_passing_eval_entry():
+    assert set(_first_eval_entries()) == set(FUNCTIONS) and len(FUNCTIONS) == 39
+
+
+@pytest.mark.parametrize("argv", _extreme_value_cases(), ids=" ".join)
+def test_extreme_flag_values_give_a_value_or_a_domain_error(argv):
+    # a library function either returns a number or raises DomainError:
+    # no traceback escapes main, and no NaN is printed as a result
+    result = _run_captured(argv)
+    if result["rc"] == 0:
+        assert "nan" not in result["out"].lower()
+    else:
+        assert result["rc"] == 1 and result["err"].startswith("domain error: ")
+
+
 class TestEval:
     def test_scalar(self, capsys):
         rc, out, _ = run_cli(capsys, "eval", "phi_k", "--k", "2", "--r", "0.25")

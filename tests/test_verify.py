@@ -2,6 +2,7 @@
 the planted-false sanity target, and configuration validation.
 """
 import cmath
+import dataclasses
 import hashlib
 import heapq
 import json
@@ -80,6 +81,38 @@ class TestRegistry:
         assert t.default_tol == 1e-12
         with pytest.raises(UsageError):
             target_info("no_such_target")
+
+    def test_axes_are_read_from_the_margins(self):
+        # the axes and pairwise flag each target sweeps come from its
+        # margin's parameters alone; Target holds no copy that could disagree
+        assert not {"axes", "pairwise_r"} & {f.name for f in dataclasses.fields(verify.Target)}
+        stated = {
+            "eq5_chain": ((), False),
+            "lemma2_item1": (("a", "r"), False),
+            "lemma2_item2": (("a", "r"), False),
+            "lemma2_item3": (("a", "r"), False),
+            "eq42_sandwich_literal": (("a", "r"), False),
+            "eq42_sandwich_cprime": (("a", "r"), False),
+            "eq48_c1_bracket": (("a",), False),
+            "lemma3_literal": (("a", "k", "r"), True),
+            "lemma3_corrected": (("a", "k", "r"), True),
+            "eq49_product_equality": (("k", "r"), False),
+            "eq54_sinbeta": (("k", "alpha"), False),
+            "eq55_sum_square": (("k", "alpha"), False),
+            "eq59_h_product": (("k", "alpha"), False),
+            "eq60_phi_4bound": (("k", "r"), False),
+            "eq61_phi_cos": (("k", "alpha"), False),
+            "eq62_ratio_infinitesimal": (("k", "alpha"), False),
+            "eq64_extremal_8": (("k", "r"), False),
+            "paper_phi_identity_literal": (("k", "r"), False),
+            "std_phi_identity": (("k", "r"), False),
+            "thm4_k1_equality": (("r",), False),
+            "mori_radial_16": (("k",), False),
+            "mori_radial_64": (("k",), False),
+            "planted_false": (("r",), False),
+        }
+        assert {n: (target_info(n).axes, target_info(n).pairwise_r)
+                for n in registry()} == stated
 
     def test_classifications(self):
         asserted = {n for n in registry() if target_info(n).classification == "asserted"}
@@ -183,12 +216,13 @@ def _stream(spec: SweepSpec) -> list:
     target = target_info(spec.target)
     grid = verify._param_list(target, spec)
     if target.sample is None:
-        return [(target.margin(p), p, None, None) for p in grid]
+        return [(target.margin(**p), p, None, None) for p in grid]
     points = [_reference_points(target.sample, spec.seed, i) for i in range(spec.samples)]
+    axes = target.axes
     rows = []
     for p in grid:
         for i, zs in enumerate(points):
-            [(m,)] = target.margin([zs], [p])
+            [(m,)] = target.margin([zs], **{name: [p[name]] for name in axes})
             rows.append((m, p, i, zs))
     return rows
 
@@ -272,8 +306,7 @@ class TestBlockStreaming:
         rs = verify._linspace(0.01, 0.99, 99)
         nan_rows = verify.Target(
             "nan_rows", "asserted",
-            lambda p: math.nan if 0.3 < p["r"] < 0.4 else (-1.0 if p["r"] > 0.9 else 1.0),
-            ("r",))
+            lambda r: math.nan if 0.3 < r < 0.4 else (-1.0 if r > 0.9 else 1.0))
         monkeypatch.setitem(verify._REGISTRY, "nan_rows", nan_rows)
         rep = sweep(SweepSpec(target="nan_rows"))
         nans = [r for r in rs if 0.3 < r < 0.4]
@@ -287,7 +320,7 @@ class TestBlockStreaming:
         assert all(m == -1.0 for _, m in rep.violations[9:])
 
     def test_all_nan_target_fails(self, monkeypatch):
-        all_nan = verify.Target("all_nan", "asserted", lambda p: math.nan, ("r",))
+        all_nan = verify.Target("all_nan", "asserted", lambda r: math.nan)
         monkeypatch.setitem(verify._REGISTRY, "all_nan", all_nan)
         rep = sweep(SweepSpec(target="all_nan"))
         assert rep.status == "fail" and rep.violation_count == 99
@@ -299,8 +332,7 @@ class TestBlockStreaming:
         sampler = target_info("eq5_chain").sample
         nan_near_0 = verify.Target(
             "nan_near_0", "asserted",
-            lambda zss, rows: [[math.nan if abs(z) < 0.08 else -1.0 for z, in zss]
-                               for _ in rows], (),
+            lambda zss: [[math.nan if abs(z) < 0.08 else -1.0 for z, in zss]],
             sample=sampler)
         monkeypatch.setitem(verify._REGISTRY, "nan_near_0", nan_near_0)
         spec = SweepSpec(target="nan_near_0", samples=2500)
@@ -322,8 +354,8 @@ class TestBlockStreaming:
         sampler = target_info("mori_radial_16").sample
         ties = verify.Target(
             "ties_across_blocks", "asserted",
-            lambda zss, rows: [[-1.0 if p["k"] == 2.0 or abs(z1) < 0.12 else 0.0
-                                for z1, _ in zss] for p in rows], ("k",), sample=sampler)
+            lambda zss, k: [[-1.0 if kj == 2.0 or abs(z1) < 0.12 else 0.0
+                             for z1, _ in zss] for kj in k], sample=sampler)
         monkeypatch.setitem(verify._REGISTRY, "ties_across_blocks", ties)
         spec = SweepSpec(target="ties_across_blocks", samples=2500, k_values=(1.0, 2.0))
         zss = verify._sampler(sampler, spec.seed)(0, 2500)
@@ -342,7 +374,7 @@ class TestBlockStreaming:
         # heapq.nsmallest
         sampler = target_info("mori_radial_16").sample
         ties = verify.Target("all_ties", "asserted",
-                             lambda zss, rows: [[-1.0] * len(zss) for _ in rows], ("k",),
+                             lambda zss, k: [[-1.0] * len(zss) for _ in k],
                              sample=sampler)
         monkeypatch.setitem(verify._REGISTRY, "all_ties", ties)
         calls = []
@@ -505,7 +537,7 @@ class TestBoundedReport:
     def test_ties_keep_the_earlier_rows(self, monkeypatch):
         # 90 rows tie at -1, then 9 worse rows at -2 evict the latest ties
         ties = verify.Target("ties", "asserted",
-                             lambda p: -2.0 if p["r"] > 0.9 else -1.0, ("r",))
+                             lambda r: -2.0 if r > 0.9 else -1.0)
         monkeypatch.setitem(verify._REGISTRY, "ties", ties)
         rep = sweep(SweepSpec(target="ties"))
         assert rep.violation_count == 99
@@ -590,7 +622,9 @@ class TestMoriExperiment:
         assert rep.min_margin >= 0.0
 
     def test_validation(self):
-        with pytest.raises(UsageError):
-            mori_radial_experiment(0.5)
+        # the target's K filter rejects K < 1 (and NaN), leaving nothing to sweep
+        for k in (0.5, math.nan):
+            with pytest.raises(UsageError, match="mori_radial_16.* k "):
+                mori_radial_experiment(k)
         with pytest.raises(UsageError):
             mori_radial_experiment(2.0, variant="thirtytwo")
