@@ -44,7 +44,10 @@ def rho_lower(z_abs: float) -> float:
     """Lower bound 1/(|z| (C - ln|z|)) for the punctured-disk Poincare metric."""
     if not (0.0 < z_abs < 1.0):
         raise DomainError(f"|z| must lie in (0,1), got {z_abs!r}")
-    return 1.0 / (z_abs * (LANDAU_C - math.log(z_abs)))
+    rho = 1.0 / (z_abs * (LANDAU_C - math.log(z_abs)))
+    if rho == math.inf:
+        raise DomainError(f"the bound overflows a double at |z| = {z_abs!r}")
+    return rho
 
 
 def zeta_map(z: complex) -> complex:
@@ -71,7 +74,10 @@ def sigma_metric(z: complex) -> float:
         raise DomainError("z must be finite, nonzero and off [1, inf)")
     w = cmath.sqrt(1.0 - z)
     a = abs(z)
-    return 1.0 / (a * abs(w) * (4.0 - math.log(a / abs(2.0 * (1.0 + w) - z))))
+    sigma = 1.0 / (a * abs(w) * (4.0 - math.log(a / abs(2.0 * (1.0 + w) - z))))
+    if sigma < sys.float_info.min:
+        raise DomainError(f"the density underflows below the smallest normal double at z = {z}")
+    return sigma
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +91,10 @@ def schottky_classical(ln_f0: float, z_abs: float) -> float:
         raise DomainError("|z| must lie in [0,1)")
     if not math.isfinite(ln_f0):
         raise DomainError(f"ln|f(0)| must be finite, got {ln_f0!r}")
-    return (LANDAU_C + max(ln_f0, 0.0)) * (1.0 + z_abs) / (1.0 - z_abs) - LANDAU_C
+    bound = (LANDAU_C + max(ln_f0, 0.0)) * (1.0 + z_abs) / (1.0 - z_abs) - LANDAU_C
+    if bound == math.inf:
+        raise DomainError(f"the bound overflows a double at ln|f(0)| = {ln_f0!r}, |z| = {z_abs!r}")
+    return bound
 
 
 def schottky_F(w: complex) -> complex:
@@ -176,8 +185,6 @@ def qc_schwarz_bounds(k: float, z_abs: float) -> tuple[float, float]:
     if not (1.0 <= k < math.inf):
         raise DomainError(f"K must be finite and >= 1, got {k!r}")
     _check_unit(z_abs)
-    if k == 1.0:
-        return z_abs, z_abs
     p = product_P(z_abs)
     lo = z_abs ** k * p ** (1.0 - k)
     if lo < sys.float_info.min:
@@ -244,8 +251,8 @@ def mori_holder_bound(k: float, dz_abs: float, variant: str = "sixteen") -> floa
     """Holder bound c^{1-1/K} |z2-z1|^{1/K} with c = 16 or 64."""
     if not (k >= 1.0):
         raise DomainError("K must be >= 1")
-    if not (dz_abs >= 0.0):
-        raise DomainError("|z2-z1| must be nonnegative")
+    if not (0.0 <= dz_abs < math.inf):
+        raise DomainError(f"|z2-z1| must be finite and nonnegative, got {dz_abs!r}")
     if variant == "sixteen":
         c = 16.0
     elif variant == "sixtyfour":

@@ -28,11 +28,10 @@ def _fmt(v) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Function registry.  Flags come from the signatures: a parameter annotated
-# float, complex or str is the flag --<name> (with _ -> -), optional when it
-# has a default.  A complex parameter takes --<name>-re/--<name>-im, or
-# --re/--im when it is the function's only one.  Other parameters keep their
-# defaults and get no flag.
+# Function registry.  Flags come from the signatures: every parameter is
+# annotated float, complex or str and is the flag --<name> (with _ -> -),
+# optional when it has a default.  A complex parameter takes
+# --<name>-re/--<name>-im, or --re/--im when it is the function's only one.
 # ---------------------------------------------------------------------------
 
 FUNCTIONS: dict = {fn.__name__: fn for fn in (
@@ -53,10 +52,9 @@ FUNCTIONS: dict = {fn.__name__: fn for fn in (
 
 
 def _params(fn) -> list[tuple[str, str, type, bool]]:
-    """(name, flag, type, optional) for each parameter the command line sets;
-    a complex parameter's flag is the one for its real part."""
-    params = [p for p in inspect.signature(fn, eval_str=True).parameters.values()
-              if p.annotation in (float, complex, str)]
+    """(name, flag, type, optional) for each parameter; a complex parameter's
+    flag is the one for its real part."""
+    params = inspect.signature(fn, eval_str=True).parameters.values()
     lone = [p.annotation for p in params].count(complex) == 1
     spec = []
     for p in params:

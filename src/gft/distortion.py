@@ -91,13 +91,10 @@ def phi_partial_k(a: float, k: float, r: float) -> float:
     return _ua(a, r, ra) / (k * k) * _neg_inv_du(a, s, sc * sc, ra, k, r)
 
 
-def lemma3_fk(a: float, k: float, r: float, literal: bool = False) -> float:
-    """Auxiliary function phi_K(a, r) * r^{-1/K} (monotone decreasing for K > 1).
+def lemma3_fk(a: float, k: float, r: float) -> float:
+    """Auxiliary function phi_K(a, r) * r^{-1/K}, monotone decreasing for K > 1.
 
-    With ``literal`` set, returns phi_K(a, r) * r^{+1/K} instead, the form as
-    printed; that form is increasing on (0,1) for K > 1 (endpoint limits 0 and
-    1), so the sign-corrected exponent is the default.
+    The exponent is sign-corrected: the printed r^{+1/K} gives a form that
+    increases on (0,1) for K > 1, which the lemma3_literal target measures.
     """
-    s = phi_ka(a, k, r).value
-    expo = 1.0 / k if literal else -1.0 / k
-    return s * r ** expo
+    return phi_ka(a, k, r).value * r ** (-1.0 / k)

@@ -72,8 +72,8 @@ def grotzsch_ua(a: float, r: float) -> float:
 
 
 def _ra(a: float) -> float:
-    # R(a), formed once per public call and passed down; ln 16 at a = 1/2,
-    # where only _invert_ua's saturation test reads it
+    # R(a), formed once per public call and passed down; ln 16 at a = 1/2, where
+    # _invert_ua's saturation test and the partials' connection sum read it
     return _LN16 if a == 0.5 else ramanujan_R(a)
 
 
@@ -267,28 +267,22 @@ class Lemma2Constants:
     """The six derived constants of the two-sided modulus bounds.
 
     Degenerate at a = 1/2, where c1 = c3 = 0 and c6 = c3/c1 is undefined
-    (reported as nan with the flag set) so parameter sweeps can include
-    the classical endpoint.
+    (reported as nan) so parameter sweeps can include the classical endpoint.
     """
 
-    a: float
     c1: float
     c2: float
     c3: float
     c4: float
     c5: float
     c6: float
-    degenerate: bool
 
 
 def lemma2_constants(a: float) -> Lemma2Constants:
     _check_param_a(a)
     if a == 0.5:
-        return Lemma2Constants(a=a, c1=0.0, c2=0.0, c3=0.0, c4=1.0, c5=1.0,
-                               c6=math.nan, degenerate=True)
+        return Lemma2Constants(0.0, 0.0, 0.0, 1.0, 1.0, math.nan)
     c1 = (ramanujan_R(a) - _LN16) / 2.0
     c2 = c1 / _LN4
     c3 = (1.0 - 2.0 * a) ** 2 / ((1.0 - a) * math.pi)
-    return Lemma2Constants(a=a, c1=c1, c2=c2, c3=c3,
-                           c4=math.exp(c1), c5=math.exp(c2), c6=c3 / c1,
-                           degenerate=False)
+    return Lemma2Constants(c1, c2, c3, math.exp(c1), math.exp(c2), c3 / c1)

@@ -37,9 +37,21 @@ def _check_param_a(a: float) -> float:
 # ---------------------------------------------------------------------------
 
 def agm(a: float, b: float) -> float:
-    """Arithmetic-geometric mean of two positive numbers."""
-    if not (a > 0.0 and b > 0.0):
-        raise DomainError(f"agm requires positive arguments, got ({a!r}, {b!r})")
+    """Arithmetic-geometric mean of two positive finite numbers.
+
+    The iterates' products lie in [ab, ((a+b)/2)^2]: where ab is a normal
+    double and a + b < 2^512, the loop never leaves the normal doubles.  Other
+    pairs take steps (a/2 + b/2, sqrt(a) sqrt(b)), which stay in the doubles,
+    until they lie within 2^1000 of each other (two steps at most), and then
+    agm(a, b) = 2^e agm(2^-e a, 2^-e b), exact for a power of two.
+    """
+    if not (2.0 ** -1022 <= a * b and 0.0 < a + b < 2.0 ** 512):
+        if not (0.0 < a < math.inf and 0.0 < b < math.inf):
+            raise DomainError(f"agm requires positive finite arguments, got ({a!r}, {b!r})")
+        while min(a, b) < max(a, b) * 2.0 ** -1000:
+            a, b = 0.5 * a + 0.5 * b, math.sqrt(a) * math.sqrt(b)
+        e = math.frexp(max(a, b))[1]
+        return math.ldexp(agm(math.ldexp(a, -e), math.ldexp(b, -e)), e)
     while abs(a - b) > 4.0 * _EPS * a:
         a, b = 0.5 * (a + b), math.sqrt(a * b)
     return 0.5 * (a + b)
@@ -62,8 +74,6 @@ def elliptic_e(r: float) -> float:
     """
     if not (0.0 <= r <= 1.0):
         raise DomainError("r must lie in [0,1]")
-    if r == 0.0:
-        return math.pi / 2.0
     if r == 1.0:
         return 1.0
     a, b = 1.0, math.sqrt(1.0 - r * r)
@@ -124,16 +134,13 @@ def _2f1_sym(a: float, x: float, y: float, ra: float | None = None) -> float:
     """F(a, 1-a; 1; x) given x and its complement y = 1 - x.
 
     The series runs for y >= 1/2, where x <= 1/2, and the connection sum for
-    y < 1/2; whichever of x and y a caller computes as 1 minus the other is
-    exact (Sterbenz) in the branch that reads it.  Only the connection sum
-    reads R(a): a caller that holds it passes it as ra, else it is formed
-    there.
+    y < 1/2, a = 1/2 included; whichever of x and y a caller computes as 1
+    minus the other is exact (Sterbenz) in the branch that reads it.  Only
+    the connection sum reads R(a): a caller that holds it passes it as ra,
+    else it is formed there.
     """
     if y >= 0.5:
         return _2f1_sym_series(a, x)
-    if a == 0.5:
-        # F(1/2,1/2;1;x) = (2/pi) kappa(sqrt(x)) = 1/agm(1, sqrt(1-x))
-        return 1.0 / agm(1.0, math.sqrt(y))
     f, g = _2f1_pair(a, y, ramanujan_R(a) if ra is None else ra)
     return math.sin(math.pi * a) / math.pi * (g - f * math.log(y))
 
@@ -171,6 +178,8 @@ def digamma(x: float) -> float:
     """psi(x) = Gamma'(x)/Gamma(x) for x > 0, to ~1e-15 absolute or 4 ulps."""
     if not (x > 0.0):
         raise DomainError(f"digamma requires x > 0, got {x!r}")
+    if not (2.0 ** -1024 < x < math.inf):  # psi(x) ~ -1/x, and ~ ln x as x -> inf
+        raise DomainError(f"digamma overflows a double at x = {x!r}")
     acc = 0.0
     while x < 8.0:
         acc -= 1.0 / x

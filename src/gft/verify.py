@@ -250,7 +250,7 @@ def _m_eq48(a: float) -> float:
 
 
 def _m_lemma3(a: float, k: float, r: float, r_next: float, literal: bool) -> float:
-    # lemma3_fk(a, k, r, literal) = phi_K(a, r) * r^{+-1/K}
+    # phi_K(a, r) * r^{-1/K} is lemma3_fk; the literal, printed form takes r^{+1/K}
     expo = 1.0 / k if literal else -1.0 / k
     return _phi_a(a, k, r) * r ** expo - _phi_a(a, k, r_next) * r_next ** expo
 
@@ -498,14 +498,8 @@ def sweep(spec: SweepSpec) -> InequalityReport:
         if bad:
             count += bad
             # the candidates: margins that violate or, once MAX_VIOLATIONS
-            # are kept, that rank below the worst kept one; a tie displaces
-            # it only from orders before its own, so only a block starting
-            # there may offer ties
-            if len(kept) < MAX_VIOLATIONS:
-                over = ok
-            else:
-                rank, order, _ = kept[-1]
-                over = rank.__le__ if base > order else rank.__lt__
+            # are kept, that rank at or below the worst kept one
+            over = ok if len(kept) < MAX_VIOLATIONS else kept[-1][0].__lt__
             picked = itertools.compress(zip(ms, itertools.count(base)),
                                         map(operator.not_, map(over, ms)))
             cand = [(_rank(m), o, m) for m, o in picked]

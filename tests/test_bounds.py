@@ -45,6 +45,11 @@ class TestMetricObjects:
             with pytest.raises(DomainError):
                 rho_lower(bad)
 
+    def test_rho_lower_overflow_raises(self):
+        # 1/(5e-324 (C + 744.4)) = 2.7e320 is beyond the doubles
+        with pytest.raises(DomainError, match="overflows a double"):
+            rho_lower(5e-324)
+
     def test_zeta_map_values(self):
         # z = -3: w = 2, zeta = 1/3
         assert zeta_map(-3.0) == pytest.approx(1.0 / 3.0, abs=1e-15)
@@ -116,6 +121,12 @@ class TestMetricObjects:
         with pytest.raises(DomainError):
             sigma_metric(1.5)
 
+    @pytest.mark.parametrize("z", [1e300 + 0.4j, 0.3 + 1e300j])
+    def test_sigma_metric_underflow_raises(self, z):
+        # the density is about 1/(4 |z|^{3/2}) = 2.5e-451, not 0.0
+        with pytest.raises(DomainError, match="underflows below the smallest normal double"):
+            sigma_metric(z)
+
 
 class TestSchottky:
     def test_classical_at_origin(self):
@@ -138,6 +149,10 @@ class TestSchottky:
         # a non-finite ln|f(0)| gives no bound (NaN would pass through max)
         with pytest.raises(DomainError, match="ln\\|f\\(0\\)\\| must be finite"):
             schottky_classical(ln_f0, 0.5)
+
+    def test_classical_overflow_raises(self):
+        with pytest.raises(DomainError, match="overflows a double"):
+            schottky_classical(1.7976931348623157e308, 0.5)
 
     def test_F_at_minus_one(self):
         # w = -1: q = 1/2, F = (1/2) ln 2
@@ -341,7 +356,8 @@ class TestEtaAndProductBound:
 
 class TestQcSchwarz:
     def test_degenerate_at_k1(self):
-        for z in (0.01, 0.37, 0.99):
+        # |z|^1 P^0 is |z| exactly, with no K = 1 case
+        for z in (1e-300, 0.01, 0.37, 0.99):
             lo, hi = qc_schwarz_bounds(1.0, z)
             assert lo == z and hi == z
 
@@ -374,7 +390,7 @@ class TestQcSchwarz:
                 qc_schwarz_bounds(bad_k, 0.5)
 
     @pytest.mark.parametrize("k, z", [(1000.0, 0.5), (400.0, 0.5), (2.0, 1e-300),
-                                      (1e6, 0.99)])
+                                      (1e6, 0.99), (1.0, 5e-324)])
     def test_underflowing_lower_bound_raises(self, k, z):
         # |z|^K P^{1-K} lies below the smallest normal double (at K = 400,
         # |z| = 1/2 it is 5.5e-309), where 0.0 or a subnormal would be
@@ -444,6 +460,10 @@ class TestMori:
             64.0 ** 0.5 * dz ** 0.5, rel=1e-14)
         with pytest.raises(DomainError):
             mori_holder_bound(k, dz, "thirtytwo")
+
+    def test_holder_bound_infinite_distance_raises(self):
+        with pytest.raises(DomainError, match="finite and nonnegative"):
+            mori_holder_bound(2.0, math.inf)
 
     def test_holder_bound_k1_is_identity(self):
         assert mori_holder_bound(1.0, 0.3) == pytest.approx(0.3, rel=1e-15)

@@ -10,6 +10,7 @@ CHANGES.md then lists it.
 import contextlib
 import csv
 import hashlib
+import inspect
 import io
 import json
 import math
@@ -235,8 +236,17 @@ def _extreme_value_cases() -> list:
             except ValueError:
                 continue                # a string flag, e.g. --variant
             cases += [argv[:j] + [v] + argv[j + 1:]
-                      for v in ("nan", "inf", "-inf", "1e-300", "1e300")]
+                      for v in ("nan", "inf", "-inf", "1e-300", "1e300",
+                                "5e-324", "1.7976931348623157e308")]
     return cases
+
+
+def test_every_parameter_is_a_flag():
+    # _params makes every parameter a flag; a parameter of another type
+    # (say a bool) would be converted wrongly, so none may exist
+    for name, fn in FUNCTIONS.items():
+        for p in inspect.signature(fn, eval_str=True).parameters.values():
+            assert p.annotation in (float, complex, str), (name, p.name)
 
 
 def test_every_function_has_a_passing_eval_entry():
@@ -245,11 +255,14 @@ def test_every_function_has_a_passing_eval_entry():
 
 @pytest.mark.parametrize("argv", _extreme_value_cases(), ids=" ".join)
 def test_extreme_flag_values_give_a_value_or_a_domain_error(argv):
-    # a library function either returns a number or raises DomainError:
-    # no traceback escapes main, and no NaN is printed as a result
+    # a library function either returns a finite number or raises
+    # DomainError: no traceback escapes main, and no NaN or infinity is
+    # printed as a result.  The one exception is schottky_sf, which documents
+    # inf where S_f overflows (golden entry "eval schottky_sf --f-abs 500")
     result = _run_captured(argv)
     if result["rc"] == 0:
         assert "nan" not in result["out"].lower()
+        assert argv[1] == "schottky_sf" or "inf" not in result["out"].lower()
     else:
         assert result["rc"] == 1 and result["err"].startswith("domain error: ")
 

@@ -19,6 +19,7 @@ from gft import (
     grotzsch_ua,
     grotzsch_ua_inv,
     lemma3_fk,
+    margin_at,
     phi_k,
     phi_k_product,
     phi_ka,
@@ -229,12 +230,15 @@ class TestLemma3Fk:
                 assert all(x >= y - 1e-9 for x, y in zip(vals, vals[1:]))
 
     def test_literal_form_increasing(self):
-        # the as-printed exponent gives an increasing function instead
-        vals = [lemma3_fk(0.25, 2.0, float(r), literal=True) for r in R_GRID]
-        assert all(x <= y + 1e-9 for x, y in zip(vals, vals[1:]))
+        # the as-printed exponent gives an increasing function instead: the
+        # lemma3_literal margin f(r) - f(r_next) is never positive
+        for r, r_next in zip(R_GRID, R_GRID[1:]):
+            p = {"a": 0.25, "k": 2.0, "r": float(r), "r_next": float(r_next)}
+            assert margin_at("lemma3_literal", p) <= 1e-9
 
     def test_forms_differ(self):
-        assert lemma3_fk(0.25, 2.0, 0.5) != lemma3_fk(0.25, 2.0, 0.5, literal=True)
+        p = {"a": 0.25, "k": 2.0, "r": 0.5, "r_next": 0.51}
+        assert margin_at("lemma3_literal", p) != margin_at("lemma3_corrected", p)
 
 
 class TestDomains:

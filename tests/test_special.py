@@ -7,6 +7,7 @@ quadrature at test time.
 """
 import math
 import random
+import sys
 
 import mpmath
 import numpy as np
@@ -29,6 +30,7 @@ from gft import (
     gauss_2f1_sym,
     landau_constant,
     ramanujan_R,
+    special,
 )
 
 R_GRID = np.linspace(0.0, 0.999, 99)
@@ -60,6 +62,42 @@ class TestAgm:
 
     def test_homogeneity(self):
         assert agm(2.0, 0.6) == pytest.approx(2.0 * agm(1.0, 0.3), rel=1e-14)
+
+    @pytest.mark.parametrize("a, b, expected", [
+        # 40-digit mpmath agm; at each, a * b or the iterates leave the doubles
+        (5e-324, 0.5, "1.054037242285393897e-3"),
+        (1e300, 0.5, "2.267135830843118672e297"),
+        (1.0, 1e300, "2.269406194157821395e297"),
+        (1e-300, 2e-300, "1.456791031046906899e-300"),
+        (1e300, 5e-324, "1.093411009102638058e297"),
+    ])
+    def test_extreme_arguments(self, a, b, expected):
+        want = float(expected)
+        assert abs(agm(a, b) - want) <= 2.0 * math.ulp(want)
+
+    @pytest.mark.parametrize("a, b", [(math.inf, 0.5), (0.5, math.inf),
+                                      (math.nan, 0.5), (0.5, math.nan)])
+    def test_non_finite_arguments(self, a, b):
+        with pytest.raises(DomainError, match="positive finite"):
+            agm(a, b)
+
+    def test_seeded_exponent_range(self):
+        # a, b = m 2^e over every exponent of the doubles, subnormals included,
+        # against 40-digit mpmath; where a * b is a normal double and
+        # a + b < 2^512 the result is the plain loop's, bit for bit
+        rng = random.Random(20261019)
+        with mpmath.workdps(40):
+            for _ in range(2000):
+                a, b = (math.ldexp(rng.uniform(0.5, 1.0), rng.randint(-1073, 1024))
+                        for _ in range(2))
+                want = float(mpmath.agm(a, b))
+                got = agm(a, b)
+                assert abs(got - want) <= 4.0 * math.ulp(want), (a, b)
+                if sys.float_info.min <= a * b and a + b < 2.0 ** 512:
+                    x, y = a, b
+                    while abs(x - y) > 4.0 * sys.float_info.epsilon * x:
+                        x, y = 0.5 * (x + y), math.sqrt(x * y)
+                    assert got == 0.5 * (x + y), (a, b)
 
 
 class TestEllipticIntegrals:
@@ -144,6 +182,18 @@ class TestGauss2F1:
     def test_at_zero(self):
         assert gauss_2f1_sym(0.25, 0.0) == 1.0
 
+    def test_half_connection_sum_mpmath(self):
+        # F(1/2,1/2;1;x) above x = 1/2 comes from the connection sum, as at
+        # every other a: seeded y = 1 - x log-uniform on [1e-30, 1/2], against
+        # 60-digit mpmath, which holds 1 - y exactly
+        rng = random.Random(20261019)
+        with mpmath.workdps(60):
+            for _ in range(300):
+                y = 10.0 ** rng.uniform(-30.0, math.log10(0.5))
+                x = 1.0 - y
+                want = float(mpmath.hyp2f1(0.5, 0.5, 1, 1 - mpmath.mpf(y)))
+                assert special._2f1_sym(0.5, x, y) == pytest.approx(want, rel=1e-15, abs=0.0)
+
     def test_half_reduces_to_agm(self):
         # F(1/2,1/2;1;x) = 1/agm(1, sqrt(1-x))
         for x in (0.1, 0.5, 0.9, 0.99, 0.9999):
@@ -179,6 +229,16 @@ class TestGauss2F1:
 
 
 class TestDigamma:
+    @pytest.mark.parametrize("x", [5e-324, 2.0 ** -1024, math.inf])
+    def test_beyond_the_doubles(self, x):
+        # psi(5e-324) = -2.0e323; psi(x) -> inf as x -> inf
+        with pytest.raises(DomainError, match="overflows a double"):
+            digamma(x)
+
+    def test_just_inside_the_doubles(self):
+        x = 2.0 ** -1024 + 5e-324
+        assert digamma(x) == pytest.approx(-1.0 / x, rel=1e-15)
+
     @pytest.mark.parametrize("x, expected", [
         (0.25, -4.2274535333762654),
         (1.0, -0.5772156649015329),

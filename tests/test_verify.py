@@ -4,7 +4,6 @@ the planted-false sanity target, and configuration validation.
 import cmath
 import dataclasses
 import hashlib
-import heapq
 import json
 import math
 import struct
@@ -20,6 +19,7 @@ from gft import (
     lemma3_fk,
     margin_at,
     mori_radial_experiment,
+    phi_ka,
     registry,
     run_suite,
     suite_failed,
@@ -60,11 +60,14 @@ def test_one_memo_cache():
 
 
 def test_lemma3_margins_match_lemma3_fk():
-    # the margins scale the shared phi_{K,a}(r) by r^{+-1/K} themselves
+    # the margins scale the shared phi_{K,a}(r) by r^{+-1/K} themselves; the
+    # corrected one is lemma3_fk's, the literal one the printed r^{+1/K}
     p = {"a": 0.25, "k": 2.0, "r": 0.3, "r_next": 0.31}
-    for name, literal in (("lemma3_literal", True), ("lemma3_corrected", False)):
-        want = lemma3_fk(0.25, 2.0, 0.3, literal) - lemma3_fk(0.25, 2.0, 0.31, literal)
-        assert margin_at(name, p) == want
+    want = lemma3_fk(0.25, 2.0, 0.3) - lemma3_fk(0.25, 2.0, 0.31)
+    assert margin_at("lemma3_corrected", p) == want
+    want = (phi_ka(0.25, 2.0, 0.3).value * 0.3 ** 0.5
+            - phi_ka(0.25, 2.0, 0.31).value * 0.31 ** 0.5)
+    assert margin_at("lemma3_literal", p) == want
 
 
 class TestRegistry:
@@ -367,38 +370,20 @@ class TestBlockStreaming:
             [(1.0, i) for i in k1[:verify.MAX_VIOLATIONS]])
         assert rep.argmin["k"] == 1.0 and rep.argmin["i"] == k1[0]
 
-    def test_ties_after_the_worst_kept_are_no_candidates(self, monkeypatch):
+    def test_ties_after_the_worst_kept_do_not_displace_it(self, monkeypatch):
         # every margin ties at -1, so block 0 of row K = 1 fills the kept list
-        # with orders 0-19; no later (row, block) segment starts before order
-        # 19, so none of its ties can displace a kept one and none may reach
-        # heapq.nsmallest
+        # with orders 0-19; every later tie comes after them in (row, index)
+        # order, so none displaces a kept one
         sampler = target_info("mori_radial_16").sample
         ties = verify.Target("all_ties", "asserted",
                              lambda zss, k: [[-1.0] * len(zss) for _ in k],
                              sample=sampler)
         monkeypatch.setitem(verify._REGISTRY, "all_ties", ties)
-        calls = []
-        nsmallest = heapq.nsmallest
-
-        def spy(n, iterable):
-            items = list(iterable)
-            kept = nsmallest(n, items)
-            calls.append((items, kept))
-            return kept
-        monkeypatch.setattr(heapq, "nsmallest", spy)
         spec = SweepSpec(target="all_ties", samples=2500, k_values=(1.0, 2.0))
         rep = sweep(spec)
         assert rep.violation_count == 5000
         assert [(p["k"], p["i"]) for p, _ in rep.violations] == [
             (1.0, i) for i in range(verify.MAX_VIOLATIONS)]
-        assert calls
-        kept_before: list = []
-        for items, kept in calls:
-            if len(kept_before) == verify.MAX_VIOLATIONS:
-                worst = kept_before[-1]
-                assert all(c[:2] < worst[:2] for c in items[len(kept_before):])
-            kept_before = kept
-        assert len(calls) == 1
 
     def test_empty_sweep_raises(self):
         # K < 1 is filtered out of eq60, a = 1/2 out of lemma2_item2: nothing
