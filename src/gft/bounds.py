@@ -12,6 +12,8 @@ from .special import LANDAU_C, DomainError
 from .modulus import _PI2_4, _check_unit, _checked_exp, _log_P, grotzsch_u, product_P
 from .distortion import _check_k
 
+_NORMAL_MIN = sys.float_info.min
+
 #: Classical lower bound for Bloch's constant, sqrt(3)/4.
 BLOCH_B1 = math.sqrt(3.0) / 4.0
 
@@ -44,7 +46,10 @@ def rho_lower(z_abs: float) -> float:
     """Lower bound 1/(|z| (C - ln|z|)) for the punctured-disk Poincare metric."""
     if not (0.0 < z_abs < 1.0):
         raise DomainError(f"|z| must lie in (0,1), got {z_abs!r}")
-    rho = 1.0 / (z_abs * (LANDAU_C - math.log(z_abs)))
+    t = LANDAU_C - math.log(z_abs)
+    d = z_abs * t
+    # a subnormal product loses bits before the reciprocal: divide twice there
+    rho = 1.0 / d if d >= _NORMAL_MIN else 1.0 / t / z_abs
     if rho == math.inf:
         raise DomainError(f"the bound overflows a double at |z| = {z_abs!r}")
     return rho
@@ -55,14 +60,21 @@ def zeta_map(z: complex) -> complex:
     0 and symmetric about the real axis.  As w - 1 = -z/(1 + w) and
     (1 + w)^2 = 2(1 + w) - z exactly, it is -z/(2(1 + w) - z), which does not
     cancel near z = 0.  Where |zeta| rounds above 1 (the true 1 - |zeta| ~
-    2/sqrt|z| is then below an ulp), zeta/|zeta| keeps it in the closed disk."""
+    2/sqrt|z| is then below an ulp), zeta/|zeta| keeps it in the closed disk.
+    Near the largest doubles the quotient's own scaling overflows to NaN;
+    there zeta = -1/(2(1 + w)/z - 1), with 2(1 + w)/z ~ 2/sqrt|z| tiny."""
     z = complex(z)
     if _off_domain(z):
         raise DomainError("z must be finite and off the cut [1, inf)")
+    w = cmath.sqrt(1.0 - z)
     # 0 - z, not -z, keeps a real z's +0.0 imaginary part
-    zeta = (0.0 - z) / (2.0 * (1.0 + cmath.sqrt(1.0 - z)) - z)
+    zeta = (0.0 - z) / (2.0 * (1.0 + w) - z)
     m = abs(zeta)
-    return zeta / m if m > 1.0 else zeta
+    if m <= 1.0:
+        return zeta
+    if m < math.inf:
+        return zeta / m
+    return -1.0 / ((1.0 + w) / (0.5 * z) - 1.0)  # 0.5 z: no overflow in the division
 
 
 def sigma_metric(z: complex) -> float:
@@ -73,10 +85,16 @@ def sigma_metric(z: complex) -> float:
     if z == 0 or _off_domain(z):
         raise DomainError("z must be finite, nonzero and off [1, inf)")
     w = cmath.sqrt(1.0 - z)
-    a = abs(z)
-    sigma = 1.0 / (a * abs(w) * (4.0 - math.log(a / abs(2.0 * (1.0 + w) - z))))
-    if sigma < sys.float_info.min:
-        raise DomainError(f"the density underflows below the smallest normal double at z = {z}")
+    try:
+        a = abs(z)
+        sigma = 1.0 / (a * abs(w) * (4.0 - math.log(a / abs(2.0 * (1.0 + w) - z))))
+    except OverflowError:  # |z| beyond the largest double: sigma ~ |z|^-1.5 is far below
+        sigma = 0.0
+    except ValueError:     # |zeta| underflows to 0: sigma ~ 1/(|z| ln(4/|z|)) is far above
+        sigma = math.inf
+    if not _NORMAL_MIN <= sigma < math.inf:
+        what = "overflows a double" if sigma else "underflows below the smallest normal double"
+        raise DomainError(f"the density {what} at z = {z}")
     return sigma
 
 
@@ -187,7 +205,7 @@ def qc_schwarz_bounds(k: float, z_abs: float) -> tuple[float, float]:
     _check_unit(z_abs)
     p = product_P(z_abs)
     lo = z_abs ** k * p ** (1.0 - k)
-    if lo < sys.float_info.min:
+    if lo < _NORMAL_MIN:
         raise DomainError(f"the lower bound underflows below the smallest "
                           f"normal double at K = {k!r}, |z| = {z_abs!r}")
     return lo, z_abs ** (1.0 / k) * p ** (1.0 - 1.0 / k)

@@ -220,8 +220,9 @@ def _log_P(y: float) -> float:
     """ln P(s) = ln s' + u(s') for the s with u(s) = y, u(s') = pi^2/(4y).
 
     Of s and s', the one below 1/sqrt2 comes from its nome, the other by
-    sqrt(1 - s^2), so s is never formed where it rounds towards 1."""
-    x = _PI2_4 / y
+    sqrt(1 - s^2), so s is never formed where it rounds towards 1.  y = 0 is
+    s = 1, where x = inf gives ln P(1) = ln 4."""
+    x = _PI2_4 / y if y > 0.0 else math.inf
     if x >= math.pi / 2.0:
         return math.log(_nome_scale(x))
     s = math.exp(-y) * _nome_scale(y)
@@ -230,12 +231,21 @@ def _log_P(y: float) -> float:
 
 def product_P(r: float) -> float:
     """P(r) = prod_{n>=0} (1 + r_n)^{2^-n} over the ascending Landen sequence,
-    in closed form r' e^{u(r')}; P(1) = 4, the limit, is accepted."""
+    in closed form r' e^{u(r')}; P(1) = 4, the limit, is accepted.
+
+    Above 1/sqrt2, e^{-2u(r')} is the nome q of r', and Jacobi's series
+    q = eps (1 + 2e + 15e^2 + 150e^3 + 1707e^4 + ...), e = eps^4, with
+    eps = (1 - sqrt r)/(2(1 + sqrt r)) = r'^2/m^2, m = (1 + sqrt r) sqrt(2(1 + r)),
+    gives P = r'/sqrt(q) = m/sqrt(1 + 2e + ...).  There eps <= 0.044, and the
+    first dropped term, 20910 e^5, is below 1e-22.
+    """
     if not (0.0 < r <= 1.0):
         raise DomainError(f"r must lie in (0,1], got {r!r}")
-    if r == 1.0:
-        return 4.0
-    return math.exp(_log_P(grotzsch_u(r)))
+    if r <= _SQRT_HALF:
+        return math.exp(_log_P(grotzsch_u(r)))
+    m = (1.0 + math.sqrt(r)) * math.sqrt(2.0 * (1.0 + r))
+    e = ((1.0 - r) * (1.0 + r) / (m * m)) ** 4
+    return m / math.sqrt(1.0 + e * (2.0 + e * (15.0 + e * (150.0 + e * 1707.0))))
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,9 @@ def agm(a: float, b: float) -> float:
             a, b = 0.5 * a + 0.5 * b, math.sqrt(a) * math.sqrt(b)
         e = math.frexp(max(a, b))[1]
         return math.ldexp(agm(math.ldexp(a, -e), math.ldexp(b, -e)), e)
-    while abs(a - b) > 4.0 * _EPS * a:
+    # M(a, b) = m (1 - h^2/4 - 5h^4/64 - ...) with m = (a+b)/2, h = (a-b)/(a+b):
+    # once |a - b| <= 2^-26 a, m is M to within 2^-56 relative
+    while abs(a - b) > 2.0 ** -26 * a:
         a, b = 0.5 * (a + b), math.sqrt(a * b)
     return 0.5 * (a + b)
 
@@ -80,6 +82,7 @@ def elliptic_e(r: float) -> float:
     c = r
     csum = 0.5 * c * c
     pow2 = 0.5
+    # not agm's 2^-26 stop: the c-sum still reads the next terms' 2^n c_n^2
     while abs(a - b) > 4.0 * _EPS * a:
         a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
         pow2 *= 2.0
@@ -92,17 +95,21 @@ def elliptic_e(r: float) -> float:
 # ---------------------------------------------------------------------------
 
 def _2f1_sym_series(a: float, x: float) -> float:
-    # Direct term recurrence, used for x <= 1/2 (under 50 terms there).
+    # Direct term recurrence, used for x <= 1/2 (under 50 terms there): the
+    # k-th term is the last times t x/k^2, t = (a+k-1)(k-a) = k(k-1) + a(1-a),
+    # which steps by 2k.
     term = 1.0
     total = 1.0
-    n = 0
+    t = a * (1.0 - a)
+    k = 1.0
     while True:
-        term *= (a + n) * (1.0 - a + n) / ((n + 1.0) * (n + 1.0)) * x
+        term *= t / (k * k) * x
         total += term
-        n += 1
         if term < 1e-16 * total:
             return total
-        if n > 20_000_000:  # pragma: no cover - unreachable for x <= 1/2
+        t += 2.0 * k
+        k += 1.0
+        if k > 20_000_000.0:  # pragma: no cover - unreachable for x <= 1/2
             raise RuntimeError("hypergeometric series failed to converge")
 
 
@@ -110,23 +117,29 @@ def _2f1_pair(a: float, x: float, ra: float) -> tuple[float, float]:
     # (F(x), B(x)) for x <= 1/2 from one loop, given ra = R(a): F = sum p_n x^n
     # and B = sum p_n b_n x^n, p_n = (a)_n (1-a)_n / (n!)^2,
     # b_n = 2 psi(n+1) - psi(a+n) - psi(1-a+n), so b_0 = R(a) and
-    # b_{n+1} = b_n + 2/(n+1) - 1/(a+n) - 1/(1-a+n).  Every term is positive
-    # (b_n > 0), and DLMF 15.8.10 gives F(1-x) = (sin(pi a)/pi)(B - F ln x).
+    # b_k = b_{k-1} + 2/k - 1/(a+k-1) - 1/(k-a).  With c = a(1-a) and
+    # t = (a+k-1)(k-a) = k(k-1) + c, which steps by 2k, p_k = p_{k-1} t x/k^2,
+    # the pair is (2k-1)/t and the step (2c - k)/(k t): one division, no
+    # cancellation.  Every term is positive (b_n > 0), and DLMF 15.8.10 gives
+    # F(1-x) = (sin(pi a)/pi)(B - F ln x).
     # b_n -> 0 like 1/n, so a stop on the B terms alone would end F early.
     p = 1.0
     b = ra
     f = 1.0
     g = b
-    n = 0.0
+    t = a * (1.0 - a)
+    c2 = 2.0 * t
+    k = 1.0
     while True:
-        p *= (a + n) * (1.0 - a + n) / ((n + 1.0) * (n + 1.0)) * x
-        b += 2.0 / (n + 1.0) - 1.0 / (a + n) - 1.0 / (1.0 - a + n)
+        p *= t / (k * k) * x
+        b += (c2 - k) / (k * t)
         f += p
         g += p * b
-        n += 1.0
         if p < 1e-17 * f and p * b < 1e-17 * g:
             return f, g
-        if n > 500.0:  # pragma: no cover - x <= 1/2 converges in under 50 terms
+        t += 2.0 * k
+        k += 1.0
+        if k > 500.0:  # pragma: no cover - x <= 1/2 converges in under 50 terms
             raise RuntimeError("hypergeometric series failed to converge")
 
 
@@ -180,11 +193,14 @@ def digamma(x: float) -> float:
         raise DomainError(f"digamma requires x > 0, got {x!r}")
     if not (2.0 ** -1024 < x < math.inf):  # psi(x) ~ -1/x, and ~ ln x as x -> inf
         raise DomainError(f"digamma overflows a double at x = {x!r}")
-    acc = 0.0
-    while x < 8.0:
-        acc -= 1.0 / x
-        x += 1.0
-    return acc + math.log(x) - _psi_tail(x)
+    if x >= 8.0:
+        return math.log(x) - _psi_tail(x)
+    # psi(x) = psi(x+8) - sum_{k=0}^{7} 1/(x+k), with k paired with 8-k:
+    # 1/(x+k) + 1/(x+8-k) = (2x+8)/(c + k(8-k)), c = x(x+8); 1/x stays last
+    c = x * (x + 8.0)
+    pairs = 1.0 / (c + 15.0) + 1.0 / (c + 12.0) + 1.0 / (c + 7.0)
+    return (math.log(x + 8.0) - _psi_tail(x + 8.0) - 1.0 / (x + 4.0)
+            - (2.0 * x + 8.0) * pairs) - 1.0 / x
 
 
 def euler_gamma() -> float:

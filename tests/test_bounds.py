@@ -33,6 +33,8 @@ from gft import (
     zeta_map,
 )
 
+M = 1.7976931348623157e308   # the largest double
+
 
 class TestMetricObjects:
     def test_rho_lower_formula(self):
@@ -49,6 +51,23 @@ class TestMetricObjects:
         # 1/(5e-324 (C + 744.4)) = 2.7e320 is beyond the doubles
         with pytest.raises(DomainError, match="overflows a double"):
             rho_lower(5e-324)
+
+    def test_rho_lower_subnormal_band_mpmath(self):
+        # where |z| (C - ln|z|) is subnormal, 1/(C - ln|z|)/|z| keeps the bits
+        # the product would lose: 2,000 seeded |z| log-uniform on
+        # [7.8e-312, 3e-311], against 40-digit mpmath (4.8 ulps with the product)
+        import mpmath
+        rng = np.random.default_rng(20261025)
+        with mpmath.workdps(40):
+            for z in np.exp(rng.uniform(math.log(7.8e-312), math.log(3e-311), 2000)):
+                z = float(z)
+                expected = 1 / (mpmath.mpf(z) * (mpmath.mpf(LANDAU_C) - mpmath.log(z)))
+                assert abs(rho_lower(z) - expected) <= 2.5 * math.ulp(float(expected)), z
+
+    def test_rho_lower_keeps_its_bits_off_the_band(self):
+        # elsewhere the one product and one division stay, bit for bit
+        for z in (7.2e-309, 2.3e-308, 1e-300, 1e-20, 0.5, 0.999):
+            assert rho_lower(z) == 1.0 / (z * (LANDAU_C - math.log(z)))
 
     def test_zeta_map_values(self):
         # z = -3: w = 2, zeta = 1/3
@@ -125,6 +144,29 @@ class TestMetricObjects:
     def test_sigma_metric_underflow_raises(self, z):
         # the density is about 1/(4 |z|^{3/2}) = 2.5e-451, not 0.0
         with pytest.raises(DomainError, match="underflows below the smallest normal double"):
+            sigma_metric(z)
+
+    @pytest.mark.parametrize("z", [complex(-M, -M), complex(M, M), complex(-M, M),
+                                   complex(0.0, -M), complex(-M, 0.0)])
+    def test_largest_doubles(self, z):
+        # near the largest doubles |z| overflows in sigma, and the quotient's
+        # own scaling overflows to NaN in zeta: sigma ~ |z|^-1.5 raises its
+        # underflow, and zeta ~ 1 + 2(1 + w)/z keeps its tiny imaginary part
+        import mpmath
+        with pytest.raises(DomainError, match="underflows below the smallest normal double"):
+            sigma_metric(z)
+        with mpmath.workdps(40):
+            # (w - 1)/(w + 1) = 1 - 2/(w + 1): its imaginary part is that of
+            # 2/(w + 1) alone, with no cancellation at any precision
+            expected = complex(1 - 2 / (1 + mpmath.sqrt(1 - mpmath.mpc(z))))
+        zeta = zeta_map(z)
+        assert abs(zeta) <= 1.0 and abs(zeta - expected) <= 1e-15
+        assert zeta.imag == pytest.approx(expected.imag, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("z", [5e-324 + 5e-324j, 1e-320, 1e-315j])
+    def test_sigma_metric_overflow_raises(self, z):
+        # sigma ~ 1/(|z| (4 + ln(4/|z|))) lies beyond the largest double
+        with pytest.raises(DomainError, match="density overflows a double"):
             sigma_metric(z)
 
 
@@ -334,7 +376,9 @@ class TestEtaAndProductBound:
         with pytest.raises(DomainError, match="overflows"):
             fn(k, 0.5)
 
-    @pytest.mark.parametrize("fn, k, r", [(eta_k, 1e-300, 0.5), (theorem3_sfk, 1 / 16, 1e-300)])
+    @pytest.mark.parametrize("fn, k, r", [(eta_k, 1e-300, 0.5), (theorem3_sfk, 1 / 16, 1e-300),
+                                          (eta_k, 5e-324, 5e-324), (theorem3_sfk, 5e-324, 5e-324),
+                                          (theorem3_sfk, 5e-324, 0.5)])
     def test_underflow_raises(self, fn, k, r):
         # the bound lies below the smallest normal double: DomainError, as
         # phi_k raises, rather than 0.0 or a subnormal

@@ -226,19 +226,27 @@ def _first_eval_entries() -> dict:
     return first
 
 
+EXTREME_VALUES = ("nan", "inf", "-inf", "1e-300", "1e300", "5e-324",
+                  "1.7976931348623157e308")
+
+
 def _extreme_value_cases() -> list:
-    """Each first eval command with one numeric flag set to an extreme."""
-    cases = []
+    """Each first eval command with one numeric flag set to an extreme, and,
+    where it has several, with all of them set to the same extreme at once."""
+    cases, together = [], []
     for argv in _first_eval_entries().values():
+        numeric = []
         for j in range(3, len(argv), 2):
             try:
                 float(argv[j])
             except ValueError:
                 continue                # a string flag, e.g. --variant
-            cases += [argv[:j] + [v] + argv[j + 1:]
-                      for v in ("nan", "inf", "-inf", "1e-300", "1e300",
-                                "5e-324", "1.7976931348623157e308")]
-    return cases
+            numeric.append(j)
+            cases += [argv[:j] + [v] + argv[j + 1:] for v in EXTREME_VALUES]
+        if len(numeric) > 1:
+            for v in EXTREME_VALUES:
+                together.append([v if j in numeric else x for j, x in enumerate(argv)])
+    return cases + together
 
 
 def test_every_parameter_is_a_flag():

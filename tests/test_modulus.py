@@ -4,6 +4,7 @@ mpmath evaluation of pi/(2 sin pi a) * F(a,1-a;1;r'^2)/F(a,1-a;1;r^2).
 """
 import dataclasses
 import math
+import random
 
 import mpmath
 import numpy as np
@@ -141,6 +142,23 @@ class TestGrotzschUa:
         # F early and puts u_a 5.6e-15 off here
         assert grotzsch_ua(0.0125, 0.7735) == pytest.approx(
             self._mpmath_ua(0.0125, 0.7735), rel=2e-15, abs=0.0)
+
+    def test_seeded_set_no_worse_than_before_the_t_recurrence(self):
+        # 600 seeded (a, r), a uniform on (0.01, 0.49), r half uniform on
+        # (0, 1 - 1e-6) and half 1 - 10^-U(0, 6), against 40-digit mpmath;
+        # the worst error stays at the 1.097e-15 of the direct products
+        rng = random.Random(20261017)
+        worst = 0.0
+        with mpmath.workdps(40):
+            for i in range(600):
+                a = rng.uniform(0.01, 0.49)
+                r = rng.uniform(0.0, 1.0 - 1e-6) if i % 2 else 1.0 - 10.0 ** -rng.uniform(0.0, 6.0)
+                am, rm = mpmath.mpf(a), mpmath.mpf(r)
+                expected = (mpmath.pi / (2 * mpmath.sin(mpmath.pi * am))
+                            * mpmath.hyp2f1(am, 1 - am, 1, (1 - rm) * (1 + rm))
+                            / mpmath.hyp2f1(am, 1 - am, 1, rm * rm))
+                worst = max(worst, float(abs(grotzsch_ua(a, r) / expected - 1)))
+        assert worst <= 1.1e-15
 
     def test_continuous_at_the_symmetric_point(self):
         # the series below 1/sqrt2 and the complement identity above it
@@ -286,6 +304,45 @@ class TestProductP:
     def test_limit_at_one(self):
         assert product_P(1.0 - 1e-12) == pytest.approx(4.0, abs=1e-11)
         assert product_P(1.0) == 4.0  # the limit, accepted at r = 1
+
+    @staticmethod
+    def _mpmath_P(r: float) -> mpmath.mpf:
+        # r' e^{u(r')}, u(r') = (pi/2) M(1, r)/M(1, r'), at 40 digits
+        rm = mpmath.mpf(r)
+        rc = mpmath.sqrt((1 - rm) * (1 + rm))
+        return rc * mpmath.exp(mpmath.pi / 2 * mpmath.agm(1, rm) / mpmath.agm(1, rc))
+
+    def test_nome_form_within_3_ulps(self):
+        # above 1/sqrt2, P = r'/sqrt(q(r')) from Jacobi's nome series: 1,528
+        # seeded r, half uniform on (1/sqrt2, 1 - 1e-8] and half 1 - 10^-U(0.5, 8),
+        # against 40-digit mpmath (2.7 ulps at worst; 5.9 through u and exp)
+        rng = random.Random(20261024)
+        with mpmath.workdps(40):
+            for i in range(1528):
+                if i % 2:
+                    r = SQRT_HALF + (1.0 - 1e-8 - SQRT_HALF) * (1.0 - rng.random())
+                else:
+                    r = 1.0 - 10.0 ** -rng.uniform(0.5, 8.0)
+                expected = self._mpmath_P(r)
+                assert abs(product_P(r) - expected) <= 3.0 * math.ulp(float(expected)), r
+
+    def test_continuous_at_the_switch(self):
+        # the nome form starts just above 1/sqrt2: the values on either side
+        # increase with r and lie within 2 ulps of mpmath
+        rs = [SQRT_HALF]
+        for _ in range(2):
+            rs = [math.nextafter(rs[0], 0.0)] + rs + [math.nextafter(rs[-1], 1.0)]
+        vals = [product_P(r) for r in rs]
+        assert vals == sorted(vals)
+        with mpmath.workdps(40):
+            for r, v in zip(rs, vals):
+                assert abs(v - self._mpmath_P(r)) <= 2.0 * math.ulp(v), r
+
+    def test_one_through_the_nome_form(self):
+        # at r = 1, m = (1 + 1) sqrt(2 * 2) = 4 and eps = 0, so the formula
+        # gives 4 exactly, with no case of its own; one ulp below 1 as well
+        assert product_P(1.0) == 4.0
+        assert product_P(math.nextafter(1.0, 0.0)) == 4.0
 
     def test_domain(self):
         for bad in (0.0, -0.5, 1.5, math.nan, math.inf):
