@@ -85,13 +85,16 @@ def sigma_metric(z: complex) -> float:
     if z == 0 or _off_domain(z):
         raise DomainError("z must be finite, nonzero and off [1, inf)")
     w = cmath.sqrt(1.0 - z)
+    # a subnormal |zeta| loses bits before the log, and a subnormal product
+    # before the reciprocal: there take the log of each factor, and divide twice
     try:
-        a = abs(z)
-        sigma = 1.0 / (a * abs(w) * (4.0 - math.log(a / abs(2.0 * (1.0 + w) - z))))
+        a, aw, q = abs(z), abs(w), abs(2.0 * (1.0 + w) - z)
+        zeta = a / q
+        t = 4.0 - (math.log(zeta) if zeta >= _NORMAL_MIN else math.log(a) - math.log(q))
+        d = a * aw * t
+        sigma = 1.0 / d if d >= _NORMAL_MIN else 1.0 / (aw * t) / a
     except OverflowError:  # |z| beyond the largest double: sigma ~ |z|^-1.5 is far below
         sigma = 0.0
-    except ValueError:     # |zeta| underflows to 0: sigma ~ 1/(|z| ln(4/|z|)) is far above
-        sigma = math.inf
     if not _NORMAL_MIN <= sigma < math.inf:
         what = "overflows a double" if sigma else "underflows below the smallest normal double"
         raise DomainError(f"the density {what} at z = {z}")

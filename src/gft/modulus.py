@@ -213,6 +213,9 @@ def grotzsch_ua_inv(a: float, y: float) -> float:
 # ---------------------------------------------------------------------------
 
 def landen_next(r: float) -> float:
+    """The ascending Landen step 2 sqrt(r)/(1 + r) of r in [0, 1]."""
+    if not (0.0 <= r <= 1.0):
+        raise DomainError(f"r must lie in [0,1], got {r!r}")
     return 2.0 * math.sqrt(r) / (1.0 + r)
 
 

@@ -133,10 +133,11 @@ def _sampler(sampler: Sampler, seed: int) -> Callable[[int, int], list[tuple[com
         from hashlib import blake2b
 
     copy = blake2b(f"{seed}:{sampler.stream}:".encode()).copy
+    accept, width = sampler.accept, 2 * len(sampler.names)
     pack, unpack = struct.Struct("<QQ").pack, struct.Struct("<8Q").unpack
+    first = struct.Struct(f"<{width}Q").unpack_from   # the words of attempt 0
     rect, sqrt = cmath.rect, math.sqrt
     tau, ulp = 2.0 * math.pi, 2.0 ** -53
-    accept, width = sampler.accept, 2 * len(sampler.names)
 
     def redraw(i: int, w: tuple[int, ...], j: int) -> tuple[complex, ...]:
         # index i's attempts before word j of digest w were rejected
@@ -152,17 +153,18 @@ def _sampler(sampler: Sampler, seed: int) -> Callable[[int, int], list[tuple[com
             h.update(pack(i, block))
             w = unpack(h.digest())
 
-    # the first attempt of each index is built inline: nearly every index
-    # keeps it, and redraw serves the rest
+    # the first attempt of each index is built inline from the words it
+    # reads: nearly every index keeps it, and redraw serves the rest
     if width == 2:
         def draw(lo: int, hi: int) -> list[tuple[complex, ...]]:
             zss = []
             for i in range(lo, hi):
                 h = copy()
                 h.update(pack(i, 0))
-                w = unpack(h.digest())
-                z = rect(sqrt((w[0] >> 11) * ulp), tau * ((w[1] >> 11) * ulp))
-                zss.append((z,) if accept(z) else redraw(i, w, 2))
+                d = h.digest()
+                u, v = first(d)
+                z = rect(sqrt((u >> 11) * ulp), tau * ((v >> 11) * ulp))
+                zss.append((z,) if accept(z) else redraw(i, unpack(d), 2))
             return zss
     else:
         def draw(lo: int, hi: int) -> list[tuple[complex, ...]]:
@@ -170,10 +172,11 @@ def _sampler(sampler: Sampler, seed: int) -> Callable[[int, int], list[tuple[com
             for i in range(lo, hi):
                 h = copy()
                 h.update(pack(i, 0))
-                w = unpack(h.digest())
-                z1 = rect(sqrt((w[0] >> 11) * ulp), tau * ((w[1] >> 11) * ulp))
-                z2 = rect(sqrt((w[2] >> 11) * ulp), tau * ((w[3] >> 11) * ulp))
-                zss.append((z1, z2) if accept(z1, z2) else redraw(i, w, 4))
+                d = h.digest()
+                u1, v1, u2, v2 = first(d)
+                z1 = rect(sqrt((u1 >> 11) * ulp), tau * ((v1 >> 11) * ulp))
+                z2 = rect(sqrt((u2 >> 11) * ulp), tau * ((v2 >> 11) * ulp))
+                zss.append((z1, z2) if accept(z1, z2) else redraw(i, unpack(d), 4))
             return zss
 
     return draw
@@ -307,17 +310,15 @@ def _m_thm4_k1(r: float) -> float:
 
 def _m_mori_radial(zss: list[tuple[complex, complex]], k: list[float],
                    variant: str) -> Iterable[list[float]]:
-    # the radial stretch z -> z |z|^{1/K - 1} takes 0 to 0; the moduli and
-    # distances of the block's pairs serve every K row
-    ds = [abs(z2 - z1) for z1, z2 in zss]
-    a1s = [abs(z1) for z1, _ in zss]
-    a2s = [abs(z2) for _, z2 in zss]
+    # the radial stretch z -> z |z|^{1/K - 1} takes 0 to 0; each pair's
+    # distance and moduli, formed once, serve every K row
+    pairs = [(abs(z2 - z1), z1, abs(z1), z2, abs(z2)) for z1, z2 in zss]
     for kj in k:
         c = bounds.mori_holder_bound(kj, 1.0, variant)   # c^{1-1/K}
         inv_k, expo = 1.0 / kj, 1.0 / kj - 1.0
         yield [c * d ** inv_k
                - abs((z2 * a2 ** expo if z2 else 0.0) - (z1 * a1 ** expo if z1 else 0.0))
-               for (z1, z2), d, a1, a2 in zip(zss, ds, a1s, a2s)]
+               for d, z1, a1, z2, a2 in pairs]
 
 
 def _m_planted_false(r: float) -> float:
@@ -494,20 +495,22 @@ def sweep(spec: SweepSpec) -> InequalityReport:
         the lexicographic (grid row, sample index) position; return the
         block's worst as (rank, order, margin)."""
         nonlocal count, kept
-        bad = len(ms) - sum(map(ok, ms))
-        if bad:
-            count += bad
-            # the candidates: margins that violate or, once MAX_VIOLATIONS
-            # are kept, that rank at or below the worst kept one
-            over = ok if len(kept) < MAX_VIOLATIONS else kept[-1][0].__lt__
-            picked = itertools.compress(zip(ms, itertools.count(base)),
-                                        map(operator.not_, map(over, ms)))
-            cand = [(_rank(m), o, m) for m, o in picked]
-            if cand:
-                kept = heapq.nsmallest(MAX_VIOLATIONS, kept + cand)
-            if any(m != m for _, _, m in cand):
-                return min(cand)      # every NaN is a candidate
         m = min(ms)
+        # min skips a NaN that is not first, but any NaN makes the sum NaN
+        if m >= -tol and not math.isnan(sum(ms)):
+            return m, base + ms.index(m), m
+        # past that test some margin violates
+        count += len(ms) - sum(map(ok, ms))
+        # the candidates: margins that violate or, once MAX_VIOLATIONS
+        # are kept, that rank at or below the worst kept one
+        over = ok if len(kept) < MAX_VIOLATIONS else kept[-1][0].__lt__
+        picked = itertools.compress(zip(ms, itertools.count(base)),
+                                    map(operator.not_, map(over, ms)))
+        cand = [(_rank(x), o, x) for x, o in picked]
+        if cand:
+            kept = heapq.nsmallest(MAX_VIOLATIONS, kept + cand)
+        if any(x != x for _, _, x in cand):
+            return min(cand)          # every NaN is a candidate
         return m, base + ms.index(m), m
 
     if target.sample is None:

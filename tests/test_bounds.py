@@ -69,6 +69,32 @@ class TestMetricObjects:
         for z in (7.2e-309, 2.3e-308, 1e-300, 1e-20, 0.5, 0.999):
             assert rho_lower(z) == 1.0 / (z * (LANDAU_C - math.log(z)))
 
+    @pytest.mark.parametrize("lo, hi", [(7.8e-312, 3e-311), (3e-311, 1e-307)])
+    def test_sigma_metric_subnormal_band_mpmath(self, lo, hi):
+        # below |z| ~ 8.9e-308 |zeta| ~ |z|/4 is subnormal, and below about
+        # 3e-311 so is |z| |w| (4 - ln|zeta|): there sigma takes ln|z| -
+        # ln|2(1 + w) - z| and divides twice.  2,000 seeded real |z| per band
+        # against 40-digit mpmath (1.6 ulps on each; 18.2 and 4.5 through the
+        # subnormals)
+        import mpmath
+        rng = np.random.default_rng(20261019)
+        with mpmath.workdps(40):
+            for z in np.exp(rng.uniform(math.log(lo), math.log(hi), 2000)):
+                z = float(z)
+                zm = mpmath.mpf(z)
+                w = mpmath.sqrt(1 - zm)
+                expected = 1 / (zm * w * (4 - mpmath.log(zm / (2 * (1 + w) - zm))))
+                assert abs(sigma_metric(z) - expected) <= 2.5 * math.ulp(float(expected)), z
+
+    @pytest.mark.parametrize("z", [9e-308, 1e-307, 1e-300, 1e-20, 0.01, -0.5, 0.3 + 0.2j,
+                                   -3.0, 1e-200 - 1e-200j, 1e200 + 1j])
+    def test_sigma_metric_keeps_its_bits_off_the_band(self, z):
+        # elsewhere one quotient, one log, one product and one division
+        # stay, bit for bit, so eq5_chain's margins do not move
+        w = cmath.sqrt(1.0 - z)
+        a = abs(z)
+        assert sigma_metric(z) == 1.0 / (a * abs(w) * (4.0 - math.log(a / abs(2.0 * (1.0 + w) - z))))
+
     def test_zeta_map_values(self):
         # z = -3: w = 2, zeta = 1/3
         assert zeta_map(-3.0) == pytest.approx(1.0 / 3.0, abs=1e-15)

@@ -63,6 +63,15 @@ class TestGrotzschU:
             assert grotzsch_u(landen_next(r)) == pytest.approx(
                 grotzsch_u(r) / 2.0, abs=1e-10)
 
+    def test_landen_next_range(self):
+        # r in [0, 1], ends included; -1 raised a bare ValueError, 2 returned
+        # 0.9428 and NaN and inf returned NaN
+        assert landen_next(0.0) == 0.0 and landen_next(1.0) == 1.0
+        for bad in (-1.0, -5e-324, math.nextafter(1.0, 2.0), 2.0, math.inf,
+                    -math.inf, math.nan):
+            with pytest.raises(DomainError, match=r"r must lie in \[0,1\]"):
+                landen_next(bad)
+
     def test_symmetric_point(self):
         assert grotzsch_u(1.0 / math.sqrt(2.0)) == pytest.approx(
             math.pi / 2.0, rel=1e-14)

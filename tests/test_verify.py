@@ -322,6 +322,35 @@ class TestBlockStreaming:
         assert all(math.isnan(m) for _, m in rep.violations[:9])
         assert all(m == -1.0 for _, m in rep.violations[9:])
 
+    def test_one_nan_among_passing_grid_margins_fails(self, monkeypatch):
+        # min() skips a NaN that is not first, so a block whose least
+        # margin passes may still hold one: it must be counted and reported
+        rs = verify._linspace(0.01, 0.99, 99)
+        one_nan = verify.Target("one_nan", "asserted",
+                                lambda r: math.nan if r == rs[50] else 1.0 + r)
+        monkeypatch.setitem(verify._REGISTRY, "one_nan", one_nan)
+        rep = sweep(SweepSpec(target="one_nan"))
+        assert rep.status == "fail" and rep.violation_count == 1
+        assert math.isnan(rep.min_margin) and rep.argmin == {"r": rs[50]}
+        assert [p for p, _ in rep.violations] == [{"r": rs[50]}]
+
+    def test_one_nan_among_passing_samples_fails(self, monkeypatch):
+        # the same in the second block of a sampled target, at the third
+        # sample of the block, every other sample passing
+        sampler = target_info("eq5_chain").sample
+        at = verify.SAMPLE_BLOCK + 2
+        one_nan = verify.Target(
+            "one_nan_sampled", "asserted",
+            lambda zss: [[math.nan if zs == nan_point else 1.0 for zs in zss]],
+            sample=sampler)
+        monkeypatch.setitem(verify._REGISTRY, "one_nan_sampled", one_nan)
+        spec = SweepSpec(target="one_nan_sampled", samples=2500)
+        nan_point = verify._sampler(sampler, spec.seed)(at, at + 1)[0]
+        rep = sweep(spec)
+        assert rep.status == "fail" and rep.violation_count == 1
+        assert math.isnan(rep.min_margin) and rep.argmin["i"] == at
+        assert [p["i"] for p, _ in rep.violations] == [at]
+
     def test_all_nan_target_fails(self, monkeypatch):
         all_nan = verify.Target("all_nan", "asserted", lambda r: math.nan)
         monkeypatch.setitem(verify._REGISTRY, "all_nan", all_nan)
