@@ -59,22 +59,20 @@ def zeta_map(z: complex) -> complex:
     """Conformal map (w - 1)/(w + 1), w = sqrt(1-z), into the unit disk, fixing
     0 and symmetric about the real axis.  As w - 1 = -z/(1 + w) and
     (1 + w)^2 = 2(1 + w) - z exactly, it is -z/(2(1 + w) - z), which does not
-    cancel near z = 0.  Where |zeta| rounds above 1 (the true 1 - |zeta| ~
-    2/sqrt|z| is then below an ulp), zeta/|zeta| keeps it in the closed disk.
-    Near the largest doubles the quotient's own scaling overflows to NaN;
-    there zeta = -1/(2(1 + w)/z - 1), with 2(1 + w)/z ~ 2/sqrt|z| tiny."""
+    cancel near z = 0.  For |z| > 1 it is 1/(1 - 2(1 + w)/z), where
+    2(1 + w)/z ~ 2/sqrt|z| is small and keeps the digits of Im zeta; the
+    quotient -z/(2(1 + w) - z) loses them as |z| grows (all of them from
+    |z| ~ 1e34) and overflows to NaN near the largest doubles."""
     z = complex(z)
     if _off_domain(z):
         raise DomainError("z must be finite and off the cut [1, inf)")
     w = cmath.sqrt(1.0 - z)
-    # 0 - z, not -z, keeps a real z's +0.0 imaginary part
-    zeta = (0.0 - z) / (2.0 * (1.0 + w) - z)
-    m = abs(zeta)
-    if m <= 1.0:
-        return zeta
-    if m < math.inf:
-        return zeta / m
-    return -1.0 / ((1.0 + w) / (0.5 * z) - 1.0)  # 0.5 z: no overflow in the division
+    if math.hypot(z.real, z.imag) <= 1.0:   # abs(z) raises OverflowError past DBL_MAX
+        # 0 - z, not -z, keeps a real z's +0.0 imaginary part
+        return (0.0 - z) / (2.0 * (1.0 + w) - z)
+    # 0.5 z, as 2(1 + w)/z overflows inside the division near the largest
+    # doubles; 1/(1 - t), not -1/(t - 1), keeps a real z's +0.0
+    return 1.0 / (1.0 - (1.0 + w) / (0.5 * z))
 
 
 def sigma_metric(z: complex) -> float:

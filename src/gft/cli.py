@@ -7,10 +7,10 @@ violation.
 from __future__ import annotations
 
 import csv
-import inspect
 import json
 import os
 import sys
+import typing
 
 from . import bounds, distortion, modulus, special, verify
 from .special import DomainError
@@ -53,15 +53,18 @@ FUNCTIONS: dict = {fn.__name__: fn for fn in (
 
 def _params(fn) -> list[tuple[str, str, type, bool]]:
     """(name, flag, type, optional) for each parameter; a complex parameter's
-    flag is the one for its real part."""
-    params = inspect.signature(fn, eval_str=True).parameters.values()
-    lone = [p.annotation for p in params].count(complex) == 1
+    flag is the one for its real part.  Every parameter is positional or
+    keyword, so the code object lists them and the last len(__defaults__)
+    are the optional ones."""
+    names, hints = verify._arg_names(fn), typing.get_type_hints(fn)
+    required = len(names) - len(fn.__defaults__ or ())
+    lone = [hints[name] for name in names].count(complex) == 1
     spec = []
-    for p in params:
-        flag = p.name.replace("_", "-")
-        if p.annotation is complex:
+    for i, name in enumerate(names):
+        flag = name.replace("_", "-")
+        if hints[name] is complex:
             flag = "re" if lone else f"{flag}-re"
-        spec.append((p.name, flag, p.annotation, p.default is not p.empty))
+        spec.append((name, flag, hints[name], i >= required))
     return spec
 
 

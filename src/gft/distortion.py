@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .special import DomainError, _2f1_sym, _check_param_a
 from .modulus import _check_unit, _checked_exp, _invert_ua, _log_P, _ra, _ua, grotzsch_u
 
 
-@dataclass(frozen=True)
-class PhiResult:
+class PhiResult(NamedTuple):
     """A distortion value together with the achieved inversion residual
     |u_a(value) - u_a(r)/K| (u-space units)."""
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .special import (
     DomainError,
@@ -275,8 +275,7 @@ def fn_B(r: float) -> float:
     return rc2 * (_LN4 - 0.5 * math.log(rc2))
 
 
-@dataclass(frozen=True)
-class Lemma2Constants:
+class Lemma2Constants(NamedTuple):
     """The six derived constants of the two-sided modulus bounds.
 
     Degenerate at a = 1/2, where c1 = c3 = 0 and c6 = c3/c1 is undefined

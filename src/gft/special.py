@@ -27,8 +27,9 @@ def _check_param_a(a: float) -> float:
     if not (0.0 < a <= 0.5):
         raise DomainError(f"parameter a must lie in (0, 1/2], got {a!r}")
     if math.isinf(1.0 / a):
-        # R(a) ~ 1/a overflows, and so does u_a(r) ~ R(a)/2 - ln r near r = 0
-        raise DomainError(f"u_a overflows double precision for a={a!r}")
+        # R(a) ~ 1/a is no double, and every kernel taking a raises with it,
+        # though u_a ~ 1/(2a) fits down to a ~ 2.8e-309 and F(a, 1-a; 1; x) ~ 1
+        raise DomainError(f"R(a) ~ 1/a overflows a double below a = 1/DBL_MAX, got a={a!r}")
     return a
 
 

@@ -10,14 +10,12 @@ from __future__ import annotations
 
 import cmath
 import heapq
-import inspect
 import itertools
 import math
 import operator
 import struct
-from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from . import __version__, bounds, distortion, modulus
 from .special import APERY_A
@@ -31,10 +29,26 @@ class UsageError(ValueError):
 # Specs and reports
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """Grid/sample/tolerance/seed configuration for one verification run."""
+# The records are NamedTuples, not dataclasses: importing dataclasses loads
+# inspect, ast, dis and tokenize, which every cold `gft` process would pay.
 
+class _Checked:
+    """Base for a NamedTuple record that checks its fields: the constructor,
+    _make and _replace all run the subclass's _check."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class _SweepFields(NamedTuple):
     target: str
     r_grid: tuple[float, float, int] = (0.01, 0.99, 99)
     k_values: tuple[float, ...] = (1.0, 1.5, 2.0, 4.0)
@@ -43,7 +57,13 @@ class SweepSpec:
     seed: int = 20240811
     samples: int = 10_000
 
-    def __post_init__(self):
+
+class SweepSpec(_Checked, _SweepFields):
+    """Grid/sample/tolerance/seed configuration for one verification run."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         lo, hi, steps = self.r_grid
         if not (0.0 < lo < hi < 1.0):
             raise UsageError(f"r grid must satisfy 0 < min < max < 1, got {self.r_grid}")
@@ -59,8 +79,7 @@ MAX_VIOLATIONS = 20   # a report keeps the worst violations; it counts them all
 SAMPLE_BLOCK = 1024   # sampled indices drawn and evaluated together
 
 
-@dataclass(frozen=True)
-class InequalityReport:
+class InequalityReport(NamedTuple):
     """Outcome of one sweep: what was swept, margin statistics, and the
     worst violations with a count of all of them."""
 
@@ -104,18 +123,21 @@ class InequalityReport:
 # never matters and sample i is a pure function of (seed, stream, i)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Sampler:
+class _SamplerFields(NamedTuple):
+    stream: str
+    names: tuple[str, ...]
+    accept: Callable[..., bool]
+
+
+class Sampler(_Checked, _SamplerFields):
     """How a sampled target draws index i: one uniform point of the unit
     disk per name in `names` (reports record each as <name>_re, <name>_im),
     redrawn until `accept` takes the points.  A target samples one point or
     one pair."""
 
-    stream: str
-    names: tuple[str, ...]
-    accept: Callable[..., bool]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self) -> None:
         if len(self.names) not in (1, 2):
             raise UsageError(f"a sampler draws one or two points, got {self.names!r}")
 
@@ -330,8 +352,14 @@ def _m_planted_false(r: float) -> float:
 # Registry
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Target:
+def _arg_names(fn: Callable) -> tuple[str, ...]:
+    """fn's positional-or-keyword parameters, in order; a partial's are its
+    function's (the registry's partials bind keywords only)."""
+    code = (fn.func if isinstance(fn, partial) else fn).__code__
+    return code.co_varnames[:code.co_argcount]
+
+
+class Target(NamedTuple):
     """A registered inequality.  Its axes are the margin's parameters among
     a, k, r and alpha, in the margin's order; an r_next parameter makes the
     r axis pairwise."""
@@ -347,12 +375,11 @@ class Target:
 
     @property
     def axes(self) -> tuple[str, ...]:
-        names = inspect.signature(self.margin).parameters
-        return tuple(n for n in names if n in ("a", "k", "r", "alpha"))
+        return tuple(n for n in _arg_names(self.margin) if n in ("a", "k", "r", "alpha"))
 
     @property
     def pairwise_r(self) -> bool:
-        return "r_next" in inspect.signature(self.margin).parameters
+        return "r_next" in _arg_names(self.margin)
 
     @property
     def randomized(self) -> bool:

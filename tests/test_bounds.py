@@ -127,15 +127,32 @@ class TestMetricObjects:
 
     @pytest.mark.parametrize("lo, hi", [(0.0, 300.0), (30.0, 36.0)])
     def test_zeta_map_seeded_scan_stays_in_closed_disk(self, lo, hi):
-        # |z| = 10^U(lo, hi).  The bare quotient rounds above 1 only near
-        # |z| ~ 1e33: for 30 of the narrow band's 20,000 points, and about
-        # 1 in 36,000 over the wide band, which checks every scale
+        # |z| = 10^U(lo, hi).  The quotient -z/(2(1 + w) - z) rounds above 1
+        # only near |z| ~ 1e33: for 30 of the narrow band's 20,000 points,
+        # and about 1 in 36,000 over the wide band, which checks every
+        # scale.  For |z| > 1 zeta_map takes 1/(1 - 2(1 + w)/z) instead
         rng = np.random.default_rng(20261019)
         n = 20_000
         mags = 10.0 ** rng.uniform(lo, hi, n)
         args = rng.uniform(-math.pi, math.pi, n)
         worst = max(abs(zeta_map(cmath.rect(m, t))) for m, t in zip(mags, args))
         assert worst <= 1.0
+
+    @pytest.mark.parametrize("theta", [0.01, math.pi / 4, math.pi / 2, 3 * math.pi / 4, 3.1])
+    def test_zeta_map_large_z_keeps_its_imaginary_digits(self, theta):
+        # Im zeta ~ -Im(2/sqrt(-z)) shrinks like |z|^-1/2 while Re zeta -> 1:
+        # the quotient -z/(2(1 + w) - z) lost it (7e-9 relative at |z| = 1e16,
+        # exactly 0 from about 1e34), 1/(1 - 2(1 + w)/z) keeps it
+        import mpmath
+        rng = np.random.default_rng(20261019)
+        mags = [10.0, 1.7e308, *10.0 ** rng.uniform(1.0, math.log10(1.7e308), 200)]
+        with mpmath.workdps(70):
+            for m in mags:
+                z = cmath.rect(m, theta)
+                expected = 1 - 2 / (1 + mpmath.sqrt(1 - mpmath.mpc(z)))
+                zeta = zeta_map(z)
+                assert abs(zeta.imag - float(expected.imag)) <= 1e-15 * abs(float(expected.imag)), z
+                assert abs(zeta - complex(expected)) <= 1e-15 * float(abs(expected)), z
 
     def test_zeta_map_real_symmetry(self):
         z = 0.3 + 0.7j

@@ -24,7 +24,7 @@ import warnings
 import pytest
 
 import gft
-from gft.cli import FUNCTIONS, main
+from gft.cli import FUNCTIONS, _params, main
 
 
 GOLDEN_PATH = pathlib.Path(__file__).with_name("cli_golden.json")
@@ -251,10 +251,31 @@ def _extreme_value_cases() -> list:
 
 def test_every_parameter_is_a_flag():
     # _params makes every parameter a flag; a parameter of another type
-    # (say a bool) would be converted wrongly, so none may exist
+    # (say a bool) would be converted wrongly, so none may exist.  It reads
+    # the code object, which lists positional-or-keyword parameters only
     for name, fn in FUNCTIONS.items():
         for p in inspect.signature(fn, eval_str=True).parameters.values():
             assert p.annotation in (float, complex, str), (name, p.name)
+            assert p.kind is p.POSITIONAL_OR_KEYWORD, (name, p.name)
+
+
+def _params_from_signature(fn) -> list:
+    """_params as inspect.signature states it: the reference for _params."""
+    params = inspect.signature(fn, eval_str=True).parameters.values()
+    lone = [p.annotation for p in params].count(complex) == 1
+    spec = []
+    for p in params:
+        flag = p.name.replace("_", "-")
+        if p.annotation is complex:
+            flag = "re" if lone else f"{flag}-re"
+        spec.append((p.name, flag, p.annotation, p.default is not p.empty))
+    return spec
+
+
+def test_params_agree_with_inspect_signature():
+    for name, fn in FUNCTIONS.items():
+        assert _params(fn) == _params_from_signature(fn), name
+    assert len(FUNCTIONS) == 39
 
 
 def test_every_function_has_a_passing_eval_entry():
@@ -556,20 +577,40 @@ class TestTopLevel:
         assert set(gft.__all__) == public
         assert len(gft.__all__) == len(public)
 
+    @staticmethod
+    def _fresh_interpreter(code: str) -> str:
+        """Standard output of code run by a new interpreter that imports this gft."""
+        src = str(pathlib.Path(gft.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                              capture_output=True, text=True).stdout
+
     def test_import_leaves_numpy_unloaded(self):
         # The library has no runtime dependency: numpy (~0.15 s and ~11 MB
         # on import) is for the tests only.  Sampling loads BLAKE2b when it
         # starts, not on import.
         code = ("import sys; before = set(sys.modules); import gft, gft.cli; "
                 "print(' '.join(sorted(set(sys.modules) - before)))")
-        src = str(pathlib.Path(gft.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             capture_output=True, text=True).stdout.split()
+        out = self._fresh_interpreter(code).split()
         assert "gft.verify" in out
         for heavy in ("numpy", "hashlib", "_hashlib", "_blake2"):
             assert heavy not in out
+
+    def test_cold_eval_loads_neither_dataclasses_nor_inspect(self):
+        # Every `gft` process pays for what it imports.  The records are
+        # NamedTuples and flags and axes are read from code objects, so
+        # neither dataclasses nor inspect (which loads ast, dis and tokenize,
+        # 7-10 ms together) is loaded by importing gft or by an eval
+        argv = ["eval", "phi_k", "--k", "2", "--r", "0.25"]
+        code = ("import sys; before = set(sys.modules); import gft, gft.cli; "
+                f"gft.cli.main({argv!r}); "
+                "print(' '.join(sorted(set(sys.modules) - before)))")
+        value, loaded = self._fresh_interpreter(code).splitlines()
+        [golden] = [e for e in json.loads(GOLDEN_PATH.read_text()) if e["argv"] == argv]
+        assert value + "\n" == golden["out"] == "0.8\n"
+        assert "gft.cli" in loaded.split()
+        assert not {"dataclasses", "inspect", "ast", "dis", "tokenize"} & set(loaded.split())
 
 
 if __name__ == "__main__":

@@ -2,7 +2,8 @@
 product_P, grotzsch_u, grotzsch_ua, their inverses and landen_next: over
 every double, subnormals, infinities and NaN included, each returns a value
 within its stated accuracy of 40-digit mpmath, or raises DomainError, and
-raises only outside its domain or where the truth leaves the doubles.  Each
+raises only outside its domain or where the truth leaves the doubles, or,
+for the kernels taking a, where R(a) ~ 1/a does (a below 1/DBL_MAX).  Each
 input is drawn from all doubles or from the kernel's own domain, so both
 halves of the contract are exercised.
 """
@@ -57,8 +58,9 @@ def test_agm(a, b):
        st.one_of(ANY, st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
                  st.floats(min_value=0.5, max_value=1.0, exclude_max=True)))
 def test_gauss_2f1_sym(a, x):
-    # a in (0, 1/2] with 1/a finite (R(a) ~ 1/a enters the connection sum),
-    # x in [0, 1): within 1.3e-15 relative
+    # a in (0, 1/2] with 1/a finite (below 1/DBL_MAX, R(a) ~ 1/a leaves the
+    # doubles and the kernel raises, though F ~ 1), x in [0, 1): within
+    # 1.3e-15 relative
     try:
         got = gauss_2f1_sym(a, x)
     except DomainError:

@@ -28,6 +28,7 @@ from gft import (
     elliptic_ka,
     euler_gamma,
     gauss_2f1_sym,
+    grotzsch_ua,
     landau_constant,
     ramanujan_R,
     special,
@@ -407,3 +408,13 @@ class TestRamanujanR:
             ramanujan_R(0.0)
         with pytest.raises(DomainError):
             ramanujan_R(0.6)
+
+    @pytest.mark.parametrize("call", [ramanujan_R, lambda a: gauss_2f1_sym(a, 0.25),
+                                      lambda a: grotzsch_ua(a, 0.5)],
+                             ids=["ramanujan_R", "gauss_2f1_sym", "grotzsch_ua"])
+    def test_tiny_a_names_what_leaves_the_doubles(self, call):
+        # at a = 3e-309, u_a ~ 1/(2a) = 1.7e308 and F ~ 1 are doubles; only
+        # R(a) ~ 1/a is not, and the message must not say that u_a overflows
+        with pytest.raises(DomainError, match=r"^R\(a\) ~ 1/a overflows a double below "
+                                              r"a = 1/DBL_MAX, got a=3e-309$"):
+            call(3e-309)

@@ -2,8 +2,8 @@
 the planted-false sanity target, and configuration validation.
 """
 import cmath
-import dataclasses
 import hashlib
+import inspect
 import json
 import math
 import struct
@@ -88,7 +88,7 @@ class TestRegistry:
     def test_axes_are_read_from_the_margins(self):
         # the axes and pairwise flag each target sweeps come from its
         # margin's parameters alone; Target holds no copy that could disagree
-        assert not {"axes", "pairwise_r"} & {f.name for f in dataclasses.fields(verify.Target)}
+        assert not {"axes", "pairwise_r"} & set(verify.Target._fields)
         stated = {
             "eq5_chain": ((), False),
             "lemma2_item1": (("a", "r"), False),
@@ -116,6 +116,16 @@ class TestRegistry:
         }
         assert {n: (target_info(n).axes, target_info(n).pairwise_r)
                 for n in registry()} == stated
+
+    def test_axes_agree_with_inspect_signature(self):
+        # axes and pairwise_r read the margin's code object, as the library
+        # does not import inspect; the signature is the reference
+        for name in registry():
+            t = target_info(name)
+            params = inspect.signature(t.margin).parameters
+            assert t.axes == tuple(n for n in params if n in ("a", "k", "r", "alpha")), name
+            assert t.pairwise_r == ("r_next" in params), name
+        assert len(registry()) == 23
 
     def test_classifications(self):
         asserted = {n for n in registry() if target_info(n).classification == "asserted"}
@@ -585,6 +595,48 @@ class TestBoundedReport:
         assert min(want["a"].values()) == rep.min_margin
 
 
+def _record(name: str) -> tuple:
+    """An instance of the record type `name` and its field names, in order."""
+    spec = SweepSpec(target="mori_radial_16", samples=5)
+    return {
+        "SweepSpec": (spec, ("target", "r_grid", "k_values", "a_values", "tol", "seed",
+                             "samples")),
+        "InequalityReport": (sweep(spec), ("target", "classification", "evaluations",
+                                           "min_margin", "argmin", "axis_minima",
+                                           "violation_count", "violations", "status", "spec",
+                                           "tol")),
+        "Sampler": (target_info("eq5_chain").sample, ("stream", "names", "accept")),
+        "Target": (target_info("eq60_phi_4bound"), ("name", "classification", "margin",
+                                                     "default_tol", "sample", "k_filter",
+                                                     "a_filter", "sanity")),
+        "Lemma2Constants": (gft.lemma2_constants(0.25), ("c1", "c2", "c3", "c4", "c5", "c6")),
+        "PhiResult": (phi_ka(0.5, 2.0, 0.25), ("value", "residual")),
+    }[name]
+
+
+class TestRecords:
+    @pytest.mark.parametrize("name", ["SweepSpec", "InequalityReport", "Sampler", "Target",
+                                      "Lemma2Constants", "PhiResult"])
+    def test_fields_keyword_construction_and_read_only(self, name):
+        record, fields = _record(name)
+        assert type(record).__name__ == name
+        assert type(record)._fields == fields
+        assert type(record)(**{f: getattr(record, f) for f in fields}) == record
+        assert repr(record).startswith(f"{name}({fields[0]}=")
+        with pytest.raises(AttributeError):
+            setattr(record, fields[0], None)
+        with pytest.raises(AttributeError):
+            record.extra = None
+
+    def test_defaults(self):
+        assert SweepSpec._field_defaults == {
+            "r_grid": (0.01, 0.99, 99), "k_values": (1.0, 1.5, 2.0, 4.0),
+            "a_values": (0.1, 0.25, 0.5), "tol": None, "seed": 20240811, "samples": 10_000}
+        assert verify.Target._field_defaults == {
+            "default_tol": 1e-9, "sample": None, "k_filter": None, "a_filter": None,
+            "sanity": False}
+
+
 class TestSpecValidation:
     def test_bad_r_grid(self):
         with pytest.raises(UsageError):
@@ -599,6 +651,19 @@ class TestSpecValidation:
             SweepSpec(target="std_phi_identity", tol=-1.0)
         with pytest.raises(UsageError):
             SweepSpec(target="std_phi_identity", samples=0)
+
+    def test_replace_and_make_check_too(self):
+        # a NamedTuple's own _make, which _replace calls, skips __new__; an
+        # unchecked spec with samples=0 makes sweep fail with a TypeError
+        spec = SweepSpec(target="mori_radial_16")
+        assert spec._replace(samples=5) == SweepSpec(target="mori_radial_16", samples=5)
+        with pytest.raises(UsageError, match="samples"):
+            spec._replace(samples=0)
+        with pytest.raises(UsageError, match="r grid"):
+            SweepSpec._make(("std_phi_identity", (0.5, 0.2, 3), (2.0,), (0.5,), None, 1, 1))
+        sampler = target_info("eq5_chain").sample
+        with pytest.raises(UsageError, match="one or two points"):
+            sampler._replace(names=("z1", "z2", "z3"))
 
     def test_unknown_target_and_suite(self):
         with pytest.raises(UsageError):
