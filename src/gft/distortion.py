@@ -12,12 +12,15 @@ import sys
 from typing import NamedTuple
 
 from .special import DomainError, _2f1_sym, _check_param_a
-from .modulus import _check_unit, _checked_exp, _invert_ua, _log_P, _ra, _ua, grotzsch_u
+from .modulus import (
+    _check_unit, _checked_exp, _inverse_residual, _invert_ua, _log_P, _ra, _ua, grotzsch_u,
+)
 
 
 class PhiResult(NamedTuple):
     """A distortion value together with the achieved inversion residual
-    |u_a(value) - u_a(r)/K| (u-space units)."""
+    |u_a(value) - u_a(r)/K| (u-space units), measured on the complement for
+    a root solved there (see modulus._inverse_residual)."""
 
     value: float
     residual: float
@@ -37,21 +40,24 @@ def phi_k(k: float, r: float) -> PhiResult:
 
 def phi_ka(a: float, k: float, r: float) -> PhiResult:
     """Generalized distortion u_a^{-1}(u_a(r)/K); a = 1/2 recovers phi_k."""
-    s, _, residual, _ = _phi_parts(a, k, r)
+    s, sc, u, ra = _phi_parts(a, k, r)
+    residual = 0.0 if u is None else _inverse_residual(a, u / k, ra, s, sc)
     return PhiResult(value=s, residual=residual)
 
 
-def _phi_parts(a: float, k: float, r: float) -> tuple[float, float, float, float]:
-    """(s, s', residual, R(a)) for s = phi_K(a, r), with s' as the inverse
+def _phi_parts(a: float, k: float, r: float) -> tuple[float, float, float | None, float]:
+    """(s, s', u_a(r), R(a)) for s = phi_K(a, r), with s' as the inverse
     solved it; one R(a) serves the forward u_a(r), its inverse and the F
-    factors of the partials."""
+    factors of the partials.  At K = 1, s = r and u_a(r) is not formed (None).
+    Only phi_ka forms a residual: the other callers read the value."""
     _check_param_a(a)
     _check_k(k)
     _check_unit(r)
     ra = _ra(a)
     if k == 1.0:
-        return r, math.sqrt((1.0 - r) * (1.0 + r)), 0.0, ra
-    return (*_invert_ua(a, _ua(a, r, ra) / k, ra), ra)
+        return r, math.sqrt((1.0 - r) * (1.0 + r)), None, ra
+    u = _ua(a, r, ra)
+    return (*_invert_ua(a, u / k, ra), u, ra)
 
 
 def phi_k_product(k: float, r: float) -> float:
@@ -86,8 +92,9 @@ def phi_partial_r(a: float, k: float, r: float) -> float:
 
 def phi_partial_k(a: float, k: float, r: float) -> float:
     """d phi_K(a, r) / d K = -u_a(s) / (K u_a'(s)), u_a(s) = u_a(r)/K, s = phi_K(a, r)."""
-    s, sc, _, ra = _phi_parts(a, k, r)
-    return _ua(a, r, ra) / (k * k) * _neg_inv_du(a, s, sc * sc, ra, k, r)
+    s, sc, u, ra = _phi_parts(a, k, r)
+    u = _ua(a, r, ra) if u is None else u
+    return u / (k * k) * _neg_inv_du(a, s, sc * sc, ra, k, r)
 
 
 def lemma3_fk(a: float, k: float, r: float) -> float:
@@ -96,4 +103,4 @@ def lemma3_fk(a: float, k: float, r: float) -> float:
     The exponent is sign-corrected: the printed r^{+1/K} gives a form that
     increases on (0,1) for K > 1, which the lemma3_literal target measures.
     """
-    return phi_ka(a, k, r).value * r ** (-1.0 / k)
+    return _phi_parts(a, k, r)[0] * r ** (-1.0 / k)

@@ -166,9 +166,9 @@ def _small_root(a: float, y: float, ra: float) -> float:
     return r
 
 
-def _invert_ua(a: float, y: float, ra: float) -> tuple[float, float, float]:
-    """Return (r, r', residual) with u_a(r) = y, given ra = R(a) (ln 16 at
-    a = 1/2, see _ra); residual measured in u-space.
+def _invert_ua(a: float, y: float, ra: float) -> tuple[float, float]:
+    """Return (r, r') with u_a(r) = y, given ra = R(a) (ln 16 at a = 1/2,
+    see _ra); no forward modulus is evaluated at the root (see _inverse_residual).
 
     For y below the symmetric value the complementary identity
     u_a(r) u_a(r') = [pi/(2 sin pi a)]^2 gives r' instead, which keeps the
@@ -183,18 +183,36 @@ def _invert_ua(a: float, y: float, ra: float) -> tuple[float, float, float]:
     s = _sym_value(a)
     if y >= s:
         r = _small_root(a, y, ra)
-        return r, math.sqrt((1.0 - r) * (1.0 + r)), abs(_ua(a, r, ra) - y)
+        return r, math.sqrt((1.0 - r) * (1.0 + r))
+    yc, t = _complement(a, y, s, ra)
+    if t <= _LN_RC_SAT:
+        # r' below sqrt(1 - _R_MAX^2), where u_a is exactly its asymptote
+        return _R_MAX, math.exp(t)
+    rc = _small_root(a, yc, ra)
+    return min(math.sqrt(1.0 - rc * rc), _R_MAX), rc
+
+
+def _complement(a: float, y: float, s: float, ra: float) -> tuple[float, float]:
+    """(y_c, t) for y < s = u_a(1/sqrt2): y_c = s^2/y = u_a(r') and t the
+    asymptote of ln r', at or below _LN_RC_SAT where the root saturates."""
     yc = s * s / y
     if yc == math.inf:
         yc = s / y * s  # s * s overflows below a ~ 1e-154
-    t = _log_asymptote(a, yc, _LN_RC_SAT, ra)
-    if t <= _LN_RC_SAT:
-        # r' below sqrt(1 - _R_MAX^2), where u_a is exactly its asymptote
-        return _R_MAX, math.exp(t), abs(_ua(a, _R_MAX, ra) - y)
-    rc = _small_root(a, yc, ra)
-    # |d y| = (y^2 / s^2) |d u_a(r')| maps the residual back to y-units
-    resid = abs(_ua(a, rc, ra) - yc) * y * y / (s * s)
-    return min(math.sqrt(1.0 - rc * rc), _R_MAX), rc, resid
+    return yc, _log_asymptote(a, yc, _LN_RC_SAT, ra)
+
+
+def _inverse_residual(a: float, y: float, ra: float, r: float, rc: float) -> float:
+    """The residual of the root (r, r') that _invert_ua(a, y, ra) returned,
+    in y-units and measured in the variable the inverse solved:
+    |u_a(r) - y| for a direct or a saturated root, |u_a(r') - y_c| y^2/s^2
+    for one solved on the complement."""
+    s = _sym_value(a)
+    if y < s:
+        yc, t = _complement(a, y, s, ra)
+        if t > _LN_RC_SAT:
+            # |d y| = (y^2 / s^2) |d u_a(r')| maps the residual back to y-units
+            return abs(_ua(a, rc, ra) - yc) * y * y / (s * s)
+    return abs(_ua(a, r, ra) - y)
 
 
 def grotzsch_u_inv(y: float) -> float:

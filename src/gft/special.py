@@ -54,8 +54,12 @@ def agm(a: float, b: float) -> float:
         e = math.frexp(max(a, b))[1]
         return math.ldexp(agm(math.ldexp(a, -e), math.ldexp(b, -e)), e)
     # M(a, b) = m (1 - h^2/4 - 5h^4/64 - ...) with m = (a+b)/2, h = (a-b)/(a+b):
-    # once |a - b| <= 2^-26 a, m is M to within 2^-56 relative
-    while abs(a - b) > 2.0 ** -26 * a:
+    # once |a - b| <= 2^-26 a, m is M to within 2^-56 relative.  Ordered once,
+    # a - b needs no abs(): rounding puts the mean below the geometric mean
+    # only where they agree to a few ulps, and there the loop stops either way
+    if a < b:
+        a, b = b, a
+    while a - b > 2.0 ** -26 * a:
         a, b = 0.5 * (a + b), math.sqrt(a * b)
     return 0.5 * (a + b)
 

@@ -215,8 +215,9 @@ def _sampler(sampler: Sampler, seed: int) -> Callable[[int, int], list[tuple[com
 def _phi_a(a: float, k: float, r: float) -> float:
     # the library's one memo cache: sibling targets (lemma3_literal and
     # lemma3_corrected, the (r, r_next) pairs, the eq54-eq64 family) sweep
-    # the same grid, so each phi_{K,a}(r) is inverted once per process
-    return distortion.phi_ka(a, k, r).value
+    # the same grid, so each phi_{K,a}(r) is inverted once per process, and
+    # read as a value, with no residual formed
+    return distortion._phi_parts(a, k, r)[0]
 
 
 def _phi(k: float, r: float) -> float:
@@ -332,14 +333,16 @@ def _m_thm4_k1(r: float) -> float:
 
 def _m_mori_radial(zss: list[tuple[complex, complex]], k: list[float],
                    variant: str) -> Iterable[list[float]]:
-    # the radial stretch z -> z |z|^{1/K - 1} takes 0 to 0; each pair's
-    # distance and moduli, formed once, serve every K row
-    pairs = [(abs(z2 - z1), z1, abs(z1), z2, abs(z2)) for z1, z2 in zss]
+    # the radial stretch z -> z |z|^{1/K - 1} takes 0 to 0: a point at 0 keeps
+    # the modulus inf, and inf^{1/K - 1} is 0 for K > 1 and 1 at K = 1 (the
+    # k filter keeps K >= 1), so z inf^{1/K - 1} = 0.  Each pair's distance
+    # and moduli, formed once, serve every K row
+    inf = math.inf
+    pairs = [(abs(z2 - z1), z1, abs(z1) or inf, z2, abs(z2) or inf) for z1, z2 in zss]
     for kj in k:
         c = bounds.mori_holder_bound(kj, 1.0, variant)   # c^{1-1/K}
         inv_k, expo = 1.0 / kj, 1.0 / kj - 1.0
-        yield [c * d ** inv_k
-               - abs((z2 * a2 ** expo if z2 else 0.0) - (z1 * a1 ** expo if z1 else 0.0))
+        yield [c * d ** inv_k - abs(z2 * a2 ** expo - z1 * a1 ** expo)
                for d, z1, a1, z2, a2 in pairs]
 
 

@@ -82,6 +82,67 @@ class TestClosedForms:
         assert phi_k(2.0, 0.25).residual < 1e-10
 
 
+class TestResidualOnlyInPhiResult:
+    """Only phi_k and phi_ka form an inversion residual; the inverses, the
+    partials, lemma3_fk and the sweep's cache read values and evaluate no
+    forward modulus at the root."""
+
+    # (value, residual) bits pinned from the inverse that formed the residual
+    # itself, one root of each branch at a = 1/2 and at a = 1/4
+    @pytest.mark.parametrize("a, k, r, branch, value, residual", [
+        (0.5, 0.5, 0.01, "direct", "0x1.a3738d2b7aa37p-16", "0x1.0000000000000p-49"),
+        (0.5, 1.5, 0.37, "complement", "0x1.6c0bf20058207p-1", "0x1.fad2468f61ca5p-52"),
+        (0.5, 7.0, 0.96, "saturated", "0x1.ffffffffffff7p-1", "0x1.38b88e5abd300p-10"),
+        (0.25, 0.5, 0.05, "direct", "0x1.483163d92841ep-12", "0x1.0000000000000p-49"),
+        (0.25, 1.5, 0.28, "complement", "0x1.6ad484a795e64p-1", "0x1.fe6ee2a9757eap-52"),
+        (0.25, 7.0, 0.88, "saturated", "0x1.ffffffffffff7p-1", "0x1.806c341084480p-9"),
+    ])
+    def test_residual_bits_pinned(self, a, k, r, branch, value, residual):
+        y = grotzsch_ua(a, r) / k
+        assert (y >= modulus._sym_value(a)) == (branch == "direct")
+        assert (float.fromhex(value) == modulus._R_MAX) == (branch == "saturated")
+        got = phi_ka(a, k, r)
+        assert got.value.hex() == value and got.residual.hex() == residual
+        if a == 0.5:
+            assert phi_k(k, r) == got
+
+    @pytest.fixture
+    def ua_and_f_calls(self, monkeypatch):
+        seen = []
+        real = modulus._ua_and_f
+
+        def counting(a, r, ra):
+            seen.append(r)
+            return real(a, r, ra)
+
+        monkeypatch.setattr(modulus, "_ua_and_f", counting)
+        return seen
+
+    def test_partial_k_takes_the_forward_modulus_from_the_inverse(self, ua_and_f_calls):
+        # one forward u_a(r) and four Newton steps; a residual and a second
+        # u_a(r) would make it 7
+        phi_partial_k(0.25, 2.0, 0.3)
+        assert len(ua_and_f_calls) == 5
+
+    def test_values_form_no_residual(self, ua_and_f_calls):
+        for fn in (lambda: phi_partial_r(0.25, 2.0, 0.3), lambda: lemma3_fk(0.25, 2.0, 0.3)):
+            ua_and_f_calls.clear()
+            fn()
+            assert len(ua_and_f_calls) == 5
+        ua_and_f_calls.clear()
+        phi_ka(0.25, 2.0, 0.3)
+        assert len(ua_and_f_calls) == 6
+
+    def test_identity_dilatation_forms_no_forward_modulus(self, ua_and_f_calls):
+        for fn in (lambda: phi_ka(0.25, 1.0, 0.3), lambda: lemma3_fk(0.25, 1.0, 0.3)):
+            fn()
+        assert ua_and_f_calls == []
+        # d phi / d K at K = 1 is u_a(r) r r'^2 F(a,1-a;1;r^2)^2, which still
+        # needs the u_a(r) that phi_ka does not form there
+        want = grotzsch_ua(0.25, 0.3) * 0.3 * (1.0 - 0.3 ** 2) * gauss_2f1_sym(0.25, 0.3 ** 2) ** 2
+        assert phi_partial_k(0.25, 1.0, 0.3) == pytest.approx(want, rel=1e-15)
+
+
 class TestRoundTripAndIdentity:
     def test_round_trip(self):
         for k in K_VALUES:

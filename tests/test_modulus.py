@@ -192,6 +192,30 @@ class TestInverses:
                 y = grotzsch_ua(a, r)
                 assert grotzsch_ua_inv(a, y) == pytest.approx(r, abs=1e-9)
 
+    def test_inverses_evaluate_no_forward_modulus_at_the_root(self, monkeypatch):
+        # the root's residual is formed only where phi_k/phi_ka return it, so
+        # u^{-1}(2) takes the nome alone and u_a^{-1}(1/4, 2) five Newton steps
+        # on the complement (a residual would take 2 agm or 1 series call more)
+        from gft import modulus, special
+        calls = {"agm": 0, "_ua_and_f": 0}
+        real_agm, real_ua_and_f = special.agm, modulus._ua_and_f
+
+        def agm(a, b):
+            calls["agm"] += 1
+            return real_agm(a, b)
+
+        def ua_and_f(a, r, ra):
+            calls["_ua_and_f"] += 1
+            return real_ua_and_f(a, r, ra)
+
+        for mod in (special, modulus):
+            monkeypatch.setattr(mod, "agm", agm)
+        monkeypatch.setattr(modulus, "_ua_and_f", ua_and_f)
+        grotzsch_u_inv(2.0)
+        assert calls == {"agm": 0, "_ua_and_f": 0}
+        grotzsch_ua_inv(0.25, 2.0)
+        assert calls == {"agm": 0, "_ua_and_f": 5}
+
     def test_small_y_saturates_near_one(self):
         r = grotzsch_u_inv(1e-9)
         assert 1.0 - r < 1e-12

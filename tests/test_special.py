@@ -95,10 +95,39 @@ class TestAgm:
                 got = agm(a, b)
                 assert abs(got - want) <= 4.0 * math.ulp(want), (a, b)
                 if sys.float_info.min <= a * b and a + b < 2.0 ** 512:
-                    x, y = a, b
+                    x, y = max(a, b), min(a, b)
                     while abs(x - y) > 2.0 ** -26 * x:
                         x, y = 0.5 * (x + y), math.sqrt(x * y)
                     assert got == 0.5 * (x + y), (a, b)
+
+    def test_argument_order_is_bitwise_symmetric(self):
+        # agm orders its arguments once, so the loop tests a - b without abs();
+        # against a copy of the loop that tested abs(a - b), run on (max, min),
+        # over 1e5 seeded pairs with a < b and a > b: a quarter of them within
+        # 2^-26 relative of each other, a quarter a few ulps from that stop
+        # (where testing abs(a - b) > 2^-26 a on unordered arguments gives
+        # agm(a, b) != agm(b, a)), a quarter agm(1, x <= 1) as every kernel calls it
+        def reference(a, b):
+            a, b = max(a, b), min(a, b)
+            while abs(a - b) > 2.0 ** -26 * a:
+                a, b = 0.5 * (a + b), math.sqrt(a * b)
+            return 0.5 * (a + b)
+
+        rng = random.Random(20261019)
+        for i in range(100_000):
+            a = math.ldexp(rng.uniform(0.5, 1.0), rng.randint(-400, 400))
+            if i % 4 == 0:
+                b = math.ldexp(rng.uniform(0.5, 1.0), rng.randint(-400, 400))
+            elif i % 4 == 1:
+                b = a * (1.0 + rng.uniform(-2.0, 2.0) * 2.0 ** -26)
+            elif i % 4 == 2:
+                b = a + 2.0 ** -26 * a + rng.randint(-4, 4) * math.ulp(a)
+            else:
+                a, b = 1.0, rng.random() or 1.0
+            if rng.random() < 0.5:
+                a, b = b, a
+            got = agm(a, b)
+            assert got == agm(b, a) == reference(a, b), (a, b)
 
     def test_quadratic_stop_against_mpmath(self):
         # the loop stops once |a - b| <= 2^-26 a, where (a+b)/2 is M(a, b) to

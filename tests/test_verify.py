@@ -59,6 +59,40 @@ def test_one_memo_cache():
     assert cached == {"verify._phi_a"}
 
 
+def test_phi_cache_reads_the_value_only(monkeypatch):
+    # an uncached a = 1/2 entry costs the forward u(r), 2 agm calls, and the
+    # inverse from the nome, which calls none; a residual would take 2 more
+    from gft import distortion, modulus, special
+    calls = []
+    real = special.agm
+
+    def counting(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    for mod in (special, modulus):
+        monkeypatch.setattr(mod, "agm", counting)
+    verify._phi_a.cache_clear()
+    value = verify._phi_a(0.5, 2.0, 0.3)
+    assert len(calls) == 2
+    assert value == distortion.phi_k(2.0, 0.3).value
+
+
+def test_mori_margin_of_a_pair_with_a_point_at_zero():
+    # the radial stretch takes 0 to 0: with z1 = 0, |z2 - z1| = |z2| and the
+    # margin is (c^{1-1/K} - 1) |z2|^{1/K}, exactly 0.0 at K = 1
+    ks = [1.0, 1.5, 2.0, 4.0]
+    for name, c in (("mori_radial_16", 16.0), ("mori_radial_64", 64.0)):
+        margin = target_info(name).margin
+        for z2 in (0.3 + 0.4j, -0.7j, 1e-300 + 0j, 0.999):
+            for zss in ([(0j, z2)], [(z2, 0j)]):
+                rows = [ms for [ms] in margin(zss, k=ks)]
+                assert rows[0] == 0.0
+                for kj, got in zip(ks[1:], rows[1:]):
+                    want = (c ** (1.0 - 1.0 / kj) - 1.0) * abs(z2) ** (1.0 / kj)
+                    assert got == pytest.approx(want, rel=1e-14), (name, z2, kj)
+
+
 def test_lemma3_margins_match_lemma3_fk():
     # the margins scale the shared phi_{K,a}(r) by r^{+-1/K} themselves; the
     # corrected one is lemma3_fk's, the literal one the printed r^{+1/K}
