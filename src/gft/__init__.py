@@ -11,12 +11,10 @@ from .special import (
     ZETA3,
     DomainError,
     agm,
-    apery_zeta3,
     digamma,
     elliptic_e,
     elliptic_k,
     elliptic_ka,
-    euler_gamma,
     gauss_2f1_sym,
     landau_constant,
     ramanujan_R,
@@ -47,10 +45,8 @@ from .bounds import (
     LATTICE_GAP_D,
     eta_k,
     f_growth_bound,
-    mori_h,
     mori_holder_bound,
     mori_sin_bound,
-    mori_sin_bound_clamped,
     qc_schwarz_bounds,
     rho_lower,
     schottky_F,
@@ -79,17 +75,15 @@ from .verify import (
 
 __all__ = [
     "APERY_A", "EULER_GAMMA", "LANDAU_C", "ZETA3",
-    "DomainError", "agm", "apery_zeta3", "digamma", "elliptic_e",
-    "elliptic_k", "elliptic_ka", "euler_gamma", "gauss_2f1_sym",
-    "landau_constant", "ramanujan_R",
+    "DomainError", "agm", "digamma", "elliptic_e", "elliptic_k",
+    "elliptic_ka", "gauss_2f1_sym", "landau_constant", "ramanujan_R",
     "Lemma2Constants", "fn_A", "fn_B", "grotzsch_u", "grotzsch_u_inv",
     "grotzsch_ua", "grotzsch_ua_inv", "landen_next",
     "lemma2_constants", "product_P",
     "PhiResult", "lemma3_fk", "phi_k", "phi_k_product", "phi_ka",
     "phi_partial_k", "phi_partial_r",
-    "BLOCH_B1", "LATTICE_GAP_D", "eta_k", "f_growth_bound", "mori_h",
-    "mori_holder_bound", "mori_sin_bound", "mori_sin_bound_clamped",
-    "qc_schwarz_bounds", "rho_lower",
+    "BLOCH_B1", "LATTICE_GAP_D", "eta_k", "f_growth_bound",
+    "mori_holder_bound", "mori_sin_bound", "qc_schwarz_bounds", "rho_lower",
     "schottky_F", "schottky_classical", "schottky_f0_window", "schottky_sf",
     "sigma_metric", "theorem3_sfk", "triple_angle", "zeta_map",
     "SUITES", "InequalityReport", "SweepSpec", "Target", "UsageError",

@@ -105,12 +105,13 @@ def sigma_metric(z: complex) -> float:
 
 def schottky_classical(ln_f0: float, z_abs: float) -> float:
     """Sharp classical upper bound for ln|f(z)|:
-    [C + max(ln|f(0)|, 0)] (1+|z|)/(1-|z|) - C."""
+    [C + m] (1+|z|)/(1-|z|) - C with m = max(ln|f(0)|, 0), taken as
+    [m (1+|z|) + 2C|z|]/(1-|z|), which does not cancel near |z| = 0."""
     if not (0.0 <= z_abs < 1.0):
         raise DomainError("|z| must lie in [0,1)")
     if not math.isfinite(ln_f0):
         raise DomainError(f"ln|f(0)| must be finite, got {ln_f0!r}")
-    bound = (LANDAU_C + max(ln_f0, 0.0)) * (1.0 + z_abs) / (1.0 - z_abs) - LANDAU_C
+    bound = (max(ln_f0, 0.0) * (1.0 + z_abs) + 2.0 * LANDAU_C * z_abs) / (1.0 - z_abs)
     if bound == math.inf:
         raise DomainError(f"the bound overflows a double at ln|f(0)| = {ln_f0!r}, |z| = {z_abs!r}")
     return bound
@@ -126,19 +127,24 @@ def schottky_F(w: complex) -> complex:
 
 
 def schottky_sf(f_abs: float) -> float:
-    """S_f = exp(pi e^{2|F|}) for f_abs = |F|; returns inf on overflow."""
+    """S_f = exp(pi e^{2|F|}) for f_abs = |F|; DomainError where S_f
+    overflows a double, from |F| ~ 2.71."""
     if not (f_abs >= 0.0):
         raise DomainError("|F| must be nonnegative")
     try:
-        return math.exp(math.pi * math.exp(2.0 * f_abs))
+        sf = math.exp(math.pi * math.exp(2.0 * f_abs))   # an infinite |F| gives inf
     except OverflowError:
-        return math.inf
+        sf = math.inf
+    if sf == math.inf:
+        raise DomainError(f"S_f overflows a double at |F| = {f_abs!r}")
+    return sf
 
 
 def f_growth_bound(f_abs: float, theta: float = 0.0, d: float = LATTICE_GAP_D,
                    b1: float = BLOCH_B1) -> float:
     """Bloch-route growth bound |F(z)| <= |F(0)| + (d/B1) ln(1/(1-theta)),
-    f_abs = |F(0)|, with Bloch lower bound b1 and lattice gap d."""
+    f_abs = |F(0)|, with Bloch lower bound b1 and lattice gap d; the log is
+    -log1p(-theta), which keeps its digits at small theta."""
     for name, value in (("b1", b1), ("d", d)):
         if not (0.0 < value < math.inf):
             raise DomainError(f"{name} must be positive and finite, got {value!r}")
@@ -146,7 +152,7 @@ def f_growth_bound(f_abs: float, theta: float = 0.0, d: float = LATTICE_GAP_D,
         raise DomainError("theta must lie in [0,1)")
     if not (0.0 <= f_abs < math.inf):
         raise DomainError("|F(0)| must be finite and nonnegative")
-    return f_abs + d / b1 * math.log(1.0 / (1.0 - theta))
+    return f_abs + d / b1 * -math.log1p(-theta)
 
 
 def schottky_f0_window(alpha: float, beta: float) -> float:
@@ -181,7 +187,9 @@ def _landen_bound(k: float, r: float, printed: bool) -> float:
 
 def eta_k(k: float, r: float) -> float:
     """eta_K(r) = [P(s)/P(s')]^2 exp(2K u(r') - 2u(r)/K), s = phi_K(r'), taking
-    s' = phi_{1/K}(r) from the identity phi_K(r')^2 + phi_{1/K}(r)^2 = 1."""
+    s' = phi_{1/K}(r) from the identity phi_K(r')^2 + phi_{1/K}(r)^2 = 1.
+    As P(s) = s' e^{u(s')} = s' e^{K u(r)} and P(s') = s e^{u(r')/K}, it is
+    the closed form (phi_{1/K}(r)/phi_K(r'))^2 e^{2(K-1/K)(u(r)+u(r'))}."""
     return _landen_bound(k, r, printed=False)
 
 
@@ -232,38 +240,13 @@ def triple_angle(z0: complex, z1: complex, z2: complex,
     return ang(z0, z1, z2), ang(w0, w1, w2)
 
 
-def _check_alpha(alpha: float) -> float:
-    if not (0.0 < alpha <= math.pi / 2.0):
-        raise DomainError(f"alpha must lie in (0, pi/2], got {alpha!r}")
-    return alpha
-
-
-def mori_h(k: float, alpha: float) -> float:
-    """H(K, alpha) = sin(alpha)^{-1/K}."""
-    if not (k > 0.0):
-        raise DomainError("K must be positive")
-    _check_alpha(alpha)
-    try:
-        h = math.sin(alpha) ** (-1.0 / k)   # an infinite 1/K gives inf, no OverflowError
-        if h < math.inf:
-            return h
-    except OverflowError:
-        pass
-    raise DomainError(f"H overflows a double at K = {k!r}, alpha = {alpha!r}")
-
-
 def mori_sin_bound(k: float, alpha: float) -> float:
-    """Raw angular bound 2^{1-1/K} sin^{1/K}(alpha); may exceed 1 (see the
-    clamped accessor)."""
+    """Raw angular bound 2^{1-1/K} sin^{1/K}(alpha); may exceed 1."""
     if not (k >= 1.0):
         raise DomainError("K must be >= 1")
-    _check_alpha(alpha)
+    if not (0.0 < alpha <= math.pi / 2.0):
+        raise DomainError(f"alpha must lie in (0, pi/2], got {alpha!r}")
     return 2.0 ** (1.0 - 1.0 / k) * math.sin(alpha) ** (1.0 / k)
-
-
-def mori_sin_bound_clamped(k: float, alpha: float) -> float:
-    """mori_sin_bound clamped to 1, usable as a sine."""
-    return min(1.0, mori_sin_bound(k, alpha))
 
 
 def mori_holder_bound(k: float, dz_abs: float, variant: str = "sixteen") -> float:

@@ -36,8 +36,8 @@ def _fmt(v) -> str:
 
 FUNCTIONS: dict = {fn.__name__: fn for fn in (
     special.agm, special.elliptic_k, special.elliptic_e, special.elliptic_ka,
-    special.gauss_2f1_sym, special.digamma, special.euler_gamma,
-    special.ramanujan_R, special.landau_constant, special.apery_zeta3,
+    special.gauss_2f1_sym, special.digamma, special.ramanujan_R,
+    special.landau_constant,
     modulus.grotzsch_u, modulus.grotzsch_u_inv, modulus.grotzsch_ua,
     modulus.grotzsch_ua_inv, modulus.product_P, modulus.fn_A, modulus.fn_B,
     distortion.phi_k, distortion.phi_ka, distortion.phi_k_product,
@@ -46,8 +46,7 @@ FUNCTIONS: dict = {fn.__name__: fn for fn in (
     bounds.schottky_classical, bounds.schottky_F, bounds.schottky_sf,
     bounds.f_growth_bound, bounds.schottky_f0_window, bounds.eta_k,
     bounds.theorem3_sfk, bounds.qc_schwarz_bounds, bounds.triple_angle,
-    bounds.mori_h, bounds.mori_sin_bound, bounds.mori_sin_bound_clamped,
-    bounds.mori_holder_bound,
+    bounds.mori_sin_bound, bounds.mori_holder_bound,
 )}
 
 
@@ -239,9 +238,9 @@ def _cmd_verify(argv: list[str]) -> int:
 
 def _constants() -> list[tuple[str, float, str]]:
     return [
-        ("landau", special.landau_constant(), "Gamma(1/4)^4/(4 pi^2)"),
-        ("euler_gamma", special.euler_gamma(), "-psi(1)"),
-        ("zeta3", special.apery_zeta3(), "zeta(3)"),
+        ("landau", special.LANDAU_C, "Gamma(1/4)^4/(4 pi^2)"),
+        ("euler_gamma", special.EULER_GAMMA, "-psi(1)"),
+        ("zeta3", special.ZETA3, "zeta(3)"),
         ("14_zeta3", special.APERY_A, "14*zeta(3)"),
         ("bloch_B1", bounds.BLOCH_B1, "sqrt(3)/4 lower bound for Bloch's constant"),
         ("lattice_gap_d", bounds.LATTICE_GAP_D,

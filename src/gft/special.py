@@ -208,11 +208,6 @@ def digamma(x: float) -> float:
             - (2.0 * x + 8.0) * pairs) - 1.0 / x
 
 
-def euler_gamma() -> float:
-    """The Euler-Mascheroni constant gamma = -psi(1)."""
-    return EULER_GAMMA
-
-
 def ramanujan_R(a: float) -> float:
     """R(a) = -2*gamma - psi(a) - psi(1-a); R(1/2) = ln 16.
 
@@ -233,8 +228,3 @@ def ramanujan_R(a: float) -> float:
 def landau_constant() -> float:
     """The sharp Schottky constant C = Gamma(1/4)^4 / (4 pi^2)."""
     return LANDAU_C
-
-
-def apery_zeta3() -> float:
-    """zeta(3); the companion constant 14*zeta(3) is APERY_A."""
-    return ZETA3

@@ -16,10 +16,10 @@ from gft import (
     DomainError,
     eta_k,
     f_growth_bound,
-    mori_h,
+    grotzsch_u,
     mori_holder_bound,
     mori_sin_bound,
-    mori_sin_bound_clamped,
+    phi_k,
     product_P,
     qc_schwarz_bounds,
     rho_lower,
@@ -239,6 +239,25 @@ class TestSchottky:
         with pytest.raises(DomainError, match="overflows a double"):
             schottky_classical(1.7976931348623157e308, 0.5)
 
+    def test_classical_within_4_ulps_of_mpmath(self):
+        # the literal (C + m)(1+|z|)/(1-|z|) - C cancels near |z| = 0, where
+        # it gives 0 at |z| = 1e-300 and misses about half of these points by
+        # more than 4 ulps.  4,000 seeded (ln|f(0)|, |z|), each drawn from a
+        # mix of log-uniform and uniform ranges, against 60-digit mpmath
+        import mpmath
+        rng = np.random.default_rng(20261019)
+        c = mpmath.mpf(LANDAU_C)
+        with mpmath.workdps(60):
+            for i in range(4000):
+                ln_f0 = (0.0, -rng.uniform(0.0, 10.0), 10.0 ** rng.uniform(-300.0, 3.0))[i % 3]
+                z = float(10.0 ** rng.uniform(-300.0, 0.0) if i % 2 else rng.uniform(1e-300, 1.0))
+                ln_f0, zm = float(ln_f0), mpmath.mpf(z)
+                expected = (max(ln_f0, 0.0) * (1 + zm) + 2 * c * zm) / (1 - zm)
+                tol = 4.0 * math.ulp(float(expected))
+                assert abs(schottky_classical(ln_f0, z) - expected) <= tol, (ln_f0, z)
+        assert schottky_classical(0.0, 1e-300) == pytest.approx(2.0 * LANDAU_C * 1e-300,
+                                                                rel=1e-15)
+
     def test_F_at_minus_one(self):
         # w = -1: q = 1/2, F = (1/2) ln 2
         v = schottky_F(-1.0)
@@ -261,12 +280,37 @@ class TestSchottky:
 
     def test_sf_values(self):
         assert schottky_sf(0.0) == pytest.approx(math.exp(math.pi), rel=1e-14)
-        assert schottky_sf(500.0) == math.inf
+        assert schottky_sf(2.7) < math.inf
         with pytest.raises(DomainError):
             schottky_sf(-1.0)
 
+    @pytest.mark.parametrize("f_abs", [2.72, 500.0, M, math.inf])
+    def test_sf_overflow_raises(self, f_abs):
+        # S_f = exp(pi e^{2|F|}) leaves the doubles from |F| ~ 2.71: DomainError,
+        # not an infinite value
+        with pytest.raises(DomainError, match="S_f overflows a double"):
+            schottky_sf(f_abs)
+
     def test_growth_bound_theta_zero(self):
         assert f_growth_bound(2.5) == 2.5
+
+    def test_growth_bound_within_4_ulps_of_mpmath(self):
+        # ln(1/(1-theta)) loses its digits at small theta (it is 0 at
+        # theta = 1e-20, where the bound is 7.3e-20); -log1p(-theta) keeps
+        # them.  4,000 seeded (|F(0)|, theta) against 60-digit mpmath, with
+        # the default d and B1
+        import mpmath
+        rng = np.random.default_rng(20261020)
+        with mpmath.workdps(60):
+            scale = mpmath.mpf(LATTICE_GAP_D) / mpmath.mpf(BLOCH_B1)
+            for i in range(4000):
+                f_abs = float((0.0, rng.uniform(0.0, 10.0), 10.0 ** rng.uniform(-300.0, 3.0))[i % 3])
+                theta = float(10.0 ** rng.uniform(-300.0, 0.0) if i % 2 else rng.uniform(0.0, 1.0))
+                expected = f_abs - scale * mpmath.log1p(-mpmath.mpf(theta))
+                tol = 4.0 * math.ulp(float(expected))
+                assert abs(f_growth_bound(f_abs, theta) - expected) <= tol, (f_abs, theta)
+        assert f_growth_bound(0.0, 1e-20) == pytest.approx(
+            LATTICE_GAP_D / BLOCH_B1 * 1e-20, rel=1e-15)
 
     def test_growth_bound_formula(self):
         expected = 1.0 + LATTICE_GAP_D / BLOCH_B1 * math.log(2.0)
@@ -373,6 +417,16 @@ class TestEtaAndProductBound:
         # s = phi_K(r') is tiny and s' = phi_{1/K}(r) lies within ulps of 1;
         # oracle: 60-digit mpmath (Jacobi nome for phi, the Landen product for P)
         assert eta_k(k, r) == pytest.approx(expected, rel=1e-13)
+
+    @pytest.mark.parametrize("k", [0.5, 1.5, 2.0, 4.0])
+    @pytest.mark.parametrize("r", [0.1, 0.3, 0.5, 0.7, 0.9])
+    def test_eta_closed_form(self, k, r):
+        # eta_K(r) = (phi_{1/K}(r)/phi_K(r'))^2 e^{2(K-1/K)(u(r)+u(r'))}, from
+        # P(s) = s' e^{u(s')} (1.6e-15 relative at worst here)
+        rc = math.sqrt((1.0 - r) * (1.0 + r))
+        expected = ((phi_k(1.0 / k, r).value / phi_k(k, rc).value) ** 2
+                    * math.exp(2.0 * (k - 1.0 / k) * (grotzsch_u(r) + grotzsch_u(rc))))
+        assert eta_k(k, r) == pytest.approx(expected, rel=1e-13, abs=0.0)
 
     def test_eta_positive_finite(self):
         for k in (1.0, 1.5, 2.0, 4.0):
@@ -519,25 +573,11 @@ class TestMori:
             with pytest.raises(DomainError, match="pairwise distinct"):
                 triple_angle(*points)
 
-    def test_mori_h(self):
-        assert mori_h(2.0, math.pi / 2.0) == pytest.approx(1.0, rel=1e-15)
-        assert mori_h(2.0, math.pi / 6.0) == pytest.approx(
-            0.5 ** (-0.5), rel=1e-14)
-
-    @pytest.mark.parametrize("k", [1e-16, 5e-324])
-    def test_mori_h_overflow_raises(self, k):
-        # sin(0.5)^(-1/K) is far beyond the largest double; at K = 5e-324,
-        # 1/K itself is infinite
-        with pytest.raises(DomainError, match=f"H overflows a double at K = {k!r}"):
-            mori_h(k, 0.5)
-        assert mori_h(k, math.pi / 2.0) == 1.0
-
-    def test_sin_bound_and_clamp(self):
-        raw = mori_sin_bound(2.0, math.pi / 2.0)
-        assert raw == pytest.approx(math.sqrt(2.0), rel=1e-14)
-        assert mori_sin_bound_clamped(2.0, math.pi / 2.0) == 1.0
-        small = mori_sin_bound(2.0, 0.01)
-        assert mori_sin_bound_clamped(2.0, 0.01) == small < 1.0
+    def test_sin_bound(self):
+        # the raw bound may exceed 1
+        assert mori_sin_bound(2.0, math.pi / 2.0) == pytest.approx(math.sqrt(2.0), rel=1e-14)
+        assert mori_sin_bound(2.0, 0.01) == pytest.approx(
+            math.sqrt(2.0 * math.sin(0.01)), rel=1e-14)
 
     def test_holder_bound_variants(self):
         k, dz = 2.0, 0.1
@@ -556,8 +596,8 @@ class TestMori:
         assert mori_holder_bound(1.0, 0.3) == pytest.approx(0.3, rel=1e-15)
 
     def test_domains(self):
-        for call in (lambda: mori_h(2.0, 0.0), lambda: mori_h(0.0, 1.0),
-                     lambda: mori_h(-1.0, 1.0), lambda: mori_sin_bound(0.5, 1.0),
+        for call in (lambda: mori_sin_bound(2.0, 0.0), lambda: mori_sin_bound(2.0, 1.6),
+                     lambda: mori_sin_bound(0.5, 1.0),
                      lambda: mori_holder_bound(2.0, -0.1),
                      lambda: mori_holder_bound(0.5, 0.1)):
             with pytest.raises(DomainError):

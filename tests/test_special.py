@@ -21,12 +21,10 @@ from gft import (
     ZETA3,
     DomainError,
     agm,
-    apery_zeta3,
     digamma,
     elliptic_e,
     elliptic_k,
     elliptic_ka,
-    euler_gamma,
     gauss_2f1_sym,
     grotzsch_ua,
     landau_constant,
@@ -377,16 +375,15 @@ class TestDigamma:
 
 class TestConstants:
     def test_euler_gamma(self):
-        assert euler_gamma() == pytest.approx(0.5772156649015329, abs=1e-15)
-        assert euler_gamma() == pytest.approx(-digamma(1.0), abs=1e-13)
-        assert EULER_GAMMA == euler_gamma()
+        assert EULER_GAMMA == pytest.approx(0.5772156649015329, abs=1e-15)
+        assert EULER_GAMMA == pytest.approx(-digamma(1.0), abs=1e-13)
 
     def test_euler_gamma_accelerated_limit(self):
         # gamma = lim H_n - ln n with the 1/(2n) - 1/(12n^2) correction
         n = 10_000
         h = sum(1.0 / k for k in range(1, n + 1))
         approx = h - math.log(n) - 1.0 / (2.0 * n) + 1.0 / (12.0 * n * n)
-        assert euler_gamma() == pytest.approx(approx, abs=1e-12)
+        assert EULER_GAMMA == pytest.approx(approx, abs=1e-12)
 
     def test_landau_constant(self):
         # Gamma(1/4)^4 / (4 pi^2), recomputed from math.gamma
@@ -396,7 +393,7 @@ class TestConstants:
         assert LANDAU_C == landau_constant()
 
     def test_apery(self):
-        assert apery_zeta3() == pytest.approx(1.2020569031595943, rel=1e-15)
+        assert ZETA3 == pytest.approx(1.2020569031595943, rel=1e-15)
         assert APERY_A == pytest.approx(14.0 * ZETA3, rel=1e-15)
 
 
@@ -429,7 +426,7 @@ class TestRamanujanR:
 
     def test_digamma_composition(self):
         a = 0.3
-        expected = -2.0 * euler_gamma() - digamma(a) - digamma(1.0 - a)
+        expected = -2.0 * EULER_GAMMA - digamma(a) - digamma(1.0 - a)
         assert ramanujan_R(a) == pytest.approx(expected, rel=1e-13)
 
     def test_domain(self):
