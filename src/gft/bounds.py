@@ -144,7 +144,10 @@ def f_growth_bound(f_abs: float, theta: float = 0.0, d: float = LATTICE_GAP_D,
                    b1: float = BLOCH_B1) -> float:
     """Bloch-route growth bound |F(z)| <= |F(0)| + (d/B1) ln(1/(1-theta)),
     f_abs = |F(0)|, with Bloch lower bound b1 and lattice gap d; the log is
-    -log1p(-theta), which keeps its digits at small theta."""
+    -log1p(-theta), which keeps its digits at small theta.  (d/B1) times the
+    log is formed on frexp mantissas, so d/B1 alone leaving the doubles
+    neither overflows a finite bound nor makes 0*inf at theta = 0; a bound
+    beyond the largest double raises DomainError."""
     for name, value in (("b1", b1), ("d", d)):
         if not (0.0 < value < math.inf):
             raise DomainError(f"{name} must be positive and finite, got {value!r}")
@@ -152,7 +155,14 @@ def f_growth_bound(f_abs: float, theta: float = 0.0, d: float = LATTICE_GAP_D,
         raise DomainError("theta must lie in [0,1)")
     if not (0.0 <= f_abs < math.inf):
         raise DomainError("|F(0)| must be finite and nonnegative")
-    return f_abs + d / b1 * -math.log1p(-theta)
+    (md, ed), (mb, eb), (ml, el) = map(math.frexp, (d, b1, -math.log1p(-theta)))
+    try:
+        bound = f_abs + math.ldexp(md / mb * ml, ed - eb + el)
+    except OverflowError:
+        bound = math.inf
+    if bound == math.inf:
+        raise DomainError("the growth bound overflows a double")
+    return bound
 
 
 def schottky_f0_window(alpha: float, beta: float) -> float:

@@ -318,6 +318,25 @@ class TestSchottky:
         assert f_growth_bound(1.0, 0.5, 3.0, 0.5) == pytest.approx(
             1.0 + 6.0 * math.log(2.0), rel=1e-14)
 
+    def test_growth_bound_where_d_over_b1_leaves_the_doubles(self):
+        # d/B1 alone overflows here, the bound does not: at theta = 0 it is
+        # |F(0)| (not inf*0 = NaN), elsewhere within 4 ulps of 60-digit mpmath
+        import mpmath
+        assert f_growth_bound(1.0, 0.0, 1e308, 1e-300) == 1.0
+        with mpmath.workdps(60):
+            for f_abs, theta, d, b1 in ((1.0, 0.5, 1e308, 0.5),
+                                        (0.0, 1e-300, 1e300, 1e-300),
+                                        (2.0, 1e-4, 3.0, 5e-324 * 2**40)):
+                expected = f_abs - mpmath.mpf(d) / mpmath.mpf(b1) * mpmath.log1p(-mpmath.mpf(theta))
+                got = f_growth_bound(f_abs, theta, d, b1)
+                assert abs(got - expected) <= 4.0 * math.ulp(float(expected)), (d, b1, got)
+
+    @pytest.mark.parametrize("f_abs, theta, d, b1", [
+        (1.0, 0.5, M, 0.5), (M, 0.5, M, 1.0), (1.0, 0.5, 3.0, 5e-324)])
+    def test_growth_bound_overflow_raises(self, f_abs, theta, d, b1):
+        with pytest.raises(DomainError, match="growth bound overflows a double"):
+            f_growth_bound(f_abs, theta, d, b1)
+
     def test_growth_bound_domain(self):
         for bad in (math.nan, math.inf, -1.0):
             with pytest.raises(DomainError):

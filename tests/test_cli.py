@@ -234,11 +234,25 @@ EXTREME_VALUES = ("nan", "inf", "-inf", "1e-300", "1e300", "5e-324",
                   "1.7976931348623157e308")
 
 
+def _fullest_eval_entries() -> dict:
+    """Each registered function's passing golden eval command that sets the
+    most flags, where it sets more than the first one, which can leave an
+    optional parameter at its default.  --format entries are left out."""
+    first, fullest = _first_eval_entries(), {}
+    for e in json.loads(GOLDEN_PATH.read_text()):
+        argv = e["argv"]
+        if argv[:1] == ["eval"] and e["rc"] == 0 and "--format" not in argv:
+            if len(argv) > len(fullest.get(argv[1], first[argv[1]])):
+                fullest[argv[1]] = argv
+    return fullest
+
+
 def _extreme_value_cases() -> list:
-    """Each first eval command with one numeric flag set to an extreme, and,
-    where it has several, with all of them set to the same extreme at once."""
+    """Each first and fullest eval command with one numeric flag set to an
+    extreme, and, where it has several, with all of them set to the same
+    extreme at once."""
     cases, together = [], []
-    for argv in _first_eval_entries().values():
+    for argv in [*_first_eval_entries().values(), *_fullest_eval_entries().values()]:
         numeric = []
         for j in range(3, len(argv), 2):
             try:
