@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import csv
 import json
-import os
 import sys
 import typing
 
@@ -219,9 +218,6 @@ def _cmd_verify(argv: list[str]) -> int:
     docs = [r.to_dict() for r in reports]
 
     if report_path is not None:
-        report_dir = os.environ.get("GFT_REPORT_DIR", "")
-        if report_dir and not os.path.isabs(report_path):
-            report_path = os.path.join(report_dir, report_path)
         with open(report_path, "w") as fh:
             # streamed: json.dumps would hold every chunk of the indenting
             # encoder at once, which raises peak memory for little time saved

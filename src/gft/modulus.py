@@ -309,6 +309,8 @@ class Lemma2Constants(NamedTuple):
 
 
 def lemma2_constants(a: float) -> Lemma2Constants:
+    """c1 = (R(a) - ln 16)/2, c2 = c1/ln 4, c3 = (1 - 2a)^2/((1 - a) pi),
+    c4 = e^c1, c5 = e^c2 and c6 = c3/c1, for a in (0, 1/2]."""
     _check_param_a(a)
     if a == 0.5:
         return Lemma2Constants(0.0, 0.0, 0.0, 1.0, 1.0, math.nan)

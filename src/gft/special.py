@@ -77,7 +77,9 @@ def elliptic_k(r: float) -> float:
 def elliptic_e(r: float) -> float:
     """Complete elliptic integral of the second kind (modulus convention).
 
-    Computed from the AGM c_n-sum: E = K * (1 - sum_n 2^{n-1} c_n^2).
+    Computed from the AGM c_n-sum: E = K * (1 - sum_n 2^{n-1} c_n^2).  Within
+    4 ulps of mpmath up to r = 0.99 (2.4 at worst on [0, 1/sqrt 2]); toward
+    1 that sum cancels, and the error reaches 24 ulps (5.3e-15 relative).
     """
     if not (0.0 <= r <= 1.0):
         raise DomainError("r must lie in [0,1]")

@@ -32,22 +32,6 @@ class UsageError(ValueError):
 # The records are NamedTuples, not dataclasses: importing dataclasses loads
 # inspect, ast, dis and tokenize, which every cold `gft` process would pay.
 
-class _Checked:
-    """Base for a NamedTuple record that checks its fields: the constructor,
-    _make and _replace all run the subclass's _check."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        self._check()
-        return self
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
-
-
 class _SweepFields(NamedTuple):
     target: str
     r_grid: tuple[float, float, int] = (0.01, 0.99, 99)
@@ -58,12 +42,14 @@ class _SweepFields(NamedTuple):
     samples: int = 10_000
 
 
-class SweepSpec(_Checked, _SweepFields):
-    """Grid/sample/tolerance/seed configuration for one verification run."""
+class SweepSpec(_SweepFields):
+    """Grid/sample/tolerance/seed configuration for one verification run.
+    The constructor, _make and _replace all check the fields."""
 
     __slots__ = ()
 
-    def _check(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         lo, hi, steps = self.r_grid
         if not (0.0 < lo < hi < 1.0):
             raise UsageError(f"r grid must satisfy 0 < min < max < 1, got {self.r_grid}")
@@ -73,6 +59,12 @@ class SweepSpec(_Checked, _SweepFields):
             raise UsageError("tol must be nonnegative")
         if self.samples < 1:
             raise UsageError("samples must be >= 1")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # a NamedTuple's own _make, which _replace calls, skips __new__
+        return cls(*iterable)
 
 
 MAX_VIOLATIONS = 20   # a report keeps the worst violations; it counts them all
@@ -123,23 +115,15 @@ class InequalityReport(NamedTuple):
 # never matters and sample i is a pure function of (seed, stream, i)
 # ---------------------------------------------------------------------------
 
-class _SamplerFields(NamedTuple):
-    stream: str
-    names: tuple[str, ...]
-    accept: Callable[..., bool]
-
-
-class Sampler(_Checked, _SamplerFields):
+class Sampler(NamedTuple):
     """How a sampled target draws index i: one uniform point of the unit
     disk per name in `names` (reports record each as <name>_re, <name>_im),
     redrawn until `accept` takes the points.  A target samples one point or
-    one pair."""
+    one pair, the two widths `_sampler` builds."""
 
-    __slots__ = ()
-
-    def _check(self) -> None:
-        if len(self.names) not in (1, 2):
-            raise UsageError(f"a sampler draws one or two points, got {self.names!r}")
+    stream: str
+    names: tuple[str, ...]
+    accept: Callable[..., bool]
 
 
 def _sampler(sampler: Sampler, seed: int) -> Callable[[int, int], list[tuple[complex, ...]]]:
@@ -442,6 +426,7 @@ def registry() -> list[str]:
 
 
 def target_info(name: str) -> Target:
+    """The registered target `name`; UsageError if there is none."""
     try:
         return _REGISTRY[name]
     except KeyError:
@@ -474,10 +459,8 @@ def _param_list(target: Target, spec: SweepSpec) -> list[dict]:
             if target.pairwise_r:
                 return [{"r": rs[i], "r_next": rs[i + 1]} for i in range(len(rs) - 1)]
             return [{"r": r} for r in rs]
-        if name == "alpha":
-            # the r grid mapped onto (0, pi/2]
-            return [{"alpha": r * math.pi / 2.0} for r in rs]
-        raise AssertionError(name)
+        # alpha: the r grid mapped onto (0, pi/2]
+        return [{"alpha": r * math.pi / 2.0} for r in rs]
 
     params: list[dict] = [{}]
     for name in sorted(target.axes):
@@ -634,4 +617,5 @@ def run_suite(name: str, **overrides) -> list[InequalityReport]:
 
 
 def suite_failed(reports: list[InequalityReport]) -> bool:
+    """Whether an asserted inequality failed in any of the reports."""
     return any(r.status == "fail" for r in reports)

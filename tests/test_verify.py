@@ -161,6 +161,16 @@ class TestRegistry:
             assert t.pairwise_r == ("r_next" in params), name
         assert len(registry()) == 23
 
+    def test_samplers_draw_one_point_or_a_pair(self):
+        # Sampler checks nothing itself: the registry builds every one, and
+        # _sampler's draw builds the first attempt inline for these two widths
+        sampled = {n: target_info(n).sample for n in registry() if target_info(n).randomized}
+        assert set(sampled) == set(SAMPLED_TARGETS)
+        for name, sampler in sampled.items():
+            assert len(sampler.names) in (1, 2), name
+            zss = verify._sampler(sampler, 1)(0, 5)
+            assert [len(zs) for zs in zss] == [len(sampler.names)] * 5, name
+
     def test_classifications(self):
         asserted = {n for n in registry() if target_info(n).classification == "asserted"}
         assert asserted == {"lemma3_corrected", "eq60_phi_4bound", "std_phi_identity",
@@ -556,10 +566,6 @@ class TestSampling:
                 checked += 1
         assert checked
 
-    def test_sampler_draws_one_point_or_a_pair(self):
-        with pytest.raises(UsageError, match="one or two points"):
-            verify.Sampler("triples", ("z1", "z2", "z3"), lambda *zs: True)
-
 
 # sha256 of json.dumps(sweep(SweepSpec(target=name, samples=25_000)).to_dict(),
 # sort_keys=True): 25 blocks, the last partial, and indices that hash block 1
@@ -695,9 +701,6 @@ class TestSpecValidation:
             spec._replace(samples=0)
         with pytest.raises(UsageError, match="r grid"):
             SweepSpec._make(("std_phi_identity", (0.5, 0.2, 3), (2.0,), (0.5,), None, 1, 1))
-        sampler = target_info("eq5_chain").sample
-        with pytest.raises(UsageError, match="one or two points"):
-            sampler._replace(names=("z1", "z2", "z3"))
 
     def test_unknown_target_and_suite(self):
         with pytest.raises(UsageError):
