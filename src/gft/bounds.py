@@ -140,29 +140,16 @@ def schottky_sf(f_abs: float) -> float:
     return sf
 
 
-def f_growth_bound(f_abs: float, theta: float = 0.0, d: float = LATTICE_GAP_D,
-                   b1: float = BLOCH_B1) -> float:
+def f_growth_bound(f_abs: float, theta: float = 0.0) -> float:
     """Bloch-route growth bound |F(z)| <= |F(0)| + (d/B1) ln(1/(1-theta)),
-    f_abs = |F(0)|, with Bloch lower bound b1 and lattice gap d; the log is
-    -log1p(-theta), which keeps its digits at small theta.  (d/B1) times the
-    log is formed on frexp mantissas, so d/B1 alone leaving the doubles
-    neither overflows a finite bound nor makes 0*inf at theta = 0; a bound
-    beyond the largest double raises DomainError."""
-    for name, value in (("b1", b1), ("d", d)):
-        if not (0.0 < value < math.inf):
-            raise DomainError(f"{name} must be positive and finite, got {value!r}")
+    f_abs = |F(0)|, d = LATTICE_GAP_D, B1 = BLOCH_B1; the log is
+    -log1p(-theta), which keeps its digits at small theta.  The second term
+    is below 7.33 * 53 ln 2 < 270, so a finite |F(0)| gives a finite bound."""
     if not (0.0 <= theta < 1.0):
         raise DomainError("theta must lie in [0,1)")
     if not (0.0 <= f_abs < math.inf):
         raise DomainError("|F(0)| must be finite and nonnegative")
-    (md, ed), (mb, eb), (ml, el) = map(math.frexp, (d, b1, -math.log1p(-theta)))
-    try:
-        bound = f_abs + math.ldexp(md / mb * ml, ed - eb + el)
-    except OverflowError:
-        bound = math.inf
-    if bound == math.inf:
-        raise DomainError("the growth bound overflows a double")
-    return bound
+    return f_abs + LATTICE_GAP_D / BLOCH_B1 * -math.log1p(-theta)
 
 
 def schottky_f0_window(alpha: float, beta: float) -> float:
@@ -216,11 +203,15 @@ def theorem3_sfk(k: float, r: float) -> float:
 # Quasiconformal Schwarz bounds
 # ---------------------------------------------------------------------------
 
+def _check_k_ge_1(k: float) -> None:
+    if not (1.0 <= k < math.inf):
+        raise DomainError(f"K must be finite and >= 1, got {k!r}")
+
+
 def qc_schwarz_bounds(k: float, z_abs: float) -> tuple[float, float]:
     """Two-sided Schwarz bound (|z|^K P(|z|)^{1-K}, |z|^{1/K} P(|z|)^{1-1/K})
     for |f(z) - f(0)| under a K-quasiconformal self-map, K >= 1."""
-    if not (1.0 <= k < math.inf):
-        raise DomainError(f"K must be finite and >= 1, got {k!r}")
+    _check_k_ge_1(k)
     _check_unit(z_abs)
     p = product_P(z_abs)
     lo = z_abs ** k * p ** (1.0 - k)
@@ -252,8 +243,7 @@ def triple_angle(z0: complex, z1: complex, z2: complex,
 
 def mori_sin_bound(k: float, alpha: float) -> float:
     """Raw angular bound 2^{1-1/K} sin^{1/K}(alpha); may exceed 1."""
-    if not (k >= 1.0):
-        raise DomainError("K must be >= 1")
+    _check_k_ge_1(k)
     if not (0.0 < alpha <= math.pi / 2.0):
         raise DomainError(f"alpha must lie in (0, pi/2], got {alpha!r}")
     return 2.0 ** (1.0 - 1.0 / k) * math.sin(alpha) ** (1.0 / k)
@@ -261,8 +251,7 @@ def mori_sin_bound(k: float, alpha: float) -> float:
 
 def mori_holder_bound(k: float, dz_abs: float, variant: str = "sixteen") -> float:
     """Holder bound c^{1-1/K} |z2-z1|^{1/K} with c = 16 or 64."""
-    if not (k >= 1.0):
-        raise DomainError("K must be >= 1")
+    _check_k_ge_1(k)
     if not (0.0 <= dz_abs < math.inf):
         raise DomainError(f"|z2-z1| must be finite and nonnegative, got {dz_abs!r}")
     if variant == "sixteen":

@@ -204,13 +204,13 @@ def _cmd_table(argv: list[str]) -> int:
 
 def _cmd_verify(argv: list[str]) -> int:
     if not argv:
-        raise _CliUsage("usage: gft verify SUITE [--samples N --tol T --seed S "
+        raise _CliUsage("usage: gft verify SUITE [--samples N --seed S "
                         "--report PATH --format F]")
     suite = argv[0]
     flags = _parse_flags(argv[1:])
     fmt = _get_format(flags)
     overrides = {name: _pop(flags, name, kind) for name, kind in
-                 (("samples", int), ("tol", float), ("seed", int)) if name in flags}
+                 (("samples", int), ("seed", int)) if name in flags}
     report_path = flags.pop("report", None)
     _reject_unknown(flags)
 
@@ -268,7 +268,7 @@ _USAGE = """usage: gft COMMAND ...
 commands:
   eval FUNCTION --param value ...     evaluate one registered function
   table FUNCTION --<p>-min A --<p>-max B --steps N [--<q> V] [--format F]
-  verify SUITE [--samples N --tol T --seed S --report PATH --format F]
+  verify SUITE [--samples N --seed S --report PATH --format F]
   constants [--format F]
 
 formats: text (default), csv, json

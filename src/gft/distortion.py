@@ -103,4 +103,8 @@ def lemma3_fk(a: float, k: float, r: float) -> float:
     The exponent is sign-corrected: the printed r^{+1/K} gives a form that
     increases on (0,1) for K > 1, which the lemma3_literal target measures.
     """
-    return _phi_parts(a, k, r)[0] * r ** (-1.0 / k)
+    s = _phi_parts(a, k, r)[0]
+    try:
+        return s * r ** (-1.0 / k)
+    except OverflowError:   # only K ~ 1 with r < 1/DBL_MAX: s/r and r^{1-1/K} are finite
+        return s / r * r ** (1.0 - 1.0 / k)

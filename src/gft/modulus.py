@@ -310,11 +310,14 @@ class Lemma2Constants(NamedTuple):
 
 def lemma2_constants(a: float) -> Lemma2Constants:
     """c1 = (R(a) - ln 16)/2, c2 = c1/ln 4, c3 = (1 - 2a)^2/((1 - a) pi),
-    c4 = e^c1, c5 = e^c2 and c6 = c3/c1, for a in (0, 1/2]."""
+    c4 = e^c1, c5 = e^c2 and c6 = c3/c1, for a in (0, 1/2]; DomainError
+    where c4 overflows a double, below a ~ 7.03e-4."""
     _check_param_a(a)
     if a == 0.5:
         return Lemma2Constants(0.0, 0.0, 0.0, 1.0, 1.0, math.nan)
     c1 = (ramanujan_R(a) - _LN16) / 2.0
     c2 = c1 / _LN4
     c3 = (1.0 - 2.0 * a) ** 2 / ((1.0 - a) * math.pi)
+    if not c1 <= _LN_DBL_MAX:   # c5 = e^{c1/ln 4} follows below a ~ 5.07e-4
+        raise DomainError(f"c4 = e^c1 overflows a double at a = {a!r}")
     return Lemma2Constants(c1, c2, c3, math.exp(c1), math.exp(c2), c3 / c1)

@@ -37,13 +37,12 @@ class _SweepFields(NamedTuple):
     r_grid: tuple[float, float, int] = (0.01, 0.99, 99)
     k_values: tuple[float, ...] = (1.0, 1.5, 2.0, 4.0)
     a_values: tuple[float, ...] = (0.1, 0.25, 0.5)
-    tol: float | None = None          # None: use the target's default
     seed: int = 20240811
     samples: int = 10_000
 
 
 class SweepSpec(_SweepFields):
-    """Grid/sample/tolerance/seed configuration for one verification run.
+    """Grid/sample/seed configuration for one verification run.
     The constructor, _make and _replace all check the fields."""
 
     __slots__ = ()
@@ -55,8 +54,6 @@ class SweepSpec(_SweepFields):
             raise UsageError(f"r grid must satisfy 0 < min < max < 1, got {self.r_grid}")
         if steps < 2:
             raise UsageError(f"r grid needs at least 2 steps, got {steps}")
-        if self.tol is not None and self.tol < 0.0:
-            raise UsageError("tol must be nonnegative")
         if self.samples < 1:
             raise UsageError("samples must be >= 1")
         return self
@@ -85,7 +82,7 @@ class InequalityReport(NamedTuple):
     violations: tuple[tuple[dict, float], ...]   # worst first, <= MAX_VIOLATIONS
     status: str                       # pass | fail | report_only
     spec: SweepSpec
-    tol: float                        # the tolerance applied
+    tol: float                        # the target's default_tol, applied
 
     def to_dict(self) -> dict:
         spec = self.spec
@@ -491,14 +488,15 @@ def _rank(m: float) -> float:
 
 def sweep(spec: SweepSpec) -> InequalityReport:
     """Evaluate one target's margin over its full parameter grid.  Every
-    violation (a margin below -tol, or NaN, which ranks worst) is counted;
-    the MAX_VIOLATIONS worst are kept, ties going to the earlier row.  A
-    sampled target draws SAMPLE_BLOCK indices at a time and evaluates every
-    grid row on them, so memory does not grow with spec.samples.  A sampled
-    row's params (its grid params, seed and index, and its points for the
-    reader) are built only when it is the argmin or a kept violation."""
+    violation (a margin below -tol, with tol the target's default_tol, or
+    NaN, which ranks worst) is counted; the MAX_VIOLATIONS worst are kept,
+    ties going to the earlier row.  A sampled target draws SAMPLE_BLOCK
+    indices at a time and evaluates every grid row on them, so memory does
+    not grow with spec.samples.  A sampled row's params (its grid params,
+    seed and index, and its points for the reader) are built only when it
+    is the argmin or a kept violation."""
     target = target_info(spec.target)
-    tol = target.default_tol if spec.tol is None else spec.tol
+    tol = target.default_tol
     grid = _param_list(target, spec)
     ok = (-tol).__le__
     count, kept = 0, []               # kept: (rank, order, margin), worst first
@@ -578,15 +576,15 @@ def sweep(spec: SweepSpec) -> InequalityReport:
     )
 
 
-def mori_radial_experiment(k: float, samples: int = 10_000, seed: int = 20240811,
+def mori_radial_experiment(k: float, samples: int = 10_000,
                            variant: str = "sixteen") -> InequalityReport:
     """Holder-bound check of the canonical K-quasiconformal radial stretch
-    z -> z |z|^{1/K - 1} on seeded uniform disk pairs; the target's K filter
-    rejects K < 1."""
+    z -> z |z|^{1/K - 1} on uniform disk pairs drawn with SweepSpec's
+    default seed; the target's K filter rejects K < 1."""
     if variant not in ("sixteen", "sixtyfour"):
         raise UsageError(f"unknown variant {variant!r}")
     spec = SweepSpec(target=f"mori_radial_{16 if variant == 'sixteen' else 64}",
-                     k_values=(k,), samples=samples, seed=seed)
+                     k_values=(k,), samples=samples)
     return sweep(spec)
 
 

@@ -315,27 +315,14 @@ class TestSchottky:
     def test_growth_bound_formula(self):
         expected = 1.0 + LATTICE_GAP_D / BLOCH_B1 * math.log(2.0)
         assert f_growth_bound(1.0, theta=0.5) == pytest.approx(expected, rel=1e-14)
-        assert f_growth_bound(1.0, 0.5, 3.0, 0.5) == pytest.approx(
-            1.0 + 6.0 * math.log(2.0), rel=1e-14)
 
-    def test_growth_bound_where_d_over_b1_leaves_the_doubles(self):
-        # d/B1 alone overflows here, the bound does not: at theta = 0 it is
-        # |F(0)| (not inf*0 = NaN), elsewhere within 4 ulps of 60-digit mpmath
-        import mpmath
-        assert f_growth_bound(1.0, 0.0, 1e308, 1e-300) == 1.0
-        with mpmath.workdps(60):
-            for f_abs, theta, d, b1 in ((1.0, 0.5, 1e308, 0.5),
-                                        (0.0, 1e-300, 1e300, 1e-300),
-                                        (2.0, 1e-4, 3.0, 5e-324 * 2**40)):
-                expected = f_abs - mpmath.mpf(d) / mpmath.mpf(b1) * mpmath.log1p(-mpmath.mpf(theta))
-                got = f_growth_bound(f_abs, theta, d, b1)
-                assert abs(got - expected) <= 4.0 * math.ulp(float(expected)), (d, b1, got)
-
-    @pytest.mark.parametrize("f_abs, theta, d, b1", [
-        (1.0, 0.5, M, 0.5), (M, 0.5, M, 1.0), (1.0, 0.5, 3.0, 5e-324)])
-    def test_growth_bound_overflow_raises(self, f_abs, theta, d, b1):
-        with pytest.raises(DomainError, match="growth bound overflows a double"):
-            f_growth_bound(f_abs, theta, d, b1)
+    def test_growth_bound_finite_at_the_largest_inputs(self):
+        # (d/B1) ln(1/(1-theta)) is at most 7.33 * 53 ln 2 < 270 at the
+        # largest theta below 1, so no finite |F(0)| overflows the bound
+        theta = 1.0 - 2.0 ** -53
+        assert f_growth_bound(M, theta) == M
+        assert f_growth_bound(0.0, theta) == pytest.approx(
+            LATTICE_GAP_D / BLOCH_B1 * 53.0 * math.log(2.0), rel=1e-15)
 
     def test_growth_bound_domain(self):
         for bad in (math.nan, math.inf, -1.0):
@@ -345,12 +332,6 @@ class TestSchottky:
     def test_growth_bound_config_validation(self):
         with pytest.raises(DomainError, match="theta"):
             f_growth_bound(1.0, theta=1.0)
-        # the message names the parameter (and the CLI flag) that is bad
-        for name in ("b1", "d"):
-            for bad in (0.0, -1.0, math.nan, math.inf):
-                with pytest.raises(DomainError, match=f"^{name} must be positive and finite, "
-                                                      f"got {bad!r}$"):
-                    f_growth_bound(1.0, **{name: bad})
 
     def test_f0_window_normalization(self):
         # already normalized: alpha < 1 < beta
@@ -563,6 +544,16 @@ class TestQcSchwarz:
         lo, hi = qc_schwarz_bounds(399.0, 0.5)
         assert lo == pytest.approx(0.5 ** 399 * product_P(0.5) ** -398, rel=1e-12)
         assert 2.2250738585072014e-308 < lo < 4e-308 and 0.5 < hi < product_P(0.5)
+
+
+@pytest.mark.parametrize("bad_k", [math.inf, math.nan, 0.5])
+@pytest.mark.parametrize("bound, second", [(qc_schwarz_bounds, 0.5), (mori_sin_bound, 0.5),
+                                           (mori_holder_bound, 0.0)])
+def test_one_k_check(bound, second, bad_k):
+    # the bounds stated for K >= 1 share one check and one message; the two
+    # Mori bounds took K = inf before (16.0 and 2.0 at these points)
+    with pytest.raises(DomainError, match=r"^K must be finite and >= 1, got "):
+        bound(bad_k, second)
 
 
 class TestMori:

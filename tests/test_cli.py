@@ -366,10 +366,8 @@ class TestKeywordCall:
     """Optional flags reach their own parameter whichever others are given."""
 
     @pytest.mark.parametrize("extra, cfg", [
-        (("--theta", "0.5", "--b1", "0.5"), {"theta": 0.5, "b1": 0.5}),
-        (("--d", "3"), {"d": 3.0}),
-        (("--b1", "0.5"), {"b1": 0.5}),
-        (("--theta", "0.25", "--d", "3"), {"theta": 0.25, "d": 3.0}),
+        (("--theta", "0.25"), {"theta": 0.25}),
+        ((), {}),
     ])
     def test_eval_growth_bound_matches_library(self, capsys, extra, cfg):
         rc, out, err = run_cli(capsys, "eval", "f_growth_bound", "--f-abs", "1", *extra)
@@ -379,13 +377,13 @@ class TestKeywordCall:
 
     def test_table_growth_bound_matches_library(self, capsys):
         rc, out, _ = run_cli(capsys, "table", "f_growth_bound", "--f-abs-min", "0",
-                             "--f-abs-max", "1", "--steps", "2", "--b1", "0.5",
+                             "--f-abs-max", "1", "--steps", "2", "--theta", "0.25",
                              "--format", "csv")
         assert rc == 0
         rows = list(csv.reader(io.StringIO(out)))
         assert rows == [["f-abs", "f_growth_bound"],
-                        ["0", f"{gft.f_growth_bound(0.0, b1=0.5):.15g}"],
-                        ["1", f"{gft.f_growth_bound(1.0, b1=0.5):.15g}"]]
+                        ["0", f"{gft.f_growth_bound(0.0, theta=0.25):.15g}"],
+                        ["1", f"{gft.f_growth_bound(1.0, theta=0.25):.15g}"]]
 
     def test_table_string_flag(self, capsys):
         rc, out, err = run_cli(capsys, "table", "mori_holder_bound", "--k-min", "1",
@@ -402,7 +400,6 @@ class TestKeywordCall:
 class TestUsageErrors:
     @pytest.mark.parametrize("argv, flag", [
         (("verify", "identities", "--samples", "abc"), "--samples"),
-        (("verify", "identities", "--tol", "x"), "--tol"),
         (("verify", "identities", "--seed", "x"), "--seed"),
         (("verify", "identities", "--samples", "1.5"), "--samples"),
         (("eval", "zeta_map", "--re", "1", "--im", "abc"), "--im"),
@@ -599,6 +596,39 @@ class TestTopLevel:
         for name in gft.__all__:
             value = getattr(gft, name)
             assert not callable(value) or (value.__doc__ or "").strip(), name
+
+    # Every setting of the public API: each defaulted parameter of a callable
+    # in gft.__all__, and each SweepSpec field, with the values in use outside
+    # the tests that make it a parameter and not a constant.  A new setting
+    # is added here with the second value it serves.
+    SETTINGS = {
+        "f_growth_bound.theta": "an input, |z|; at its default 0 the bound is |F(0)|",
+        "mori_holder_bound.variant": "sixteen and sixtyfour, one per mori_radial target",
+        "mori_radial_experiment.samples": "acceptance criterion 9 names it, so it stays",
+        "mori_radial_experiment.variant": "sixteen and sixtyfour, in acceptance criterion 9",
+        "Target.default_tol": "1e-9, eq60_phi_4bound's 1e-12 and thm4_k1_equality's 1e-15",
+        "Target.sample": "None on a grid, a Sampler for eq5_chain and the mori_radial pair",
+        "Target.k_filter": "None, K > 1 (lemma3) and K >= 1 (the Mori family)",
+        "Target.a_filter": "None, and a != 1/2 for the Lemma 2 and eq. 42 targets",
+        "Target.sanity": "True for planted_false only, which keeps it out of 'all'",
+        "SweepSpec.target": "each registered target",
+        "SweepSpec.r_grid": "one value in use; perfbench's expected_evaluations reads it",
+        "SweepSpec.k_values": "the default, and mori_radial_experiment's (k,)",
+        "SweepSpec.a_values": "one value in use; perfbench's expected_evaluations reads it",
+        "SweepSpec.seed": "the default, and --seed, which each benchmark run sets",
+        "SweepSpec.samples": "10,000, and the 25,000 of the verify_sampled workload",
+    }
+
+    def test_every_setting_is_listed(self):
+        found = {f"SweepSpec.{field}" for field in gft.SweepSpec._fields}
+        for name in gft.__all__:
+            value = getattr(gft, name)
+            if hasattr(value, "_field_defaults"):      # the NamedTuple records
+                found |= {f"{name}.{field}" for field in value._field_defaults}
+            elif isinstance(value, types.FunctionType):
+                found |= {f"{name}.{p.name}" for p in inspect.signature(value).parameters.values()
+                          if p.default is not p.empty}
+        assert found == set(self.SETTINGS)
 
     def test_no_module_reads_the_environment(self):
         # every setting arrives as a SweepSpec field or a flag, none as a knob

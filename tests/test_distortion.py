@@ -301,6 +301,12 @@ class TestLemma3Fk:
         p = {"a": 0.25, "k": 2.0, "r": 0.5, "r_next": 0.51}
         assert margin_at("lemma3_literal", p) != margin_at("lemma3_corrected", p)
 
+    @pytest.mark.parametrize("a", [0.25, 0.5])
+    @pytest.mark.parametrize("r", [5e-324, 1e-310])
+    def test_k1_below_the_reciprocal_of_dbl_max(self, a, r):
+        # f_1 = r r^{-1} = 1, though r^{-1} overflows for r < 1/DBL_MAX
+        assert lemma3_fk(a, 1.0, r) == 1.0
+
 
 class TestDomains:
     def test_bad_r(self):

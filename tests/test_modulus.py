@@ -454,3 +454,14 @@ class TestLemma2Constants:
     def test_c1_positive_below_half(self):
         for a in (0.05, 0.2, 0.45):
             assert lemma2_constants(a).c1 > 0.0
+
+    @pytest.mark.parametrize("a", [7e-4, 5e-4, 1e-300])
+    def test_c4_overflow_raises(self, a):
+        # c1 passes ln DBL_MAX below a ~ 7.03e-4 (c5 follows below ~ 5.07e-4):
+        # DomainError, not the OverflowError of exp
+        with pytest.raises(DomainError, match=r"^c4 = e\^c1 overflows a double at a = "):
+            lemma2_constants(a)
+
+    def test_small_a_in_range(self):
+        cs = lemma2_constants(1e-3)
+        assert math.isfinite(cs.c4) and math.isfinite(cs.c5)

@@ -228,14 +228,6 @@ class TestSweep:
         assert rep.min_margin < 0.0
         assert suite_failed([rep])
 
-    def test_tol_override_silences_violations(self):
-        rep = sweep(SweepSpec(target="planted_false", tol=10.0))
-        assert rep.status == "pass"
-        assert rep.violation_count == 0
-        assert rep.tol == 10.0
-        # min_margin still reports the true worst case
-        assert rep.min_margin < 0.0
-
 
 def _in_omega1(z: complex) -> bool:
     return abs(z) < 1.0 and 0.01 < abs(z) < abs(z - 1.0)
@@ -306,7 +298,7 @@ def _reference(spec: SweepSpec) -> dict:
     violation sorted by (margin, order), of which the report keeps the
     first MAX_VIOLATIONS."""
     target = target_info(spec.target)
-    tol = target.default_tol if spec.tol is None else spec.tol
+    tol = target.default_tol
     min_margin, argmin = math.inf, {}
     axis_minima: dict = {name: {} for name in ("a", "k") if name in target.axes}
     violations = []
@@ -639,8 +631,7 @@ def _record(name: str) -> tuple:
     """An instance of the record type `name` and its field names, in order."""
     spec = SweepSpec(target="mori_radial_16", samples=5)
     return {
-        "SweepSpec": (spec, ("target", "r_grid", "k_values", "a_values", "tol", "seed",
-                             "samples")),
+        "SweepSpec": (spec, ("target", "r_grid", "k_values", "a_values", "seed", "samples")),
         "InequalityReport": (sweep(spec), ("target", "classification", "evaluations",
                                            "min_margin", "argmin", "axis_minima",
                                            "violation_count", "violations", "status", "spec",
@@ -671,7 +662,7 @@ class TestRecords:
     def test_defaults(self):
         assert SweepSpec._field_defaults == {
             "r_grid": (0.01, 0.99, 99), "k_values": (1.0, 1.5, 2.0, 4.0),
-            "a_values": (0.1, 0.25, 0.5), "tol": None, "seed": 20240811, "samples": 10_000}
+            "a_values": (0.1, 0.25, 0.5), "seed": 20240811, "samples": 10_000}
         assert verify.Target._field_defaults == {
             "default_tol": 1e-9, "sample": None, "k_filter": None, "a_filter": None,
             "sanity": False}
@@ -687,8 +678,9 @@ class TestSpecValidation:
             SweepSpec(target="std_phi_identity", r_grid=(0.1, 0.9, 1))
 
     def test_bad_tol_and_samples(self):
-        with pytest.raises(UsageError):
-            SweepSpec(target="std_phi_identity", tol=-1.0)
+        # a sweep applies its target's default_tol: a spec takes no tol
+        with pytest.raises(TypeError, match="tol"):
+            SweepSpec(target="std_phi_identity", tol=1e-9)
         with pytest.raises(UsageError):
             SweepSpec(target="std_phi_identity", samples=0)
 
@@ -700,7 +692,7 @@ class TestSpecValidation:
         with pytest.raises(UsageError, match="samples"):
             spec._replace(samples=0)
         with pytest.raises(UsageError, match="r grid"):
-            SweepSpec._make(("std_phi_identity", (0.5, 0.2, 3), (2.0,), (0.5,), None, 1, 1))
+            SweepSpec._make(("std_phi_identity", (0.5, 0.2, 3), (2.0,), (0.5,), 1, 1))
 
     def test_unknown_target_and_suite(self):
         with pytest.raises(UsageError):
