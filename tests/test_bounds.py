@@ -324,6 +324,27 @@ class TestSchottky:
         assert f_growth_bound(0.0, theta) == pytest.approx(
             LATTICE_GAP_D / BLOCH_B1 * 53.0 * math.log(2.0), rel=1e-15)
 
+    def test_growth_bound_matches_the_frexp_form(self):
+        # the bound was once formed as ldexp(md/mb * ml, ed - eb + el) on the
+        # frexp mantissas of d, B1 and the log; at the paper's d and B1 the
+        # plain product gives the same bits on 100,000 seeded points
+        rng = np.random.default_rng(20261023)
+        (md, ed), (mb, eb) = math.frexp(LATTICE_GAP_D), math.frexp(BLOCH_B1)
+        f_abs = np.where(rng.random(100_000) < 0.5, rng.uniform(0.0, 10.0, 100_000),
+                         10.0 ** rng.uniform(-300.0, 300.0, 100_000))
+        theta = np.where(rng.random(100_000) < 0.5, rng.uniform(0.0, 1.0, 100_000),
+                         10.0 ** rng.uniform(-300.0, 0.0, 100_000))
+        for f, t in zip(f_abs.tolist(), theta.tolist()):
+            ml, el = math.frexp(-math.log1p(-t))
+            assert f_growth_bound(f, t) == f + math.ldexp(md / mb * ml, ed - eb + el), (f, t)
+
+    @pytest.mark.parametrize("keyword", ["d", "b1"])
+    def test_growth_bound_takes_no_d_or_b1(self, keyword):
+        # a b1 above Bloch's constant or a d below the lattice gap would no
+        # longer give a bound, so neither is a parameter
+        with pytest.raises(TypeError, match=keyword):
+            f_growth_bound(1.0, 0.5, **{keyword: 1.0})
+
     def test_growth_bound_domain(self):
         for bad in (math.nan, math.inf, -1.0):
             with pytest.raises(DomainError):

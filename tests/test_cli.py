@@ -411,6 +411,18 @@ class TestUsageErrors:
         first = err.splitlines()[0]
         assert first.startswith("error: ") and first.endswith(flag)
 
+    @pytest.mark.parametrize("argv, flag", [
+        (("eval", "f_growth_bound", "--f-abs", "1", "--theta", "0.5", "--d", "3"), "--d"),
+        (("eval", "f_growth_bound", "--f-abs", "1", "--theta", "0.5", "--b1", "0.5"), "--b1"),
+        (("verify", "identities", "--samples", "100", "--tol", "1e-6"), "--tol"),
+    ])
+    def test_retired_flag_is_unknown(self, capsys, argv, flag):
+        # d and B1 are the paper's constants and a sweep judges each target
+        # at its own default_tol, so these flags no longer parse
+        rc, out, err = run_cli(capsys, *argv)
+        assert (rc, out) == (1, "")
+        assert err.splitlines()[0] == f"error: unknown flags: {flag}"
+
 
 class TestTable:
     def test_csv(self, capsys):

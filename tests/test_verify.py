@@ -736,3 +736,11 @@ class TestMoriExperiment:
                 mori_radial_experiment(k)
         with pytest.raises(UsageError):
             mori_radial_experiment(2.0, variant="thirtytwo")
+
+    def test_draws_with_the_default_seed(self):
+        # the experiment takes no seed: it is the 16 target's sweep at
+        # SweepSpec's default seed, and a seed keyword is refused
+        rep = mori_radial_experiment(2.0, samples=300)
+        assert rep == sweep(SweepSpec(target="mori_radial_16", k_values=(2.0,), samples=300))
+        with pytest.raises(TypeError, match="seed"):
+            mori_radial_experiment(2.0, seed=1)
