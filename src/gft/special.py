@@ -213,18 +213,22 @@ def digamma(x: float) -> float:
 def ramanujan_R(a: float) -> float:
     """R(a) = -2*gamma - psi(a) - psi(1-a); R(1/2) = ln 16.
 
-    Both digammas shift up by 8 in one recursion: with c = a(1-a),
-    1/(a+k) + 1/(1-a+k) = (2k+1)/(k(k+1) + c) and (a+8)(9-a) = 72 + c, so
-    R(a) = 1/a + 1/(1-a) + sum_{k=1}^{7} (2k+1)/(k(k+1) + c)
-           - 2 gamma - ln(72 + c) + _psi_tail(a+8) + _psi_tail(9-a).
+    With c = a(1-a), 1/(a+n) + 1/(1-a+n) = (2n+1)/(n(n+1) + c) turns the two
+    digamma series (DLMF 5.7.6) into R(a) = 1/a + 1/(1-a) + S(c),
+    S(c) = -sum_{n>=1} [2/n - (2n+1)/(n(n+1) + c)], analytic for |c| < 2.
+    c lies in (0, 1/4], so S is its Taylor polynomial about c = 1/8 in
+    t = c - 1/8: e_0 = S(1/8) and e_k = (-1)^k sum_n (2n+1)/(n(n+1) + 1/8)^(k+1).
+    The dropped terms, sum_{k>=13} |e_k| 8^-k = 1.5e-16, stay below half an
+    ulp of R's least value, ln 16.
     """
     _check_param_a(a)
-    c = a * (1.0 - a)
-    # k = 7, ..., 1: smallest first
-    s = (15.0 / (56.0 + c) + 13.0 / (42.0 + c) + 11.0 / (30.0 + c) + 9.0 / (20.0 + c)
-         + 7.0 / (12.0 + c) + 5.0 / (6.0 + c) + 3.0 / (2.0 + c))
-    t = _psi_tail(a + 8.0) + _psi_tail(9.0 - a) - 2.0 * EULER_GAMMA - math.log(72.0 + c)
-    return s + t + 1.0 / (1.0 - a) + 1.0 / a
+    t = a * (1.0 - a) - 0.125
+    s = (-1.119038573996762 + t * (-0.9072765389564271 + t * (0.340212756513385 + t * (
+        -0.1510762467719422 + t * (0.06984517653058282 + t * (-0.03267829548186363 + t * (
+            0.015347999236671184 + t * (-0.0072177628761759234 + t * (0.0033958125903456164 + t * (
+                -0.001597902315947789 + t * (0.0007519333133339204 + t * (
+                    -0.0003538475917354993 + t * 0.00016651596230996706))))))))))))
+    return s + 1.0 / (1.0 - a) + 1.0 / a
 
 
 def landau_constant() -> float:

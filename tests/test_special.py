@@ -424,20 +424,49 @@ class TestRamanujanR:
         assert ramanujan_R(0.1) == pytest.approx(10.024250560555062, rel=1e-13)
 
     def test_seeded_points_within_1e_15(self):
-        # 300 seeded a in [1e-3, 1/2] against 40-digit mpmath; the fused
-        # recursion reads 5.2e-16 at worst and 0.75 ulps on average here, two
-        # full digammas 1.06e-15 and 1.48 ulps, the fused terms summed
-        # largest first 1.15 ulps
+        # 900 seeded a against 40-digit mpmath: 300 uniform on [1e-3, 1/2],
+        # 300 log-uniform down to 1e-300 and 300 at 1/2 - 10^-U(1, 16).  The
+        # Taylor form reads 3.0e-16 at worst and 0.36 ulps on average here,
+        # the fused shift-by-8 recursion it replaced 6.7e-16 and 0.57 ulps
         rng = random.Random(20261020)
+        draws = [lambda: rng.uniform(1e-3, 0.5),
+                 lambda: 10.0 ** -rng.uniform(math.log10(2.0), 300.0),
+                 lambda: 0.5 - 10.0 ** -rng.uniform(1.0, 16.0)]
         worst = ulps = 0.0
         with mpmath.workdps(40):
-            for _ in range(300):
-                a = rng.uniform(1e-3, 0.5)
-                expected = -2 * mpmath.euler - mpmath.digamma(a) - mpmath.digamma(1 - mpmath.mpf(a))
-                worst = max(worst, float(abs(ramanujan_R(a) / expected - 1)))
-                ulps += abs(ramanujan_R(a) - float(expected)) / math.ulp(float(expected))
+            for draw in draws:
+                for _ in range(300):
+                    a = draw()
+                    expected = -2 * mpmath.euler - mpmath.digamma(a) - mpmath.digamma(1 - mpmath.mpf(a))
+                    worst = max(worst, float(abs(ramanujan_R(a) / expected - 1)))
+                    ulps += abs(ramanujan_R(a) - float(expected)) / math.ulp(float(expected))
         assert worst <= 1e-15
-        assert ulps / 300 <= 1.0
+        assert ulps / 900 <= 0.5
+
+    def test_taylor_coefficients(self):
+        # the thirteen float literals of the Horner form, in source order, are
+        # e_0 = S(1/8) and e_k = (-1)^k sum_n (2n+1)/(n(n+1) + 1/8)^(k+1), each
+        # the nearest double to its 40-digit value; the terms dropped after
+        # e_12, summed at |t| = 1/8, stay below half an ulp of R(1/2) = ln 16
+        stored = [c for c in special.ramanujan_R.__code__.co_consts
+                  if isinstance(c, float) and c not in (1.0, 0.125)]
+        assert len(stored) == 13
+        with mpmath.workdps(40):
+            c0 = mpmath.mpf(1) / 8
+
+            def e(k):
+                if k == 0:
+                    return -mpmath.nsum(lambda n: 2 / n - (2 * n + 1) / (n * (n + 1) + c0), [1, mpmath.inf])
+                return (-1) ** k * mpmath.nsum(lambda n: (2 * n + 1) / (n * (n + 1) + c0) ** (k + 1),
+                                               [1, mpmath.inf])
+
+            # e_0 once more from the digammas: S(c) = -2 gamma - psi(1+a) - psi(2-a), c = a(1-a)
+            a0 = (1 - mpmath.sqrt(1 - 4 * c0)) / 2
+            assert abs(e(0) - (-2 * mpmath.euler - mpmath.digamma(1 + a0) - mpmath.digamma(2 - a0))) < 1e-35
+            for k, got in enumerate(stored):
+                assert got == float(e(k)), k
+            tail = sum(abs(e(k)) * mpmath.mpf(8) ** -k for k in range(13, 40))
+            assert tail < math.ulp(math.log(16.0)) / 2
 
     def test_digamma_composition(self):
         a = 0.3
