@@ -250,36 +250,23 @@ def _log_P(y: float) -> float:
     return x + 0.5 * math.log1p(-s * s)
 
 
-def _jacobi(s: float, t2: float) -> tuple[float, float]:
-    """(m, g) for Jacobi's nome series of the modulus t whose complement is s,
-    given t2 = t^2: q(t) = e^{-2u(t)} = eps (1 + g), g = 2e + 15e^2 + 150e^3
-    + 1707e^4 + ..., e = eps^4, with eps = (1 - sqrt s)/(2(1 + sqrt s)) = t^2/m^2,
-    m = (1 + sqrt s) sqrt(2(1 + s)).  For s >= 1/2, eps <= 0.086 and the first
-    dropped term, 20910 e^5, is below 1e-17."""
-    m = (1.0 + math.sqrt(s)) * math.sqrt(2.0 * (1.0 + s))
-    e = (t2 / (m * m)) ** 4
-    return m, e * (2.0 + e * (15.0 + e * (150.0 + e * 1707.0)))
-
-
 def product_P(r: float) -> float:
     """P(r) = prod_{n>=0} (1 + r_n)^{2^-n} over the ascending Landen sequence,
     in closed form r' e^{u(r')}; P(1) = 4, the limit, is accepted.
 
-    Both branches read Jacobi's nome series (_jacobi).  From r = 1/2 up it
-    is the nome of r', and P = r'/sqrt(q(r')) = m/sqrt(1 + g); below 1/2 it
-    is the nome of r, u(r) = ln(m/r) - ln(1 + g)/2, and P = r' e^{pi^2/(4u(r))}.
-    The switch sits at 1/2, not at 1/sqrt2, as the first form rounds less.
+    Above 1/sqrt2, e^{-2u(r')} is the nome q of r', and Jacobi's series
+    q = eps (1 + 2e + 15e^2 + 150e^3 + 1707e^4 + ...), e = eps^4, with
+    eps = (1 - sqrt r)/(2(1 + sqrt r)) = r'^2/m^2, m = (1 + sqrt r) sqrt(2(1 + r)),
+    gives P = r'/sqrt(q) = m/sqrt(1 + 2e + ...).  There eps <= 0.044, and the
+    first dropped term, 20910 e^5, is below 1e-22.
     """
     if not (0.0 < r <= 1.0):
         raise DomainError(f"r must lie in (0,1], got {r!r}")
-    if r >= 0.5:
-        m, g = _jacobi(r, (1.0 - r) * (1.0 + r))
-        return m / math.sqrt(1.0 + g)
-    rc = math.sqrt((1.0 - r) * (1.0 + r))
-    m, g = _jacobi(rc, r * r)
-    # ln m - ln r, not ln(m/r): m/r overflows below r ~ 4/DBL_MAX
-    u = math.log(m) - math.log(r) - 0.5 * math.log1p(g)
-    return rc * math.exp(_PI2_4 / u)
+    if r <= _SQRT_HALF:
+        return math.exp(_log_P(grotzsch_u(r)))
+    m = (1.0 + math.sqrt(r)) * math.sqrt(2.0 * (1.0 + r))
+    e = ((1.0 - r) * (1.0 + r) / (m * m)) ** 4
+    return m / math.sqrt(1.0 + e * (2.0 + e * (15.0 + e * (150.0 + e * 1707.0))))
 
 
 # ---------------------------------------------------------------------------

@@ -542,7 +542,7 @@ class TestVerify:
         data = path.read_bytes()
         assert len(data) == 43_613
         assert hashlib.sha256(data).hexdigest() == (
-            "d8ef0e722bffc4095a3a1794d9b73aaef3a6ced81f60dfec9494f41a97ea630e")
+            "5e9b0c9bc8e3f4b32ae611d6a2924987da513b4c885b30ccff0dc8f967312ce5")
 
     def test_relative_report_path_resolves_against_the_working_directory(
             self, capsys, tmp_path, monkeypatch):
