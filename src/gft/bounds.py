@@ -65,7 +65,7 @@ def zeta_map(z: complex) -> complex:
     |z| ~ 1e34) and overflows to NaN near the largest doubles."""
     z = complex(z)
     if _off_domain(z):
-        raise DomainError("z must be finite and off the cut [1, inf)")
+        raise DomainError(f"z must be finite and off the cut [1, inf), got {z!r}")
     w = cmath.sqrt(1.0 - z)
     if math.hypot(z.real, z.imag) <= 1.0:   # abs(z) raises OverflowError past DBL_MAX
         # 0 - z, not -z, keeps a real z's +0.0 imaginary part
@@ -81,7 +81,7 @@ def sigma_metric(z: complex) -> float:
     is 1/(|z| |w| (4 - ln(|z|/|2(1 + w) - z|)))."""
     z = complex(z)
     if z == 0 or _off_domain(z):
-        raise DomainError("z must be finite, nonzero and off [1, inf)")
+        raise DomainError(f"z must be finite, nonzero and off [1, inf), got {z!r}")
     w = cmath.sqrt(1.0 - z)
     # a subnormal |zeta| loses bits before the log, and a subnormal product
     # before the reciprocal: there take the log of each factor, and divide twice
@@ -108,7 +108,7 @@ def schottky_classical(ln_f0: float, z_abs: float) -> float:
     [C + m] (1+|z|)/(1-|z|) - C with m = max(ln|f(0)|, 0), taken as
     [m (1+|z|) + 2C|z|]/(1-|z|), which does not cancel near |z| = 0."""
     if not (0.0 <= z_abs < 1.0):
-        raise DomainError("|z| must lie in [0,1)")
+        raise DomainError(f"|z| must lie in [0,1), got {z_abs!r}")
     if not math.isfinite(ln_f0):
         raise DomainError(f"ln|f(0)| must be finite, got {ln_f0!r}")
     bound = (max(ln_f0, 0.0) * (1.0 + z_abs) + 2.0 * LANDAU_C * z_abs) / (1.0 - z_abs)
@@ -130,7 +130,7 @@ def schottky_sf(f_abs: float) -> float:
     """S_f = exp(pi e^{2|F|}) for f_abs = |F|; DomainError where S_f
     overflows a double, from |F| ~ 2.71."""
     if not (f_abs >= 0.0):
-        raise DomainError("|F| must be nonnegative")
+        raise DomainError(f"|F| must be nonnegative, got {f_abs!r}")
     try:
         sf = math.exp(math.pi * math.exp(2.0 * f_abs))   # an infinite |F| gives inf
     except OverflowError:
@@ -146,9 +146,9 @@ def f_growth_bound(f_abs: float, theta: float = 0.0) -> float:
     -log1p(-theta), which keeps its digits at small theta.  The second term
     is below 7.33 * 53 ln 2 < 270, so a finite |F(0)| gives a finite bound."""
     if not (0.0 <= theta < 1.0):
-        raise DomainError("theta must lie in [0,1)")
+        raise DomainError(f"theta must lie in [0,1), got {theta!r}")
     if not (0.0 <= f_abs < math.inf):
-        raise DomainError("|F(0)| must be finite and nonnegative")
+        raise DomainError(f"|F(0)| must be finite and nonnegative, got {f_abs!r}")
     return f_abs + LATTICE_GAP_D / BLOCH_B1 * -math.log1p(-theta)
 
 

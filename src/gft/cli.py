@@ -218,10 +218,14 @@ def _cmd_verify(argv: list[str]) -> int:
     docs = [r.to_dict() for r in reports]
 
     if report_path is not None:
-        with open(report_path, "w") as fh:
-            # streamed: json.dumps would hold every chunk of the indenting
-            # encoder at once, which raises peak memory for little time saved
-            json.dump(docs, fh, indent=2, sort_keys=True)
+        try:
+            with open(report_path, "w") as fh:
+                # streamed: json.dumps would hold every chunk of the indenting
+                # encoder at once, which raises peak memory for little time saved
+                json.dump(docs, fh, indent=2, sort_keys=True)
+        except OSError as e:
+            print(f"error: cannot write report {report_path}: {e.strerror}", file=sys.stderr)
+            return 1
 
     if fmt == "json":
         print(json.dumps(docs, sort_keys=True))

@@ -70,7 +70,7 @@ def elliptic_k(r: float) -> float:
     kappa(r) = integral_0^{pi/2} dt / sqrt(1 - r^2 sin^2 t) = pi / (2 agm(1, r')).
     """
     if not (0.0 <= r < 1.0):
-        raise DomainError("r must lie in [0,1)")
+        raise DomainError(f"r must lie in [0,1), got {r!r}")
     return math.pi / (2.0 * agm(1.0, math.sqrt((1.0 - r) * (1.0 + r))))
 
 
@@ -82,7 +82,7 @@ def elliptic_e(r: float) -> float:
     1 that sum cancels, and the error reaches 24 ulps (5.3e-15 relative).
     """
     if not (0.0 <= r <= 1.0):
-        raise DomainError("r must lie in [0,1]")
+        raise DomainError(f"r must lie in [0,1], got {r!r}")
     if r == 1.0:
         return 1.0
     a, b = 1.0, math.sqrt(1.0 - r * r)
@@ -169,7 +169,7 @@ def gauss_2f1_sym(a: float, x: float) -> float:
     """Gauss hypergeometric F(a, 1-a; 1; x) for a in (0, 1/2], x in [0, 1)."""
     _check_param_a(a)
     if not (0.0 <= x < 1.0):
-        raise DomainError("x must lie in [0,1)")
+        raise DomainError(f"x must lie in [0,1), got {x!r}")
     return _2f1_sym(a, x, 1.0 - x)
 
 
@@ -177,7 +177,7 @@ def elliptic_ka(a: float, r: float) -> float:
     """Generalized complete elliptic integral kappa_a(r) = (pi/2) F(a,1-a;1;r^2)."""
     _check_param_a(a)
     if not (0.0 <= r < 1.0):
-        raise DomainError("r must lie in [0,1)")
+        raise DomainError(f"r must lie in [0,1), got {r!r}")
     return math.pi / 2.0 * _2f1_sym(a, r * r, (1.0 - r) * (1.0 + r))
 
 

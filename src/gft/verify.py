@@ -32,36 +32,18 @@ class UsageError(ValueError):
 # The records are NamedTuples, not dataclasses: importing dataclasses loads
 # inspect, ast, dis and tokenize, which every cold `gft` process would pay.
 
-class _SweepFields(NamedTuple):
+class SweepSpec(NamedTuple):
+    """What one verification run chooses: the target, its K values, and the
+    seed and sample count of a sampled target.  Every run sweeps the fixed
+    r grid and a values below; `sweep` checks the spec."""
+
     target: str
-    r_grid: tuple[float, float, int] = (0.01, 0.99, 99)
     k_values: tuple[float, ...] = (1.0, 1.5, 2.0, 4.0)
-    a_values: tuple[float, ...] = (0.1, 0.25, 0.5)
     seed: int = 20240811
     samples: int = 10_000
 
-
-class SweepSpec(_SweepFields):
-    """Grid/sample/seed configuration for one verification run.
-    The constructor, _make and _replace all check the fields."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        lo, hi, steps = self.r_grid
-        if not (0.0 < lo < hi < 1.0):
-            raise UsageError(f"r grid must satisfy 0 < min < max < 1, got {self.r_grid}")
-        if steps < 2:
-            raise UsageError(f"r grid needs at least 2 steps, got {steps}")
-        if self.samples < 1:
-            raise UsageError("samples must be >= 1")
-        return self
-
-    @classmethod
-    def _make(cls, iterable):
-        # a NamedTuple's own _make, which _replace calls, skips __new__
-        return cls(*iterable)
+    r_grid = (0.01, 0.99, 99)         # (min, max, steps); unannotated, so not fields
+    a_values = (0.1, 0.25, 0.5)
 
 
 MAX_VIOLATIONS = 20   # a report keeps the worst violations; it counts them all
@@ -494,8 +476,11 @@ def sweep(spec: SweepSpec) -> InequalityReport:
     indices at a time and evaluates every grid row on them, so memory does
     not grow with spec.samples.  A sampled row's params (its grid params,
     seed and index, and its points for the reader) are built only when it
-    is the argmin or a kept violation."""
+    is the argmin or a kept violation.  Every spec is checked here: an
+    unknown target, samples < 1 and an emptied axis raise UsageError."""
     target = target_info(spec.target)
+    if spec.samples < 1:
+        raise UsageError("samples must be >= 1")
     tol = target.default_tol
     grid = _param_list(target, spec)
     ok = (-tol).__le__

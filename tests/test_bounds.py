@@ -4,6 +4,7 @@ Mori-type Holder quantities.
 """
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -575,6 +576,16 @@ def test_one_k_check(bound, second, bad_k):
     # Mori bounds took K = inf before (16.0 and 2.0 at these points)
     with pytest.raises(DomainError, match=r"^K must be finite and >= 1, got "):
         bound(bad_k, second)
+
+
+@pytest.mark.parametrize("bound, args, bad", [
+    (schottky_classical, (0.0, 1.0), 1.0), (schottky_sf, (-0.5,), -0.5),
+    (f_growth_bound, (1.0, 1.0), 1.0), (f_growth_bound, (-1.0,), -1.0),
+    (zeta_map, (2.0,), 2 + 0j), (sigma_metric, (0.0,), 0j),
+])
+def test_range_errors_name_the_value(bound, args, bad):
+    with pytest.raises(DomainError, match=re.escape(f", got {bad!r}") + "$"):
+        bound(*args)
 
 
 class TestMori:

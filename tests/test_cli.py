@@ -552,6 +552,16 @@ class TestVerify:
         assert rc == 2
         assert json.loads((tmp_path / "rep.json").read_text()) == json.loads(out)
 
+    @pytest.mark.parametrize("where", ["missing_dir/rep.json", "."])
+    def test_unwritable_report_path_exit_1(self, capsys, tmp_path, where):
+        # a missing directory, and a path that is a directory
+        path = tmp_path / where
+        rc, out, err = run_cli(capsys, "verify", "identities", "--report", str(path))
+        assert rc == 1
+        assert out == ""
+        assert err.startswith(f"error: cannot write report {path}: ")
+        assert "Traceback" not in err
+
 
 class TestConstants:
     def test_text(self, capsys):
@@ -624,9 +634,7 @@ class TestTopLevel:
         "Target.a_filter": "None, and a != 1/2 for the Lemma 2 and eq. 42 targets",
         "Target.sanity": "True for planted_false only, which keeps it out of 'all'",
         "SweepSpec.target": "each registered target",
-        "SweepSpec.r_grid": "one value in use; perfbench's expected_evaluations reads it",
         "SweepSpec.k_values": "the default, and mori_radial_experiment's (k,)",
-        "SweepSpec.a_values": "one value in use; perfbench's expected_evaluations reads it",
         "SweepSpec.seed": "the default, and --seed, which each benchmark run sets",
         "SweepSpec.samples": "10,000, and the 25,000 of the verify_sampled workload",
     }

@@ -7,6 +7,7 @@ quadrature at test time.
 """
 import math
 import random
+import re
 import sys
 
 import mpmath
@@ -217,6 +218,15 @@ class TestEllipticIntegrals:
                      lambda: agm(0.0, 1.0), lambda: agm(1.0, -2.0)):
             with pytest.raises(DomainError):
                 call()
+
+
+@pytest.mark.parametrize("kernel, args, bad", [
+    (elliptic_k, (1.0,), 1.0), (elliptic_e, (1.5,), 1.5),
+    (gauss_2f1_sym, (0.25, -0.5), -0.5), (elliptic_ka, (0.25, 1.0), 1.0),
+])
+def test_range_errors_name_the_value(kernel, args, bad):
+    with pytest.raises(DomainError, match=re.escape(f", got {bad!r}") + "$"):
+        kernel(*args)
 
 
 class TestGauss2F1:

@@ -461,12 +461,10 @@ class TestBlockStreaming:
             (1.0, i) for i in range(verify.MAX_VIOLATIONS)]
 
     def test_empty_sweep_raises(self):
-        # K < 1 is filtered out of eq60, a = 1/2 out of lemma2_item2: nothing
-        # would be swept, and the report would pass vacuously
+        # K < 1 is filtered out of eq60: nothing would be swept, and the
+        # report would pass vacuously
         with pytest.raises(UsageError, match="eq60_phi_4bound.* k "):
             sweep(SweepSpec(target="eq60_phi_4bound", k_values=(0.5,)))
-        with pytest.raises(UsageError, match="lemma2_item2.* a "):
-            sweep(SweepSpec(target="lemma2_item2", a_values=(0.5,)))
         with pytest.raises(UsageError, match="mori_radial_16.* k "):
             sweep(SweepSpec(target="mori_radial_16", k_values=()))
 
@@ -631,7 +629,7 @@ def _record(name: str) -> tuple:
     """An instance of the record type `name` and its field names, in order."""
     spec = SweepSpec(target="mori_radial_16", samples=5)
     return {
-        "SweepSpec": (spec, ("target", "r_grid", "k_values", "a_values", "seed", "samples")),
+        "SweepSpec": (spec, ("target", "k_values", "seed", "samples")),
         "InequalityReport": (sweep(spec), ("target", "classification", "evaluations",
                                            "min_margin", "argmin", "axis_minima",
                                            "violation_count", "violations", "status", "spec",
@@ -661,38 +659,33 @@ class TestRecords:
 
     def test_defaults(self):
         assert SweepSpec._field_defaults == {
-            "r_grid": (0.01, 0.99, 99), "k_values": (1.0, 1.5, 2.0, 4.0),
-            "a_values": (0.1, 0.25, 0.5), "seed": 20240811, "samples": 10_000}
+            "k_values": (1.0, 1.5, 2.0, 4.0), "seed": 20240811, "samples": 10_000}
+        assert SweepSpec.r_grid == (0.01, 0.99, 99)
+        assert SweepSpec.a_values == (0.1, 0.25, 0.5)
         assert verify.Target._field_defaults == {
             "default_tol": 1e-9, "sample": None, "k_filter": None, "a_filter": None,
             "sanity": False}
 
 
 class TestSpecValidation:
-    def test_bad_r_grid(self):
-        with pytest.raises(UsageError):
-            SweepSpec(target="std_phi_identity", r_grid=(0.5, 0.2, 99))
-        with pytest.raises(UsageError):
-            SweepSpec(target="std_phi_identity", r_grid=(0.0, 0.9, 99))
-        with pytest.raises(UsageError):
-            SweepSpec(target="std_phi_identity", r_grid=(0.1, 0.9, 1))
+    @pytest.mark.parametrize("field, value", [("r_grid", (0.01, 0.99, 99)),
+                                              ("a_values", (0.5,)), ("tol", 1e-9)])
+    def test_fixed_and_retired_settings_are_refused(self, field, value):
+        # every run sweeps the one r grid and set of a values, and applies
+        # its target's default_tol: a spec takes none of them
+        with pytest.raises(TypeError, match=field):
+            SweepSpec(target="std_phi_identity", **{field: value})
 
-    def test_bad_tol_and_samples(self):
-        # a sweep applies its target's default_tol: a spec takes no tol
-        with pytest.raises(TypeError, match="tol"):
-            SweepSpec(target="std_phi_identity", tol=1e-9)
-        with pytest.raises(UsageError):
-            SweepSpec(target="std_phi_identity", samples=0)
-
-    def test_replace_and_make_check_too(self):
-        # a NamedTuple's own _make, which _replace calls, skips __new__; an
-        # unchecked spec with samples=0 makes sweep fail with a TypeError
-        spec = SweepSpec(target="mori_radial_16")
-        assert spec._replace(samples=5) == SweepSpec(target="mori_radial_16", samples=5)
-        with pytest.raises(UsageError, match="samples"):
-            spec._replace(samples=0)
-        with pytest.raises(UsageError, match="r grid"):
-            SweepSpec._make(("std_phi_identity", (0.5, 0.2, 3), (2.0,), (0.5,), 1, 1))
+    @pytest.mark.parametrize("name", ["std_phi_identity", "mori_radial_16"])
+    def test_sweep_checks_samples_however_the_spec_was_built(self, name):
+        # sweep checks the spec, so one built by _replace or _make, which
+        # skip the constructor, is checked too
+        spec = SweepSpec(target=name)
+        assert spec._replace(samples=5) == SweepSpec(target=name, samples=5)
+        for bad in (SweepSpec(target=name, samples=0), spec._replace(samples=0),
+                    SweepSpec._make((name, (2.0,), 1, 0))):
+            with pytest.raises(UsageError, match="samples must be >= 1"):
+                sweep(bad)
 
     def test_unknown_target_and_suite(self):
         with pytest.raises(UsageError):
