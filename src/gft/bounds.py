@@ -121,7 +121,7 @@ def schottky_F(w: complex) -> complex:
     """F(w) = (1/2) ln[1 + 2 sqrt(q (1-q))], q = ln(w)/(2 pi i), for w not 0 or 1."""
     w = complex(w)
     if w == 0 or w == 1 or not cmath.isfinite(w):
-        raise DomainError("w must be finite and avoid the omitted values 0 and 1")
+        raise DomainError(f"w must be finite and avoid the omitted values 0 and 1, got {w!r}")
     q = cmath.log(w) / (2.0j * math.pi)
     return 0.5 * cmath.log(1.0 + 2.0 * cmath.sqrt(q * (1.0 - q)))
 
@@ -232,10 +232,11 @@ def triple_angle(z0: complex, z1: complex, z2: complex,
 
     def ang(p0: complex, p1: complex, p2: complex) -> float:
         if p0 == p1 or p0 == p2 or p1 == p2:
-            raise DomainError("triple points must be pairwise distinct")
+            raise DomainError(f"triple points must be pairwise distinct, got {(p0, p1, p2)!r}")
         span = abs(p2 - p0) + abs(p1 - p0)   # not finite for a NaN or infinite point
         if not span < math.inf:
-            raise DomainError("triple points must be finite, and so must their distances")
+            raise DomainError("triple points must be finite, and so must their distances, "
+                              f"got {(p0, p1, p2)!r}")
         return math.asin(min(1.0, abs(p2 - p1) / span))  # triangle inequality: ratio <= 1
 
     return ang(z0, z1, z2), ang(w0, w1, w2)

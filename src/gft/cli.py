@@ -7,7 +7,9 @@ violation.
 from __future__ import annotations
 
 import csv
+import errno
 import json
+import os
 import sys
 import typing
 
@@ -109,10 +111,12 @@ def _reject_unknown(flags: dict) -> None:
         raise _CliUsage(f"unknown flags: {', '.join('--' + f for f in flags)}")
 
 
-def _get_format(flags: dict) -> str:
+def _get_format(flags: dict, takes_csv: bool = True) -> str:
     fmt = flags.pop("format", "text")
     if fmt not in ("text", "csv", "json"):
         raise _CliUsage(f"unknown format {fmt!r}")
+    if fmt == "csv" and not takes_csv:
+        raise _CliUsage("format 'csv' is taken by table and constants only")
     return fmt
 
 
@@ -132,18 +136,13 @@ def _cmd_eval(argv: list[str]) -> int:
         raise _CliUsage("usage: gft eval FUNCTION [--param value ...]")
     fn = _lookup(argv[0])
     flags = _parse_flags(argv[1:])
-    fmt = _get_format(flags)
+    fmt = _get_format(flags, takes_csv=False)
     kwargs = {name: _pop(flags, flag, kind) for name, flag, kind, optional in _params(fn)
               if not optional or flag in flags}
     _reject_unknown(flags)
     value = _call(fn, kwargs)
     if fmt == "json":
-        if isinstance(value, complex):
-            out = {"re": value.real, "im": value.imag}
-        elif isinstance(value, tuple):
-            out = list(value)
-        else:
-            out = value
+        out = {"re": value.real, "im": value.imag} if isinstance(value, complex) else value
         print(json.dumps({"function": argv[0], "value": out}))
     else:
         print(_fmt(value))
@@ -208,11 +207,14 @@ def _cmd_verify(argv: list[str]) -> int:
                         "--report PATH --format F]")
     suite = argv[0]
     flags = _parse_flags(argv[1:])
-    fmt = _get_format(flags)
+    fmt = _get_format(flags, takes_csv=False)
     overrides = {name: _pop(flags, name, kind) for name, kind in
                  (("samples", int), ("seed", int)) if name in flags}
     report_path = flags.pop("report", None)
     _reject_unknown(flags)
+    if report_path is not None and (reason := _report_unwritable(report_path)):
+        print(f"error: cannot write report {report_path}: {reason}", file=sys.stderr)
+        return 1
 
     reports = verify.run_suite(suite, **overrides)
     docs = [r.to_dict() for r in reports]
@@ -234,6 +236,17 @@ def _cmd_verify(argv: list[str]) -> int:
             arg = ",".join(f"{k}={_fmt(v)}" for k, v in sorted(r.argmin.items()))
             print(f"{r.target} {r.status} {_fmt(r.min_margin)}@{arg}")
     return 2 if verify.suite_failed(reports) else 0
+
+
+def _report_unwritable(path: str) -> str | None:
+    """Why a report cannot be written to path, seen before the run without
+    creating or truncating the file; the write still catches what this misses."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        return os.strerror(errno.EISDIR)
+    if not os.path.isdir(parent):
+        return os.strerror(errno.ENOENT)
+    return None if os.access(parent, os.W_OK) else os.strerror(errno.EACCES)
 
 
 def _constants() -> list[tuple[str, float, str]]:
@@ -275,7 +288,7 @@ commands:
   verify SUITE [--samples N --seed S --report PATH --format F]
   constants [--format F]
 
-formats: text (default), csv, json
+formats: text (default), json; csv for table and constants only
 suites: """ + ", ".join(sorted(verify.SUITES))
 
 

@@ -11,9 +11,9 @@ import math
 import sys
 from typing import NamedTuple
 
-from .special import DomainError, _2f1_sym, _check_param_a
+from .special import DomainError, _2f1_sym, ramanujan_R
 from .modulus import (
-    _check_unit, _checked_exp, _inverse_residual, _invert_ua, _log_P, _ra, _ua, grotzsch_u,
+    _check_unit, _checked_exp, _inverse_residual, _invert_ua, _log_P, _ua, grotzsch_u,
 )
 
 
@@ -50,10 +50,9 @@ def _phi_parts(a: float, k: float, r: float) -> tuple[float, float, float | None
     solved it; one R(a) serves the forward u_a(r), its inverse and the F
     factors of the partials.  At K = 1, s = r and u_a(r) is not formed (None).
     Only phi_ka forms a residual: the other callers read the value."""
-    _check_param_a(a)
+    ra = ramanujan_R(a)
     _check_k(k)
     _check_unit(r)
-    ra = _ra(a)
     if k == 1.0:
         return r, math.sqrt((1.0 - r) * (1.0 + r)), None, ra
     u = _ua(a, r, ra)

@@ -15,15 +15,14 @@ import sys
 from typing import NamedTuple
 
 from .special import (
+    _LN16,
     DomainError,
     _2f1_pair,
-    _check_param_a,
     agm,
     ramanujan_R,
 )
 
 _LN4 = math.log(4.0)
-_LN16 = math.log(16.0)       # R(1/2)
 _R_MAX = 1.0 - 1e-15        # saturation point of double-precision moduli
 _SQRT_HALF = math.sqrt(0.5)
 _LN_SQRT_HALF = -0.5 * math.log(2.0)
@@ -66,15 +65,9 @@ def grotzsch_u(r: float) -> float:
 
 def grotzsch_ua(a: float, r: float) -> float:
     """Generalized modulus u_a(r); u_{1/2} coincides with grotzsch_u."""
-    _check_param_a(a)
+    ra = ramanujan_R(a)
     _check_unit(r)
-    return _ua(a, r, _ra(a))
-
-
-def _ra(a: float) -> float:
-    # R(a), formed once per public call and passed down; ln 16 at a = 1/2, where
-    # _invert_ua's saturation test and the partials' connection sum read it
-    return _LN16 if a == 0.5 else ramanujan_R(a)
+    return _ua(a, r, ra)
 
 
 def _ua(a: float, r: float, ra: float) -> float:
@@ -167,8 +160,8 @@ def _small_root(a: float, y: float, ra: float) -> float:
 
 
 def _invert_ua(a: float, y: float, ra: float) -> tuple[float, float]:
-    """Return (r, r') with u_a(r) = y, given ra = R(a) (ln 16 at a = 1/2,
-    see _ra); no forward modulus is evaluated at the root (see _inverse_residual).
+    """Return (r, r') with u_a(r) = y, given ra = R(a) (formed once per public
+    call); no forward modulus is evaluated at the root (see _inverse_residual).
 
     For y below the symmetric value the complementary identity
     u_a(r) u_a(r') = [pi/(2 sin pi a)]^2 gives r' instead, which keeps the
@@ -222,8 +215,7 @@ def grotzsch_u_inv(y: float) -> float:
 
 def grotzsch_ua_inv(a: float, y: float) -> float:
     """The unique r in (0,1) with u_a(r) = y."""
-    _check_param_a(a)
-    return _invert_ua(a, y, _ra(a))[0]
+    return _invert_ua(a, y, ramanujan_R(a))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -311,13 +303,13 @@ class Lemma2Constants(NamedTuple):
 def lemma2_constants(a: float) -> Lemma2Constants:
     """c1 = (R(a) - ln 16)/2, c2 = c1/ln 4, c3 = (1 - 2a)^2/((1 - a) pi),
     c4 = e^c1, c5 = e^c2 and c6 = c3/c1, for a in (0, 1/2]; DomainError
-    where c4 overflows a double, below a ~ 7.03e-4."""
-    _check_param_a(a)
-    if a == 0.5:
-        return Lemma2Constants(0.0, 0.0, 0.0, 1.0, 1.0, math.nan)
-    c1 = (ramanujan_R(a) - _LN16) / 2.0
+    where c4 overflows a double, below a ~ 7.03e-4.  c1 cancels as a -> 1/2:
+    its absolute error stays within 5.6e-16, so its relative error, and c6's,
+    grows like (1/2 - a)^-2.  It reaches 0.43 by a = 1/2 - 1e-8; at
+    a = 1/2 - 1e-10, c6 reads 1.1e-4 where the true value is 0.30."""
+    c1 = (ramanujan_R(a) - _LN16) / 2.0   # 0 at a = 1/2, as R(1/2) is _LN16
     c2 = c1 / _LN4
     c3 = (1.0 - 2.0 * a) ** 2 / ((1.0 - a) * math.pi)
     if not c1 <= _LN_DBL_MAX:   # c5 = e^{c1/ln 4} follows below a ~ 5.07e-4
         raise DomainError(f"c4 = e^c1 overflows a double at a = {a!r}")
-    return Lemma2Constants(c1, c2, c3, math.exp(c1), math.exp(c2), c3 / c1)
+    return Lemma2Constants(c1, c2, c3, math.exp(c1), math.exp(c2), c3 / c1 if c1 else math.nan)

@@ -17,20 +17,20 @@ EULER_GAMMA = 0.5772156649015329          # -psi(1)
 LANDAU_C = 4.376879230452953              # Gamma(1/4)^4 / (4 pi^2)
 ZETA3 = 1.2020569031595942                # zeta(3)
 APERY_A = 16.82879664423432               # 14 * zeta(3)
+_LN16 = math.log(16.0)                    # R(1/2)
 
 
 class DomainError(ValueError):
     """Argument outside a function's mathematical domain."""
 
 
-def _check_param_a(a: float) -> float:
+def _check_param_a(a: float) -> None:
     if not (0.0 < a <= 0.5):
         raise DomainError(f"parameter a must lie in (0, 1/2], got {a!r}")
     if math.isinf(1.0 / a):
         # R(a) ~ 1/a is no double, and every kernel taking a raises with it,
         # though u_a ~ 1/(2a) fits down to a ~ 2.8e-309 and F(a, 1-a; 1; x) ~ 1
         raise DomainError(f"R(a) ~ 1/a overflows a double below a = 1/DBL_MAX, got a={a!r}")
-    return a
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +211,7 @@ def digamma(x: float) -> float:
 
 
 def ramanujan_R(a: float) -> float:
-    """R(a) = -2*gamma - psi(a) - psi(1-a); R(1/2) = ln 16.
+    """R(a) = -2*gamma - psi(a) - psi(1-a); R(1/2) = ln 16, exactly rounded.
 
     With c = a(1-a), 1/(a+n) + 1/(1-a+n) = (2n+1)/(n(n+1) + c) turns the two
     digamma series (DLMF 5.7.6) into R(a) = 1/a + 1/(1-a) + S(c),
@@ -219,9 +219,12 @@ def ramanujan_R(a: float) -> float:
     c lies in (0, 1/4], so S is its Taylor polynomial about c = 1/8 in
     t = c - 1/8: e_0 = S(1/8) and e_k = (-1)^k sum_n (2n+1)/(n(n+1) + 1/8)^(k+1).
     The dropped terms, sum_{k>=13} |e_k| 8^-k = 1.5e-16, stay below half an
-    ulp of R's least value, ln 16.
+    ulp of R's least value, ln 16.  The moduli and distortion kernels check a
+    only through this call.
     """
     _check_param_a(a)
+    if a == 0.5:
+        return _LN16
     t = a * (1.0 - a) - 0.125
     s = (-1.119038573996762 + t * (-0.9072765389564271 + t * (0.340212756513385 + t * (
         -0.1510762467719422 + t * (0.06984517653058282 + t * (-0.03267829548186363 + t * (

@@ -582,6 +582,8 @@ def test_one_k_check(bound, second, bad_k):
     (schottky_classical, (0.0, 1.0), 1.0), (schottky_sf, (-0.5,), -0.5),
     (f_growth_bound, (1.0, 1.0), 1.0), (f_growth_bound, (-1.0,), -1.0),
     (zeta_map, (2.0,), 2 + 0j), (sigma_metric, (0.0,), 0j),
+    (schottky_F, (1.0,), 1 + 0j), (triple_angle, (0.0, 0.0, 1.0, 0.0, 1.0, 1j), (0.0, 0.0, 1.0)),
+    (triple_angle, (0.0, 1.0, 1j, 0.0, math.inf, 1j), (0.0, math.inf, 1j)),
 ])
 def test_range_errors_name_the_value(bound, args, bad):
     with pytest.raises(DomainError, match=re.escape(f", got {bad!r}") + "$"):

@@ -7,8 +7,10 @@ of every command to tests/cli_golden.json, which
 re-recorded only when the library value it prints changed on purpose, and
 CHANGES.md then lists it.
 """
+import ast
 import contextlib
 import csv
+import errno
 import hashlib
 import inspect
 import io
@@ -562,6 +564,30 @@ class TestVerify:
         assert err.startswith(f"error: cannot write report {path}: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("where, code", [("missing_dir/rep.json", errno.ENOENT),
+                                             (".", errno.EISDIR)], ids=["missing", "directory"])
+    def test_unwritable_report_path_is_seen_before_the_run(self, capsys, tmp_path,
+                                                           monkeypatch, where, code):
+        def no_run(*args, **kwargs):
+            raise AssertionError("the suite ran")
+
+        monkeypatch.setattr(gft.verify, "run_suite", no_run)
+        path = tmp_path / where
+        rc, out, err = run_cli(capsys, "verify", "all", "--report", str(path))
+        assert (rc, out) == (1, "")
+        assert err == f"error: cannot write report {path}: {os.strerror(code)}\n"
+        assert not (tmp_path / "missing_dir").exists()
+
+    @pytest.mark.parametrize("argv", [("eval", "landau_constant"), ("verify", "identities")],
+                             ids=["eval", "verify"])
+    def test_csv_is_refused_where_the_output_is_not_rows(self, capsys, monkeypatch, argv):
+        # csv is for table and constants; eval and verify printed text for it
+        monkeypatch.setattr(gft.verify, "run_suite", None)
+        rc, out, err = run_cli(capsys, *argv, "--format", "csv")
+        assert (rc, out) == (1, "")
+        assert err.startswith("error: format 'csv' is taken by table and constants only\n")
+        assert "csv for table and constants only" in err
+
 
 class TestConstants:
     def test_text(self, capsys):
@@ -656,6 +682,21 @@ class TestTopLevel:
         readers = [p.name for p in sorted(src.glob("*.py"))
                    if "environ" in p.read_text() or "getenv" in p.read_text()]
         assert readers == []
+
+    def test_every_domain_error_names_a_value(self):
+        # each raise DomainError(...) message is an f-string that formats at
+        # least one value, so the caller sees what was rejected
+        src = pathlib.Path(gft.__file__).resolve().parent
+        bare = []
+        for p in sorted(src.glob("*.py")):
+            for node in ast.walk(ast.parse(p.read_text())):
+                if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                        and getattr(node.exc.func, "id", None) == "DomainError"):
+                    msg = node.exc.args[0] if node.exc.args else None
+                    if not (isinstance(msg, ast.JoinedStr)
+                            and any(isinstance(v, ast.FormattedValue) for v in msg.values)):
+                        bare.append(f"{p.name}:{node.lineno}")
+        assert bare == []
 
     @staticmethod
     def _fresh_interpreter(code: str) -> str:

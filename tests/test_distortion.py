@@ -18,6 +18,7 @@ from gft import (
     gauss_2f1_sym,
     grotzsch_ua,
     grotzsch_ua_inv,
+    lemma2_constants,
     lemma3_fk,
     margin_at,
     phi_k,
@@ -507,13 +508,16 @@ class TestRFormedOnce:
         assert calls == [0.3]
         calls.clear()
         grotzsch_ua(0.5, r)
-        assert calls == []
+        assert calls == [0.5]
 
-    def test_half_forms_none(self, calls):
-        phi_k(2.0, 0.5)
-        phi_ka(0.5, 2.0, 1.0 - 1e-7)
-        phi_partial_k(0.5, 2.0, 0.5)
-        assert calls == []
+    def test_half_forms_ln16_once(self, calls):
+        # at a = 1/2, ramanujan_R returns ln 16 itself, so one call serves
+        assert special.ramanujan_R(0.5) == math.log(16.0)
+        for fn in (lambda: phi_k(2.0, 0.5), lambda: phi_ka(0.5, 2.0, 1.0 - 1e-7),
+                   lambda: phi_partial_k(0.5, 2.0, 0.5)):
+            calls.clear()
+            fn()
+            assert calls == [0.5]
 
     def test_hypergeometric_forms_r_only_for_the_connection_sum(self, calls):
         gauss_2f1_sym(0.3, 0.4)
@@ -523,3 +527,31 @@ class TestRFormedOnce:
         assert calls == [0.3]
         elliptic_ka(0.3, 0.9)
         assert calls == [0.3, 0.3]
+
+
+class TestACheckedOnce:
+    """ramanujan_R holds the one range check of a: each kernel taking a reaches
+    special._check_param_a once per call, counted through every gft namespace
+    that binds it."""
+
+    @pytest.mark.parametrize("call", [
+        lambda a: grotzsch_ua(a, 0.5), lambda a: grotzsch_ua_inv(a, 2.0),
+        lambda a: phi_ka(a, 2.0, 0.5), lambda a: phi_partial_r(a, 2.0, 0.5),
+        lambda a: phi_partial_k(a, 2.0, 0.5), lambda a: lemma3_fk(a, 2.0, 0.5),
+        lemma2_constants,
+    ], ids=["grotzsch_ua", "grotzsch_ua_inv", "phi_ka", "phi_partial_r", "phi_partial_k",
+            "lemma3_fk", "lemma2_constants"])
+    @pytest.mark.parametrize("a", (0.1, 0.3))
+    def test_each_kernel_checks_a_once(self, monkeypatch, call, a):
+        seen = []
+        real = special._check_param_a
+
+        def counting(x):
+            seen.append(x)
+            return real(x)
+
+        for mod in (special, modulus, distortion):
+            if getattr(mod, "_check_param_a", None) is real:
+                monkeypatch.setattr(mod, "_check_param_a", counting)
+        call(a)
+        assert seen == [a]

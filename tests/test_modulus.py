@@ -467,6 +467,27 @@ class TestLemma2Constants:
         for a in (0.05, 0.2, 0.45):
             assert lemma2_constants(a).c1 > 0.0
 
+    def test_c1_cancels_toward_half(self):
+        # c1 = (R(a) - ln 16)/2 keeps an absolute error of about one ulp of
+        # ln 16, so its relative error grows like (1/2 - a)^-2, and c6 = c3/c1
+        # inherits it.  4,000 seeded a = 1/2 - 10^-U(1, 8) against 40-digit
+        # mpmath: 5.5e-16 absolute and 0.43 relative at worst
+        rng = random.Random(20261026)
+        worst_abs = worst_rel = 0.0
+        with mpmath.workdps(40):
+            for _ in range(4000):
+                a = 0.5 - 10.0 ** -rng.uniform(1.0, 8.0)
+                m = mpmath.mpf(a)
+                expected = (-2 * mpmath.euler - mpmath.digamma(m) - mpmath.digamma(1 - m)
+                            - mpmath.log(16)) / 2
+                got = lemma2_constants(a).c1
+                worst_abs = max(worst_abs, float(abs(got - expected)))
+                worst_rel = max(worst_rel, float(abs(got / expected - 1)))
+        assert worst_abs <= 5.6e-16
+        assert worst_rel <= 0.5
+        # nearer 1/2 the rounding is all of c1: c6 reads 1.1e-4, the truth 0.30
+        assert lemma2_constants(0.5 - 1e-10).c6 == pytest.approx(1.1e-4, rel=0.05)
+
     @pytest.mark.parametrize("a", [7e-4, 5e-4, 1e-300])
     def test_c4_overflow_raises(self, a):
         # c1 passes ln DBL_MAX below a ~ 7.03e-4 (c5 follows below ~ 5.07e-4):

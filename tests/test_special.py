@@ -426,6 +426,10 @@ class TestRamanujanR:
     def test_half_is_ln16(self):
         assert ramanujan_R(0.5) == pytest.approx(math.log(16.0), rel=1e-14)
 
+    def test_half_is_ln16_exactly_rounded(self):
+        # the Taylor form reads 2.7725887222397816 there, one double above
+        assert ramanujan_R(0.5) == math.log(16.0)
+
     def test_quarter_is_6ln2(self):
         assert ramanujan_R(0.25) == pytest.approx(6.0 * math.log(2.0), rel=1e-13)
         assert ramanujan_R(0.25) == pytest.approx(4.1588830833596719, rel=1e-13)
@@ -457,9 +461,10 @@ class TestRamanujanR:
         # the thirteen float literals of the Horner form, in source order, are
         # e_0 = S(1/8) and e_k = (-1)^k sum_n (2n+1)/(n(n+1) + 1/8)^(k+1), each
         # the nearest double to its 40-digit value; the terms dropped after
-        # e_12, summed at |t| = 1/8, stay below half an ulp of R(1/2) = ln 16
+        # e_12, summed at |t| = 1/8, stay below half an ulp of R(1/2) = ln 16.
+        # 0.5 is the a that returns ln 16 itself
         stored = [c for c in special.ramanujan_R.__code__.co_consts
-                  if isinstance(c, float) and c not in (1.0, 0.125)]
+                  if isinstance(c, float) and c not in (1.0, 0.125, 0.5)]
         assert len(stored) == 13
         with mpmath.workdps(40):
             c0 = mpmath.mpf(1) / 8
