@@ -209,11 +209,15 @@ def _check_k_ge_1(k: float) -> None:
 
 
 def qc_schwarz_bounds(k: float, z_abs: float) -> tuple[float, float]:
-    """Two-sided Schwarz bound (|z|^K P(|z|)^{1-K}, |z|^{1/K} P(|z|)^{1-1/K})
-    for |f(z) - f(0)| under a K-quasiconformal self-map, K >= 1."""
+    """Two-sided Schwarz bound (|z|^K P(|z|')^{1-K}, |z|^{1/K} P(|z|')^{1-1/K})
+    for |f(z) - f(0)| under a K-quasiconformal self-map of the disk, K >= 1.
+    P is read at |z|' = sqrt(1 - |z|^2): the Hersch-Pfluger extremal, a K-qc
+    self-map fixing 0, takes |z| to phi_K(|z|) and its inverse takes it to
+    phi_{1/K}(|z|), so the bounds must enclose both.  The power form is
+    (|z|, |z|) at K = 1 and finite where |z| e^{(1-1/K)u(|z|)} overflows."""
     _check_k_ge_1(k)
     _check_unit(z_abs)
-    p = product_P(z_abs)
+    p = product_P(math.sqrt((1.0 - z_abs) * (1.0 + z_abs)))
     lo = z_abs ** k * p ** (1.0 - k)
     if lo < _NORMAL_MIN:
         raise DomainError(f"the lower bound underflows below the smallest "

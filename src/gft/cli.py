@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import errno
+import itertools
 import json
 import os
 import sys
@@ -180,12 +181,10 @@ def _cmd_table(argv: list[str]) -> int:
     if not 1 <= len(swept) <= 2:
         raise _CliUsage("table requires one or two swept axes")
 
-    header = [flag for _, flag, _ in swept] + [fn_name]
-    names = [name for name, _, _ in swept]
-    grids = [grid for _, _, grid in swept]
-    points = ([(x,) for x in grids[0]] if len(grids) == 1
-              else [(x, y) for x in grids[0] for y in grids[1]])  # axis-major
-    rows = [list(pt) + [_call(fn, {**fixed, **dict(zip(names, pt))})] for pt in points]
+    names, axes, grids = zip(*swept)
+    header = [*axes, fn_name]
+    rows = [list(pt) + [_call(fn, {**fixed, **dict(zip(names, pt))})]
+            for pt in itertools.product(*grids)]  # axis-major
 
     if fmt == "csv":
         w = csv.writer(sys.stdout)

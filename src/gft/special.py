@@ -24,15 +24,6 @@ class DomainError(ValueError):
     """Argument outside a function's mathematical domain."""
 
 
-def _check_param_a(a: float) -> None:
-    if not (0.0 < a <= 0.5):
-        raise DomainError(f"parameter a must lie in (0, 1/2], got {a!r}")
-    if math.isinf(1.0 / a):
-        # R(a) ~ 1/a is no double, and every kernel taking a raises with it,
-        # though u_a ~ 1/(2a) fits down to a ~ 2.8e-309 and F(a, 1-a; 1; x) ~ 1
-        raise DomainError(f"R(a) ~ 1/a overflows a double below a = 1/DBL_MAX, got a={a!r}")
-
-
 # ---------------------------------------------------------------------------
 # AGM and complete elliptic integrals
 # ---------------------------------------------------------------------------
@@ -150,35 +141,33 @@ def _2f1_pair(a: float, x: float, ra: float) -> tuple[float, float]:
             raise RuntimeError("hypergeometric series failed to converge")
 
 
-def _2f1_sym(a: float, x: float, y: float, ra: float | None = None) -> float:
-    """F(a, 1-a; 1; x) given x and its complement y = 1 - x.
+def _2f1_sym(a: float, x: float, y: float, ra: float) -> float:
+    """F(a, 1-a; 1; x) given x, its complement y = 1 - x and ra = R(a).
 
     The series runs for y >= 1/2, where x <= 1/2, and the connection sum for
     y < 1/2, a = 1/2 included; whichever of x and y a caller computes as 1
-    minus the other is exact (Sterbenz) in the branch that reads it.  Only
-    the connection sum reads R(a): a caller that holds it passes it as ra,
-    else it is formed there.
+    minus the other is exact (Sterbenz) in the branch that reads it.
     """
     if y >= 0.5:
         return _2f1_sym_series(a, x)
-    f, g = _2f1_pair(a, y, ramanujan_R(a) if ra is None else ra)
+    f, g = _2f1_pair(a, y, ra)
     return math.sin(math.pi * a) / math.pi * (g - f * math.log(y))
 
 
 def gauss_2f1_sym(a: float, x: float) -> float:
     """Gauss hypergeometric F(a, 1-a; 1; x) for a in (0, 1/2], x in [0, 1)."""
-    _check_param_a(a)
+    ra = ramanujan_R(a)
     if not (0.0 <= x < 1.0):
         raise DomainError(f"x must lie in [0,1), got {x!r}")
-    return _2f1_sym(a, x, 1.0 - x)
+    return _2f1_sym(a, x, 1.0 - x, ra)
 
 
 def elliptic_ka(a: float, r: float) -> float:
     """Generalized complete elliptic integral kappa_a(r) = (pi/2) F(a,1-a;1;r^2)."""
-    _check_param_a(a)
+    ra = ramanujan_R(a)
     if not (0.0 <= r < 1.0):
         raise DomainError(f"r must lie in [0,1), got {r!r}")
-    return math.pi / 2.0 * _2f1_sym(a, r * r, (1.0 - r) * (1.0 + r))
+    return math.pi / 2.0 * _2f1_sym(a, r * r, (1.0 - r) * (1.0 + r), ra)
 
 
 # ---------------------------------------------------------------------------
@@ -219,10 +208,15 @@ def ramanujan_R(a: float) -> float:
     c lies in (0, 1/4], so S is its Taylor polynomial about c = 1/8 in
     t = c - 1/8: e_0 = S(1/8) and e_k = (-1)^k sum_n (2n+1)/(n(n+1) + 1/8)^(k+1).
     The dropped terms, sum_{k>=13} |e_k| 8^-k = 1.5e-16, stay below half an
-    ulp of R's least value, ln 16.  The moduli and distortion kernels check a
-    only through this call.
+    ulp of R's least value, ln 16.  Every kernel taking a checks it only
+    through this call.
     """
-    _check_param_a(a)
+    if not (0.0 < a <= 0.5):
+        raise DomainError(f"parameter a must lie in (0, 1/2], got {a!r}")
+    if math.isinf(1.0 / a):
+        # R(a) ~ 1/a is no double, and every kernel taking a raises with it,
+        # though u_a ~ 1/(2a) fits down to a ~ 2.8e-309 and F(a, 1-a; 1; x) ~ 1
+        raise DomainError(f"R(a) ~ 1/a overflows a double below a = 1/DBL_MAX, got a={a!r}")
     if a == 0.5:
         return _LN16
     t = a * (1.0 - a) - 0.125

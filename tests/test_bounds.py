@@ -532,15 +532,32 @@ class TestQcSchwarz:
 
     def test_frozen_value(self):
         lo, hi = qc_schwarz_bounds(2.0, 0.5)
-        assert lo == pytest.approx(0.08455557033799073, rel=1e-13)
-        assert hi == pytest.approx(1.2158609065929555, rel=1e-13)
+        assert lo == pytest.approx(0.0670305658057711, rel=1e-13)
+        assert hi == pytest.approx(1.3655844533396466, rel=1e-13)
 
     def test_formula(self):
+        # P is read at |z|' = sqrt(1 - |z|^2), where P(|z|') = |z| e^{u(|z|)}
         k, z = 2.0, 0.5
-        p = product_P(z)
+        p = product_P(math.sqrt(1.0 - z * z))
+        assert p == pytest.approx(z * math.exp(grotzsch_u(z)), rel=1e-14)
         lo, hi = qc_schwarz_bounds(k, z)
         assert lo == pytest.approx(z ** k * p ** (1.0 - k), rel=1e-14)
         assert hi == pytest.approx(z ** (1.0 / k) * p ** (1.0 - 1.0 / k), rel=1e-14)
+
+    def test_holds_against_the_extremal(self):
+        # the Hersch-Pfluger extremal is a K-qc self-map of the disk fixing 0
+        # that takes r to phi_K(r), and its inverse is K-qc too: the upper
+        # bound must reach phi_K(|z|) and the lower one stay below
+        # phi_{1/K}(|z|).  P read at |z| missed them at 4,862 and 13,459 of
+        # these 21,989 points
+        upper = lower = 0
+        for k in (1.001, 1.01, 1.1, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0):
+            for i in range(1, 2000):
+                z = i / 2000
+                lo, hi = qc_schwarz_bounds(k, z)
+                upper += hi < phi_k(k, z).value
+                lower += lo > phi_k(1.0 / k, z).value
+        assert (upper, lower) == (0, 0)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -556,16 +573,20 @@ class TestQcSchwarz:
                                       (1e6, 0.99), (1.0, 5e-324)])
     def test_underflowing_lower_bound_raises(self, k, z):
         # |z|^K P^{1-K} lies below the smallest normal double (at K = 400,
-        # |z| = 1/2 it is 5.5e-309), where 0.0 or a subnormal would be
+        # |z| = 1/2 it is 3.1e-349), where 0.0 or a subnormal would be
         # returned; eta_k and phi_k_product raise there too
         with pytest.raises(DomainError, match="lower bound underflows.*smallest normal double"):
             qc_schwarz_bounds(k, z)
 
     def test_lower_bound_just_above_the_smallest_normal_double(self):
-        # 2^-399 P(1/2)^-398 = 3.2e-308, a normal double: returned
-        lo, hi = qc_schwarz_bounds(399.0, 0.5)
-        assert lo == pytest.approx(0.5 ** 399 * product_P(0.5) ** -398, rel=1e-12)
-        assert 2.2250738585072014e-308 < lo < 4e-308 and 0.5 < hi < product_P(0.5)
+        # 2^-353 P(sqrt3/2)^-352 = 3.2e-308, a normal double: returned; at
+        # K = 354 the lower bound is 4.3e-309, a subnormal: raised
+        p = product_P(math.sqrt(0.75))
+        lo, hi = qc_schwarz_bounds(353.0, 0.5)
+        assert lo == pytest.approx(0.5 ** 353 * p ** -352, rel=1e-12)
+        assert 2.2250738585072014e-308 < lo < 4e-308 and 0.5 < hi < p
+        with pytest.raises(DomainError, match="lower bound underflows"):
+            qc_schwarz_bounds(354.0, 0.5)
 
 
 @pytest.mark.parametrize("bad_k", [math.inf, math.nan, 0.5])

@@ -4,7 +4,12 @@ finite differences, and monotonicity of the auxiliary f_K.
 
 Frozen values come from 40-digit mpmath bisection of u_a(s) = u_a(r)/K.
 """
+import ast
+import inspect
+import itertools
 import math
+import pathlib
+import sys
 from decimal import Decimal
 
 import mpmath
@@ -14,11 +19,9 @@ import pytest
 import landen_oracle
 from gft import (
     DomainError,
-    elliptic_ka,
     gauss_2f1_sym,
     grotzsch_ua,
     grotzsch_ua_inv,
-    lemma2_constants,
     lemma3_fk,
     margin_at,
     phi_k,
@@ -27,7 +30,8 @@ from gft import (
     phi_partial_k,
     phi_partial_r,
 )
-from gft import distortion, modulus, special
+import gft
+from gft import modulus, special
 
 R_GRID = np.linspace(0.01, 0.99, 99)
 K_VALUES = (1.5, 2.0, 4.0)
@@ -467,23 +471,25 @@ class TestPartialsNearOne:
                 fn(a, k, r)
 
 
+@pytest.fixture
+def calls(monkeypatch):
+    """The a of every ramanujan_R call, counted through every gft namespace
+    that binds it."""
+    seen = []
+    real = special.ramanujan_R
+
+    def counting(a):
+        seen.append(a)
+        return real(a)
+
+    for name, mod in list(sys.modules.items()):
+        if (name == "gft" or name.startswith("gft.")) and getattr(mod, "ramanujan_R", None) is real:
+            monkeypatch.setattr(mod, "ramanujan_R", counting)
+    return seen
+
+
 class TestRFormedOnce:
-    """R(a) is formed once per public call and passed down as a parameter,
-    counted through every gft namespace that binds ramanujan_R."""
-
-    @pytest.fixture
-    def calls(self, monkeypatch):
-        seen = []
-        real = special.ramanujan_R
-
-        def counting(a):
-            seen.append(a)
-            return real(a)
-
-        for mod in (special, modulus, distortion):
-            if getattr(mod, "ramanujan_R", None) is real:
-                monkeypatch.setattr(mod, "ramanujan_R", counting)
-        return seen
+    """R(a) is formed once per public call and passed down as a parameter."""
 
     # K > 1 near 1 takes the complement branch and K < 1 the direct one;
     # (2, 1 - 1e-7) saturates at 1 - 1e-15 for both a
@@ -519,39 +525,55 @@ class TestRFormedOnce:
             fn()
             assert calls == [0.5]
 
-    def test_hypergeometric_forms_r_only_for_the_connection_sum(self, calls):
-        gauss_2f1_sym(0.3, 0.4)
-        elliptic_ka(0.3, 0.6)
-        assert calls == []
-        gauss_2f1_sym(0.3, 0.9)
-        assert calls == [0.3]
-        elliptic_ka(0.3, 0.9)
-        assert calls == [0.3, 0.3]
+
+def _a_kernels():
+    # every public callable with a parameter named a, except agm, whose a is
+    # an AGM argument, and ramanujan_R, the gate itself
+    for name in gft.__all__:
+        fn = getattr(gft, name)
+        try:
+            params = list(inspect.signature(fn).parameters)
+        except (TypeError, ValueError):
+            continue
+        if "a" in params and name not in ("agm", "ramanujan_R"):
+            yield name, params
+
+
+# the other arguments of each a-kernel: r and x on both sides of the
+# hypergeometric series' switch at x = 1/2
+_A_KERNEL_ARGS = {"k": (2.0,), "r": (0.5, 0.9), "x": (0.4, 0.9), "y": (2.0,)}
+A_KERNELS = sorted(_a_kernels())
 
 
 class TestACheckedOnce:
-    """ramanujan_R holds the one range check of a: each kernel taking a reaches
-    special._check_param_a once per call, counted through every gft namespace
-    that binds it."""
+    """ramanujan_R holds the one range check of a: each kernel taking a
+    reaches it exactly once per call, so a new a-kernel cannot skip it."""
 
-    @pytest.mark.parametrize("call", [
-        lambda a: grotzsch_ua(a, 0.5), lambda a: grotzsch_ua_inv(a, 2.0),
-        lambda a: phi_ka(a, 2.0, 0.5), lambda a: phi_partial_r(a, 2.0, 0.5),
-        lambda a: phi_partial_k(a, 2.0, 0.5), lambda a: lemma3_fk(a, 2.0, 0.5),
-        lemma2_constants,
-    ], ids=["grotzsch_ua", "grotzsch_ua_inv", "phi_ka", "phi_partial_r", "phi_partial_k",
-            "lemma3_fk", "lemma2_constants"])
+    def test_kernels_found_from_signatures(self):
+        assert {"gauss_2f1_sym", "elliptic_ka", "grotzsch_ua", "lemma2_constants"} <= dict(A_KERNELS).keys()
+
+    @pytest.mark.parametrize("name, params", A_KERNELS, ids=[n for n, _ in A_KERNELS])
     @pytest.mark.parametrize("a", (0.1, 0.3))
-    def test_each_kernel_checks_a_once(self, monkeypatch, call, a):
-        seen = []
-        real = special._check_param_a
+    def test_each_kernel_checks_a_once(self, calls, name, params, a):
+        others = [p for p in params if p != "a"]
+        for values in itertools.product(*(_A_KERNEL_ARGS[p] for p in others)):
+            args = dict(zip(others, values), a=a)
+            calls.clear()
+            getattr(gft, name)(**args)
+            assert calls == [a], args
 
-        def counting(x):
-            seen.append(x)
-            return real(x)
-
-        for mod in (special, modulus, distortion):
-            if getattr(mod, "_check_param_a", None) is real:
-                monkeypatch.setattr(mod, "_check_param_a", counting)
-        call(a)
-        assert seen == [a]
+    def test_a_messages_raised_only_in_ramanujan_r(self):
+        # (module, function, message) for each raise of an a-range message
+        # anywhere in gft; a raise in a nested function counts twice
+        messages = ("parameter a must lie in (0, 1/2]", "R(a) ~ 1/a overflows a double")
+        sites = []
+        for path in sorted(pathlib.Path(gft.__file__).parent.glob("*.py")):
+            for fn in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(fn, ast.FunctionDef):
+                    continue
+                for node in ast.walk(fn):
+                    if isinstance(node, ast.Raise):
+                        text = "".join(c.value for c in ast.walk(node)
+                                       if isinstance(c, ast.Constant) and isinstance(c.value, str))
+                        sites += [(path.name, fn.name, m) for m in messages if m in text]
+        assert sites == [("special.py", "ramanujan_R", m) for m in messages]

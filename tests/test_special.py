@@ -269,7 +269,8 @@ class TestGauss2F1:
                 y = 10.0 ** rng.uniform(-30.0, math.log10(0.5))
                 x = 1.0 - y
                 want = float(mpmath.hyp2f1(0.5, 0.5, 1, 1 - mpmath.mpf(y)))
-                assert special._2f1_sym(0.5, x, y) == pytest.approx(want, rel=1e-15, abs=0.0)
+                assert special._2f1_sym(0.5, x, y, ramanujan_R(0.5)) == pytest.approx(
+                    want, rel=1e-15, abs=0.0)
 
     def test_half_reduces_to_agm(self):
         # F(1/2,1/2;1;x) = 1/agm(1, sqrt(1-x))
@@ -462,9 +463,9 @@ class TestRamanujanR:
         # e_0 = S(1/8) and e_k = (-1)^k sum_n (2n+1)/(n(n+1) + 1/8)^(k+1), each
         # the nearest double to its 40-digit value; the terms dropped after
         # e_12, summed at |t| = 1/8, stay below half an ulp of R(1/2) = ln 16.
-        # 0.5 is the a that returns ln 16 itself
+        # 0.0 and 0.5 bound the range of a, and 0.5 returns ln 16 itself
         stored = [c for c in special.ramanujan_R.__code__.co_consts
-                  if isinstance(c, float) and c not in (1.0, 0.125, 0.5)]
+                  if isinstance(c, float) and c not in (0.0, 1.0, 0.125, 0.5)]
         assert len(stored) == 13
         with mpmath.workdps(40):
             c0 = mpmath.mpf(1) / 8
