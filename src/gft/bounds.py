@@ -42,14 +42,19 @@ def _off_domain(z: complex) -> bool:
 # Metric objects on the twice-punctured disk
 # ---------------------------------------------------------------------------
 
+def _rho(x: float) -> float:
+    """rho_lower's formula for 0 < x < 1, unchecked."""
+    t = LANDAU_C - math.log(x)
+    d = x * t
+    # a subnormal product loses bits before the reciprocal: divide twice there
+    return 1.0 / d if d >= _NORMAL_MIN else 1.0 / t / x
+
+
 def rho_lower(z_abs: float) -> float:
     """Lower bound 1/(|z| (C - ln|z|)) for the punctured-disk Poincare metric."""
     if not (0.0 < z_abs < 1.0):
         raise DomainError(f"|z| must lie in (0,1), got {z_abs!r}")
-    t = LANDAU_C - math.log(z_abs)
-    d = z_abs * t
-    # a subnormal product loses bits before the reciprocal: divide twice there
-    rho = 1.0 / d if d >= _NORMAL_MIN else 1.0 / t / z_abs
+    rho = _rho(z_abs)
     if rho == math.inf:
         raise DomainError(f"the bound overflows a double at |z| = {z_abs!r}")
     return rho
@@ -75,6 +80,19 @@ def zeta_map(z: complex) -> complex:
     return 1.0 / (1.0 - (1.0 + w) / (0.5 * z))
 
 
+def _sigma(z: complex) -> float:
+    """sigma_metric's formula for a finite, nonzero complex z off the cut,
+    unchecked; OverflowError where |z| passes the largest double."""
+    w = cmath.sqrt(1.0 - z)
+    # a subnormal |zeta| loses bits before the log, and a subnormal product
+    # before the reciprocal: there take the log of each factor, and divide twice
+    a, aw, q = abs(z), abs(w), abs(2.0 * (1.0 + w) - z)
+    zeta = a / q
+    t = 4.0 - (math.log(zeta) if zeta >= _NORMAL_MIN else math.log(a) - math.log(q))
+    d = a * aw * t
+    return 1.0 / d if d >= _NORMAL_MIN else 1.0 / (aw * t) / a
+
+
 def sigma_metric(z: complex) -> float:
     """Density |zeta'(z)/zeta(z)| / (4 - ln|zeta(z)|) of the comparison metric;
     as zeta'/zeta = 1/(z w) and |zeta| = |z|/|2(1 + w) - z| (see zeta_map), it
@@ -82,15 +100,8 @@ def sigma_metric(z: complex) -> float:
     z = complex(z)
     if z == 0 or _off_domain(z):
         raise DomainError(f"z must be finite, nonzero and off [1, inf), got {z!r}")
-    w = cmath.sqrt(1.0 - z)
-    # a subnormal |zeta| loses bits before the log, and a subnormal product
-    # before the reciprocal: there take the log of each factor, and divide twice
     try:
-        a, aw, q = abs(z), abs(w), abs(2.0 * (1.0 + w) - z)
-        zeta = a / q
-        t = 4.0 - (math.log(zeta) if zeta >= _NORMAL_MIN else math.log(a) - math.log(q))
-        d = a * aw * t
-        sigma = 1.0 / d if d >= _NORMAL_MIN else 1.0 / (aw * t) / a
+        sigma = _sigma(z)
     except OverflowError:  # |z| beyond the largest double: sigma ~ |z|^-1.5 is far below
         sigma = 0.0
     if not _NORMAL_MIN <= sigma < math.inf:

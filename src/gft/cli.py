@@ -291,22 +291,22 @@ formats: text (default), json; csv for table and constants only
 suites: """ + ", ".join(sorted(verify.SUITES))
 
 
+_COMMANDS = {"eval": _cmd_eval, "table": _cmd_table, "verify": _cmd_verify,
+             "constants": _cmd_constants}
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if not argv or argv[0] in ("-h", "--help", "help"):
+    # -h or --help anywhere after a command asks for the usage too
+    if (not argv or argv[0] in ("-h", "--help", "help")
+            or argv[0] in _COMMANDS and not {"-h", "--help"}.isdisjoint(argv[1:])):
         print(_USAGE)
         return 0 if argv else 1
     cmd, rest = argv[0], argv[1:]
     try:
-        if cmd == "eval":
-            return _cmd_eval(rest)
-        if cmd == "table":
-            return _cmd_table(rest)
-        if cmd == "verify":
-            return _cmd_verify(rest)
-        if cmd == "constants":
-            return _cmd_constants(rest)
-        raise _CliUsage(f"unknown command {cmd!r}")
+        if cmd not in _COMMANDS:
+            raise _CliUsage(f"unknown command {cmd!r}")
+        return _COMMANDS[cmd](rest)
     except _CliUsage as e:
         print(f"error: {e}", file=sys.stderr)
         print(_USAGE, file=sys.stderr)

@@ -188,7 +188,11 @@ def _phi(k: float, r: float) -> float:
 
 
 def _m_eq5_chain(zss: list[tuple[complex]]) -> list[list[float]]:
-    sigma, rho = bounds.sigma_metric, bounds.rho_lower
+    # the library's sigma and rho formulas without the public guards: on the
+    # sampled set 0.01 < |z| < |z - 1|, |w| > sqrt(1/2) and |zeta| < 1, so
+    # 0 < sigma < 1/(0.01 sqrt(1/2) 4) and rho < 100/C; rho's |z| < 1 fails
+    # only where abs rounds a draw of sqrt(u) = 1 - 2^-53 onto 1 (rho -> 1/C)
+    sigma, rho = bounds._sigma, bounds._rho
     return [[sigma(z) - rho(abs(z)) for z, in zss]]
 
 
@@ -305,8 +309,11 @@ def _m_mori_radial(zss: list[tuple[complex, complex]], k: list[float],
     for kj in k:
         c = bounds.mori_holder_bound(kj, 1.0, variant)   # c^{1-1/K}
         inv_k, expo = 1.0 / kj, 1.0 / kj - 1.0
-        yield [c * d ** inv_k - abs(z2 * a2 ** expo - z1 * a1 ** expo)
-               for d, z1, a1, z2, a2 in pairs]
+        if c == 1.0 and expo == 0.0:   # K = 1: the identity, each margin d - d
+            yield [0.0] * len(pairs)
+        else:
+            yield [c * d ** inv_k - abs(z2 * a2 ** expo - z1 * a1 ** expo)
+                   for d, z1, a1, z2, a2 in pairs]
 
 
 def _m_planted_false(r: float) -> float:

@@ -181,7 +181,20 @@ GOLDEN_COMMANDS = [
     ("-h",),
     ("help",),
     ("frobnicate",),
+    # subcommand help: the usage on stdout, rc 0, and nothing run
+    ("eval", "--help"),
+    ("eval", "-h"),
+    ("table", "--help"),
+    ("table", "-h"),
+    ("verify", "--help"),
+    ("verify", "-h"),
+    ("verify", "all", "--samples", "100", "--help"),
+    ("constants", "--help"),
+    ("constants", "-h"),
 ]
+
+
+HELP = ("-h", "--help")   # a subcommand's help entries name no function
 
 
 def _run_captured(argv) -> dict:
@@ -218,17 +231,21 @@ def test_every_golden_function_is_registered():
     # an entry naming a function that is not registered would record
     # "unknown function" and keep passing; only the no_such_fn cases may
     named = [argv[1] for argv in GOLDEN_COMMANDS if argv[:1] in (("eval",), ("table",))
-             and len(argv) > 1]
+             and len(argv) > 1 and argv[1] not in HELP]
     assert [name for name in named if name not in FUNCTIONS] == ["no_such_fn"] * 2
+
+
+def _passing_evals() -> list:
+    """The golden eval commands that call a function and exit 0, in order."""
+    return [e["argv"] for e in json.loads(GOLDEN_PATH.read_text())
+            if e["argv"][:1] == ["eval"] and e["rc"] == 0 and e["argv"][1] not in HELP]
 
 
 def _first_eval_entries() -> dict:
     """Each registered function's first golden eval command with exit code 0."""
     first: dict = {}
-    for e in json.loads(GOLDEN_PATH.read_text()):
-        argv = e["argv"]
-        if argv[:1] == ["eval"] and e["rc"] == 0:
-            first.setdefault(argv[1], argv)
+    for argv in _passing_evals():
+        first.setdefault(argv[1], argv)
     return first
 
 
@@ -241,11 +258,9 @@ def _fullest_eval_entries() -> dict:
     most flags, where it sets more than the first one, which can leave an
     optional parameter at its default.  --format entries are left out."""
     first, fullest = _first_eval_entries(), {}
-    for e in json.loads(GOLDEN_PATH.read_text()):
-        argv = e["argv"]
-        if argv[:1] == ["eval"] and e["rc"] == 0 and "--format" not in argv:
-            if len(argv) > len(fullest.get(argv[1], first[argv[1]])):
-                fullest[argv[1]] = argv
+    for argv in _passing_evals():
+        if "--format" not in argv and len(argv) > len(fullest.get(argv[1], first[argv[1]])):
+            fullest[argv[1]] = argv
     return fullest
 
 
@@ -613,6 +628,15 @@ class TestTopLevel:
         rc, out, _ = run_cli(capsys, "--help")
         assert rc == 0
         assert "verify" in out
+
+    @pytest.mark.parametrize("cmd", ["eval", "table", "verify", "constants"])
+    @pytest.mark.parametrize("flag", ["--help", "-h"])
+    def test_subcommand_help_exit_0(self, capsys, monkeypatch, cmd, flag):
+        # the usage, as for gft --help, wherever the flag stands; nothing runs
+        monkeypatch.setattr(gft.verify, "run_suite", None)
+        usage = run_cli(capsys, "--help")[1]
+        for argv in ((cmd, flag), (cmd, "phi_k", "--k", "2", flag)):
+            assert run_cli(capsys, *argv) == (0, usage, "")
 
     def test_unknown_command_exit_1(self, capsys):
         rc, _, err = run_cli(capsys, "frobnicate")

@@ -16,6 +16,7 @@ from gft import (
     InequalityReport,
     SweepSpec,
     UsageError,
+    bounds,
     lemma3_fk,
     margin_at,
     mori_radial_experiment,
@@ -555,6 +556,89 @@ class TestSampling:
                 assert margin_at("eq5_chain", dict(p, i=i, seed=seed)) == margin
                 checked += 1
         assert checked
+
+
+def _omega1_edge_points() -> list:
+    """Points of Omega_1 at its edges: |z| just above 0.01, z near the
+    corners e^{+-i pi/3} where |z| = 1 meets |z| = |z - 1|, and z toward -1."""
+    r0 = math.nextafter(0.01, 1.0)
+    pts = [cmath.rect(r, 2.0 * math.pi * j / 12)
+           for r in (r0, math.nextafter(r0, 1.0), 0.01 * (1.0 + 1e-12)) for j in range(12)]
+    pts += [cmath.rect(1.0 - dr, s * (math.pi / 3.0 + dt))
+            for s in (1.0, -1.0) for dr in (2.0 ** -53, 1e-12, 1e-6)
+            for dt in (2.0 ** -40, 1e-9, 1e-4)]
+    pts += [cmath.rect(1.0 - dr, math.pi + dt)
+            for dr in (2.0 ** -53, 1e-15, 1e-9) for dt in (0.0, 1e-8, -1e-8)]
+    # a few of the 0.01 circle's points round onto |z| = 0.01 itself
+    return [z for z in pts if _in_omega1(z)]
+
+
+class TestEq5Kernels:
+    # the eq5 margin reads bounds._sigma and bounds._rho, the public
+    # functions' formulas without their guards, none of which Omega_1 trips
+
+    def test_margin_is_the_public_difference_over_the_default_stream(self):
+        sampler = target_info("eq5_chain").sample
+        zss = verify._sampler(sampler, SweepSpec(target="eq5_chain").seed)(0, 25_000)
+        [got] = target_info("eq5_chain").margin(zss)
+        want = [bounds.sigma_metric(z) - bounds.rho_lower(abs(z)) for z, in zss]
+        assert [m.hex() for m in got] == [m.hex() for m in want]
+
+    @pytest.mark.parametrize("z", _omega1_edge_points())
+    def test_kernels_agree_with_the_public_functions_at_the_edges(self, z):
+        assert target_info("eq5_chain").sample.accept(z)
+        sigma, rho = bounds.sigma_metric(z), bounds.rho_lower(abs(z))
+        assert bounds._sigma(z).hex() == sigma.hex()
+        assert bounds._rho(abs(z)).hex() == rho.hex()
+        assert target_info("eq5_chain").margin([(z,)]) == [[sigma - rho]]
+
+    def test_sweep_calls_neither_public_function(self, monkeypatch):
+        spec = SweepSpec(target="eq5_chain", samples=2500)
+        want = sweep(spec).to_dict()
+
+        def refuse(*args):
+            raise AssertionError("a public guard was called")
+
+        monkeypatch.setattr(bounds, "sigma_metric", refuse)
+        monkeypatch.setattr(bounds, "rho_lower", refuse)
+        assert sweep(spec).to_dict() == want
+
+
+class TestMoriK1Row:
+    # at K = 1 the margin yields [0.0] * n where c = 1.0 and 1/K - 1 = 0.0
+
+    @pytest.mark.parametrize("name, variant", [("mori_radial_16", "sixteen"),
+                                               ("mori_radial_64", "sixtyfour")])
+    def test_generic_row_is_zero_at_k1(self, name, variant):
+        # the short row is the same function: the generic expression reads
+        # 1.0 d - |z2 1.0 - z1 1.0| = 0.0 for every pair, points at 0 too
+        zss = verify._sampler(target_info(name).sample, SweepSpec(target=name).seed)(0, 25_000)
+        zss += [(0j, 0.3 + 0.4j), (-0.7j, 0j), (1e-300 + 0j, -1e-300j)]
+        k = 1.0
+        c = bounds.mori_holder_bound(k, 1.0, variant)
+        inv_k, expo = 1.0 / k, 1.0 / k - 1.0
+        generic = [c * abs(z2 - z1) ** inv_k
+                   - abs(z2 * (abs(z2) or math.inf) ** expo - z1 * (abs(z1) or math.inf) ** expo)
+                   for z1, z2 in zss]
+        assert set(generic) == {0.0}
+        assert list(target_info(name).margin(zss, k=[1.0])) == [[0.0] * len(zss)]
+
+    @pytest.mark.parametrize("k_planted", [1.0, 1.5])
+    def test_a_low_bound_is_caught(self, monkeypatch, k_planted):
+        # 0.999 times the radial stretch's sharp constant 2^{1-1/K} (z and
+        # -z attain it), which at K = 1 is 0.999 times the bound itself: the
+        # K = 1 row then falls through to the generic expression
+        real = bounds.mori_holder_bound
+
+        def planted(k, dz_abs, variant="sixteen"):
+            if k != k_planted:
+                return real(k, dz_abs, variant)
+            return 0.999 * 2.0 ** (1.0 - 1.0 / k) * dz_abs ** (1.0 / k)
+
+        monkeypatch.setattr(bounds, "mori_holder_bound", planted)
+        rep = sweep(SweepSpec(target="mori_radial_16"))
+        assert rep.status == "fail" and rep.violation_count > 0
+        assert {p["k"] for p, _ in rep.violations} == {k_planted}
 
 
 # sha256 of json.dumps(sweep(SweepSpec(target=name, samples=25_000)).to_dict(),
