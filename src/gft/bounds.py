@@ -12,6 +12,11 @@ from .special import LANDAU_C, DomainError
 from .modulus import _PI2_4, _check_unit, _checked_exp, _log_P, grotzsch_u, product_P
 from .distortion import _check_k
 
+__all__ = ["BLOCH_B1", "LATTICE_GAP_D", "eta_k", "f_growth_bound", "mori_holder_bound",
+           "mori_sin_bound", "qc_schwarz_bounds", "rho_lower", "schottky_F", "schottky_classical",
+           "schottky_f0_window", "schottky_sf", "sigma_metric", "theorem3_sfk", "triple_angle",
+           "zeta_map"]
+
 _NORMAL_MIN = sys.float_info.min
 
 #: Classical lower bound for Bloch's constant, sqrt(3)/4.

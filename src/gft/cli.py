@@ -12,6 +12,7 @@ import itertools
 import json
 import os
 import sys
+import types
 import typing
 
 from . import bounds, distortion, modulus, special, verify
@@ -30,26 +31,17 @@ def _fmt(v) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Function registry.  Flags come from the signatures: every parameter is
-# annotated float, complex or str and is the flag --<name> (with _ -> -),
-# optional when it has a default.  A complex parameter takes
-# --<name>-re/--<name>-im, or --re/--im when it is the function's only one.
+# Function registry: every function in the four kernel modules' __all__, so
+# one line there reaches both gft and `gft eval`/`gft table`.  Flags come
+# from the signatures: every parameter is annotated float, complex or str
+# and is the flag --<name> (with _ -> -), optional when it has a default.  A
+# complex parameter takes --<name>-re/--<name>-im, or --re/--im when it is
+# the function's only one.
 # ---------------------------------------------------------------------------
 
 FUNCTIONS: dict = {fn.__name__: fn for fn in (
-    special.agm, special.elliptic_k, special.elliptic_e, special.elliptic_ka,
-    special.gauss_2f1_sym, special.digamma, special.ramanujan_R,
-    special.landau_constant,
-    modulus.grotzsch_u, modulus.grotzsch_u_inv, modulus.grotzsch_ua,
-    modulus.grotzsch_ua_inv, modulus.product_P, modulus.fn_A, modulus.fn_B,
-    distortion.phi_k, distortion.phi_ka, distortion.phi_k_product,
-    distortion.phi_partial_r, distortion.phi_partial_k, distortion.lemma3_fk,
-    bounds.rho_lower, bounds.zeta_map, bounds.sigma_metric,
-    bounds.schottky_classical, bounds.schottky_F, bounds.schottky_sf,
-    bounds.f_growth_bound, bounds.schottky_f0_window, bounds.eta_k,
-    bounds.theorem3_sfk, bounds.qc_schwarz_bounds, bounds.triple_angle,
-    bounds.mori_sin_bound, bounds.mori_holder_bound,
-)}
+    getattr(module, name) for module in (special, modulus, distortion, bounds)
+    for name in module.__all__) if isinstance(fn, types.FunctionType)}
 
 
 def _params(fn) -> list[tuple[str, str, type, bool]]:
@@ -89,6 +81,8 @@ def _parse_flags(argv: list[str]) -> dict[str, str]:
         name = tok[2:]
         if i + 1 >= len(argv):
             raise _CliUsage(f"flag --{name} needs a value")
+        if name in flags:
+            raise _CliUsage(f"flag --{name} is given twice")
         flags[name] = argv[i + 1]
         i += 2
     return flags
@@ -240,11 +234,15 @@ def _cmd_verify(argv: list[str]) -> int:
 def _report_unwritable(path: str) -> str | None:
     """Why a report cannot be written to path, seen before the run without
     creating or truncating the file; the write still catches what this misses."""
-    parent = os.path.dirname(path) or "."
+    if not path:
+        return os.strerror(errno.ENOENT)  # as open("") fails
     if os.path.isdir(path):
         return os.strerror(errno.EISDIR)
-    if not os.path.isdir(parent):
-        return os.strerror(errno.ENOENT)
+    parent = os.path.dirname(path) or "."
+    try:
+        os.stat(parent + os.sep)  # with the separator, ENOTDIR unless it is a directory
+    except OSError as e:
+        return e.strerror
     return None if os.access(parent, os.W_OK) else os.strerror(errno.EACCES)
 
 

@@ -2,8 +2,8 @@
 infinite-product representation, partial derivatives, and the auxiliary
 monotone function f_K.
 
-u halves at each ascending Landen step, so phi_{1/K}(r_n) are the Landen
-moduli of phi_{1/K}(r), and prod (1 + phi_{1/K}(r_n))^{2^-n} = P(phi_{1/K}(r)).
+u halves at each ascending Landen step, so phi_{1/K}(r'_n) are the Landen
+moduli of phi_{1/K}(r'), and prod (1 + phi_{1/K}(r'_n))^{2^-n} = P(phi_{1/K}(r')).
 """
 from __future__ import annotations
 
@@ -13,8 +13,11 @@ from typing import NamedTuple
 
 from .special import DomainError, _2f1_sym, ramanujan_R
 from .modulus import (
-    _check_unit, _checked_exp, _inverse_residual, _invert_ua, _log_P, _ua, grotzsch_u,
+    _PI2_4, _check_unit, _checked_exp, _inverse_residual, _invert_ua, _log_P, _ua, grotzsch_u,
 )
+
+__all__ = ["PhiResult", "lemma3_fk", "phi_k", "phi_k_product", "phi_ka", "phi_partial_k",
+           "phi_partial_r"]
 
 
 class PhiResult(NamedTuple):
@@ -60,17 +63,19 @@ def _phi_parts(a: float, k: float, r: float) -> tuple[float, float, float | None
 
 
 def phi_k_product(k: float, r: float) -> float:
-    """The product representation [r/P(r)]^{1/K} prod (1+phi_{1/K}(r_n))^{2^-n}
-    as printed, which is [r/P(r)]^{1/K} P(phi_{1/K}(r)) exactly; at K = 1 it
-    collapses to r exactly (the product cancels the prefactor).  A value
-    below the smallest normal double raises DomainError, as phi_k does.
+    """The product representation [r/P(r')]^{1/K} prod (1+phi_{1/K}(r'_n))^{2^-n},
+    which is [r/P(r')]^{1/K} P(phi_{1/K}(r')) and equals phi_K(r): P is read
+    at r', as the Hersch-Pfluger extremal requires.  The prefactor keeps
+    P(r') as printed, not folded to e^{-u(r)/K} by P(r') = r e^{u(r)}.  At
+    K = 1 it is r exactly.  A value below the smallest normal double raises
+    DomainError, as phi_k does.
     """
     _check_k(k)
     _check_unit(r)
     if k == 1.0:
         return r
-    w = grotzsch_u(r)
-    return _checked_exp((math.log(r) - _log_P(w)) / k + _log_P(k * w), "the product", k, r)
+    v = _PI2_4 / grotzsch_u(r)  # u(r')
+    return _checked_exp((math.log(r) - _log_P(v)) / k + _log_P(k * v), "the product", k, r)
 
 
 def _neg_inv_du(a: float, x: float, xc2: float, ra: float, k: float, r: float) -> float:

@@ -22,6 +22,9 @@ from .special import (
     ramanujan_R,
 )
 
+__all__ = ["Lemma2Constants", "fn_A", "fn_B", "grotzsch_u", "grotzsch_u_inv", "grotzsch_ua",
+           "grotzsch_ua_inv", "landen_next", "lemma2_constants", "product_P"]
+
 _LN4 = math.log(4.0)
 _R_MAX = 1.0 - 1e-15        # saturation point of double-precision moduli
 _SQRT_HALF = math.sqrt(0.5)

@@ -9,6 +9,10 @@ from __future__ import annotations
 
 import math
 
+__all__ = ["APERY_A", "EULER_GAMMA", "LANDAU_C", "ZETA3", "DomainError", "agm", "digamma",
+           "elliptic_e", "elliptic_k", "elliptic_ka", "gauss_2f1_sym", "landau_constant",
+           "ramanujan_R"]
+
 _EPS = 2.220446049250313e-16
 
 # Stored to full double precision; the test suite recomputes each one

@@ -20,6 +20,10 @@ from typing import Callable, Iterable, NamedTuple
 from . import __version__, bounds, distortion, modulus
 from .special import APERY_A
 
+__all__ = ["SUITES", "InequalityReport", "SweepSpec", "Target", "UsageError", "margin_at",
+           "mori_radial_experiment", "registry", "run_suite", "suite_failed", "sweep",
+           "target_info"]
+
 
 class UsageError(ValueError):
     """Invalid sweep configuration or unknown target/suite."""
@@ -385,7 +389,7 @@ _TARGETS = [
     Target("eq48_c1_bracket", "report_only", _m_eq48),
     Target("lemma3_literal", "report_only", partial(_m_lemma3, literal=True), k_filter=_k_above_1),
     Target("lemma3_corrected", "asserted", partial(_m_lemma3, literal=False), k_filter=_k_above_1),
-    Target("eq49_product_equality", "report_only", _m_eq49),
+    Target("eq49_product_equality", "asserted", _m_eq49),
     Target("eq54_sinbeta", "report_only", _m_eq54, k_filter=_k_at_least_1),
     Target("eq55_sum_square", "report_only", _m_eq55, k_filter=_k_at_least_1),
     Target("eq59_h_product", "report_only", _m_eq59, k_filter=_k_at_least_1),

@@ -1,6 +1,6 @@
-"""60-digit mpmath reference for the Landen products: P(r), the printed
-product form of phi_K (eq. 49), and Theorem 3's product with K and 1/K as
-printed or swapped (the swapped one is eta_K).
+"""60-digit mpmath reference for the Landen products: P(r), the product
+form of phi_K (eq. 49, with P read at r'), and Theorem 3's product with K
+and 1/K as printed or swapped (the swapped one is eta_K).
 
 Each product is taken term by term over the exact ascending Landen moduli
 r_{n+1} = 2 sqrt(r_n)/(1 + r_n), carrying the complement
@@ -64,13 +64,14 @@ def product_P(r) -> float:
 
 
 def phi_k_product(k, r) -> float:
-    """[r/P(r)]^{1/K} prod (1 + phi_{1/K}(r_n))^{2^-n}."""
+    """[r/P(r')]^{1/K} prod (1 + phi_{1/K}(r'_n))^{2^-n}, over the Landen
+    moduli of r'."""
     with mp.workdps(DPS):
         k = mp.mpf(k)
         r, rc = _pair(r)
-        logp = _log_product(lambda t, tc: t, r, rc)
+        logp = _log_product(lambda t, tc: t, rc, r)
         return float(mp.exp((mp.log(r) - logp) / k
-                            + _log_product(_phi(1 / k), r, rc)))
+                            + _log_product(_phi(1 / k), rc, r)))
 
 
 def theorem3_product(k, r, swapped: bool = False) -> float:

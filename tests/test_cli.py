@@ -191,6 +191,16 @@ GOLDEN_COMMANDS = [
     ("verify", "all", "--samples", "100", "--help"),
     ("constants", "--help"),
     ("constants", "-h"),
+    # appended, so the entries above keep their indices: the two kernels
+    # FUNCTIONS gained from the modules' __all__ (c6 is nan at a = 1/2, as
+    # lemma2_constants documents), and a repeated flag, which is refused
+    ("eval", "landen_next", "--r", "0.5"),
+    ("eval", "lemma2_constants", "--a", "0.25"),
+    ("eval", "lemma2_constants", "--a", "0.5"),
+    ("eval", "phi_k", "--k", "2", "--k", "4", "--r", "0.5"),
+    ("table", "elliptic_k", "--r-min", "0.1", "--r-max", "0.3", "--steps", "2",
+     "--steps", "3"),
+    ("verify", "identities", "--samples", "5", "--samples", "100"),
 ]
 
 
@@ -310,11 +320,11 @@ def _params_from_signature(fn) -> list:
 def test_params_agree_with_inspect_signature():
     for name, fn in FUNCTIONS.items():
         assert _params(fn) == _params_from_signature(fn), name
-    assert len(FUNCTIONS) == 35
+    assert len(FUNCTIONS) == 37
 
 
 def test_every_function_has_a_passing_eval_entry():
-    assert set(_first_eval_entries()) == set(FUNCTIONS) and len(FUNCTIONS) == 35
+    assert set(_first_eval_entries()) == set(FUNCTIONS) and len(FUNCTIONS) == 37
 
 
 @pytest.mark.parametrize("argv", _extreme_value_cases(), ids=" ".join)
@@ -440,6 +450,20 @@ class TestUsageErrors:
         assert (rc, out) == (1, "")
         assert err.splitlines()[0] == f"error: unknown flags: {flag}"
 
+    @pytest.mark.parametrize("argv, flag", [
+        (("eval", "phi_k", "--k", "2", "--k", "4", "--r", "0.5"), "--k"),
+        (("table", "elliptic_k", "--r-min", "0.1", "--r-max", "0.3", "--steps", "2",
+          "--r-min", "0.2"), "--r-min"),
+        (("verify", "identities", "--samples", "5", "--samples", "100"), "--samples"),
+        (("constants", "--format", "json", "--format", "csv"), "--format"),
+    ], ids=["eval", "table", "verify", "constants"])
+    def test_repeated_flag_is_refused(self, capsys, monkeypatch, argv, flag):
+        # the last value used to win silently: phi_k printed phi_4(1/2)
+        monkeypatch.setattr(gft.verify, "run_suite", None)
+        rc, out, err = run_cli(capsys, *argv)
+        assert (rc, out) == (1, "")
+        assert err.splitlines()[0] == f"error: flag {flag} is given twice"
+
 
 class TestTable:
     def test_csv(self, capsys):
@@ -557,9 +581,9 @@ class TestVerify:
         rc, _, _ = run_cli(capsys, "verify", "all", "--report", str(path))
         assert rc == 0
         data = path.read_bytes()
-        assert len(data) == 43_613
+        assert len(data) == 41_040
         assert hashlib.sha256(data).hexdigest() == (
-            "5e9b0c9bc8e3f4b32ae611d6a2924987da513b4c885b30ccff0dc8f967312ce5")
+            "3ca2a5a52573baa84df47224686235f454b3ed6fd79e1fed450721b36c424dbe")
 
     def test_relative_report_path_resolves_against_the_working_directory(
             self, capsys, tmp_path, monkeypatch):
@@ -592,6 +616,37 @@ class TestVerify:
         assert (rc, out) == (1, "")
         assert err == f"error: cannot write report {path}: {os.strerror(code)}\n"
         assert not (tmp_path / "missing_dir").exists()
+
+    @pytest.mark.parametrize("where, code", [("", errno.ENOENT),
+                                             ("{file}/rep.json", errno.ENOTDIR),
+                                             ("{file}/sub/rep.json", errno.ENOTDIR)],
+                             ids=["empty", "file", "below-file"])
+    def test_report_path_that_open_refuses_is_seen_before_the_run(
+            self, capsys, tmp_path, monkeypatch, where, code):
+        # the empty path and a path through a regular file, with the reason
+        # open() itself gives
+        monkeypatch.setattr(gft.verify, "run_suite", None)
+        file = tmp_path / "file"
+        file.write_text("")
+        path = where.format(file=file)
+        with pytest.raises(OSError) as refused:
+            open(path, "w")
+        assert refused.value.errno == code
+        rc, out, err = run_cli(capsys, "verify", "all", "--report", path)
+        assert (rc, out) == (1, "")
+        assert err == f"error: cannot write report {path}: {os.strerror(code)}\n"
+
+    def test_report_write_failure_after_the_run_exit_1(self, capsys, tmp_path, monkeypatch):
+        # what the check before the run cannot see, e.g. a full disk
+        def full(*args, **kwargs):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(json, "dump", full)
+        path = tmp_path / "rep.json"
+        rc, out, err = run_cli(capsys, "verify", "identities", "--samples", "5",
+                               "--report", str(path))
+        assert (rc, out) == (1, "")
+        assert err == f"error: cannot write report {path}: {os.strerror(errno.ENOSPC)}\n"
 
     @pytest.mark.parametrize("argv", [("eval", "landau_constant"), ("verify", "identities")],
                              ids=["eval", "verify"])
@@ -653,8 +708,23 @@ class TestTopLevel:
             meta = read_configuration(pyproject, expand=True)
         assert meta["project"]["version"] == gft.__version__ == "0.1.0"
 
+    def test_each_public_name_is_declared_once(self):
+        # each module lists its public names in its own __all__; gft joins the
+        # five lists, and its source spells out no name
+        modules = (gft.special, gft.modulus, gft.distortion, gft.bounds, gft.verify)
+        assert gft.__all__ == [name for module in modules for name in module.__all__]
+        assert len(set(gft.__all__)) == len(gft.__all__) == 58
+        tree = ast.parse(pathlib.Path(gft.__file__).read_text())
+        strings = [node.value for node in ast.walk(tree)
+                   if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+        assert strings == [gft.__doc__, gft.__version__]
+
     def test_registry_holds_the_library_functions(self):
-        # flags come from each function's own signature, with no adapter between
+        # every function the kernel modules export, and flags come from each
+        # one's own signature, with no adapter between
+        kernels = (gft.special, gft.modulus, gft.distortion, gft.bounds)
+        assert set(FUNCTIONS) == {name for module in kernels for name in module.__all__
+                                  if isinstance(getattr(module, name), types.FunctionType)}
         for name, fn in FUNCTIONS.items():
             assert fn is getattr(gft, name), name
 

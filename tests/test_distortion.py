@@ -247,12 +247,12 @@ class TestProductForm:
             assert phi_k_product(1.0, r) == r
 
     def test_underflow_raises(self):
-        # [r/P(r)]^{1/K} P(phi_{1/K}(r)) at K = 1e-3 lies far below the
-        # smallest normal double: DomainError, as phi_k raises, not 0.0
+        # [r/P(r')]^{1/K} P(phi_{1/K}(r')) = phi_K(r) at K = 1e-3 lies far
+        # below the smallest normal double: DomainError, as phi_k raises, not 0.0
         with pytest.raises(DomainError, match="underflows.*smallest normal double"):
             phi_k_product(1e-3, 0.5)
         # the smallest value of the kernel benchmark's domain still returns
-        assert 2.9e-97 < phi_k_product(1 / 16, 1e-6) < 3.0e-97
+        assert 9.3e-106 < phi_k_product(1 / 16, 1e-6) < 9.4e-106
 
     def test_finite_positive(self):
         for k in K_VALUES:
@@ -261,16 +261,17 @@ class TestProductForm:
                 assert math.isfinite(v) and v > 0.0
 
     @pytest.mark.parametrize("k, r, expected", [
-        (0.5, 0.3, 0.05325443786982248217508504881614055320174),
-        (0.5, 0.9, 0.2243767313019390639988378606948002985356),
-        (2.0, 0.3, 0.5606341866809080001583228742892048301272),
-        (2.0, 0.9, 1.321387248118042395678537973844699017676),
-        (4.0, 0.3, 0.7488591410735577659635121012504705404411),
-        (4.0, 0.9, 1.197664363238942488621221656522296197729),
+        (0.5, 0.3, 0.02357330184565223922383264436442296252739),
+        (0.5, 0.9, 0.3928644583850189204635845420785667851937),
+        (2.0, 0.3, 0.842650088469486319999560294759256911494),
+        (2.0, 0.9, 0.9986139979479092633848460627066757623705),
+        (4.0, 0.3, 0.9963473239293501763214073302949359270144),
+        (4.0, 0.9, 0.9999997595415997239910756795494193977482),
     ])
     def test_mpmath_oracle(self, k, r, expected):
-        # tests/landen_oracle.py at 60 digits: the product over exact Landen
-        # moduli, each carrying its complement
+        # tests/landen_oracle.py at 60 digits: the product over the exact
+        # Landen moduli of r', each carrying its complement; each value is
+        # phi_K(r) to 60 digits
         assert phi_k_product(k, r) == pytest.approx(expected, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("k, r", landen_oracle.GRID)
@@ -279,12 +280,11 @@ class TestProductForm:
             landen_oracle.phi_k_product(k, r), rel=1e-13, abs=0.0)
 
     def test_k2_closed_form(self):
-        # phi_{1/2}(r) is the descending Landen modulus r_{-1} = (1-r')/(1+r'),
-        # and P(r_{-1}) = (1 + r_{-1}) P(r)^{1/2}: the form is 2 sqrt(r)/(1 + r')
+        # u halves at the ascending Landen step, so phi_2(r) is the next
+        # Landen modulus of r, 2 sqrt(r)/(1 + r), which the form reaches
         for r in R_GRID:
             r = float(r)
-            rc = math.sqrt((1.0 - r) * (1.0 + r))
-            expected = 2.0 * math.sqrt(r) / (1.0 + rc)
+            expected = 2.0 * math.sqrt(r) / (1.0 + r)
             assert phi_k_product(2.0, r) == pytest.approx(expected, rel=1e-13, abs=0.0)
 
 

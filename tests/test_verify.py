@@ -174,9 +174,9 @@ class TestRegistry:
 
     def test_classifications(self):
         asserted = {n for n in registry() if target_info(n).classification == "asserted"}
-        assert asserted == {"lemma3_corrected", "eq60_phi_4bound", "std_phi_identity",
-                            "thm4_k1_equality", "mori_radial_16", "mori_radial_64",
-                            "planted_false"}
+        assert asserted == {"lemma3_corrected", "eq49_product_equality", "eq60_phi_4bound",
+                            "std_phi_identity", "thm4_k1_equality", "mori_radial_16",
+                            "mori_radial_64", "planted_false"}
 
 
 class TestSweep:
@@ -639,6 +639,44 @@ class TestMoriK1Row:
         rep = sweep(SweepSpec(target="mori_radial_16"))
         assert rep.status == "fail" and rep.violation_count > 0
         assert {p["k"] for p, _ in rep.violations} == {k_planted}
+
+
+class TestPlantedFaults:
+    """A wrong kernel must fail the asserted targets that read it.  A row
+    scales one kernel by (1 + delta) in every namespace that binds it, as
+    perfbench's recorder does (distortion binds _log_P by name), and sweeps
+    at the default spec with the phi cache cleared before and after."""
+
+    ROWS = [
+        # kernel, delta, targets that must fail, targets that must pass.  At
+        # delta = 1e-9, _log_P moves eq. 49's margin by -8.5e-10 only, inside
+        # its 1e-9 tolerance; std_phi_identity does not read P
+        ("_log_P", 2e-9, ("eq49_product_equality",), ("std_phi_identity",)),
+        ("grotzsch_u", 1e-9, ("eq49_product_equality", "std_phi_identity"), ()),
+    ]
+
+    @pytest.fixture(autouse=True)
+    def _clear_phi_cache(self):
+        verify._phi_a.cache_clear()
+        yield
+        verify._phi_a.cache_clear()
+
+    @pytest.mark.parametrize("kernel, delta, fail, keep", ROWS, ids=[r[0] for r in ROWS])
+    def test_row(self, monkeypatch, kernel, delta, fail, keep):
+        real = getattr(gft.modulus, kernel)
+
+        def planted(*args):
+            return real(*args) * (1.0 + delta)
+
+        bound = 0
+        for ns in (gft, gft.special, gft.modulus, gft.distortion, gft.bounds, verify):
+            for attr, value in list(vars(ns).items()):
+                if value is real:
+                    monkeypatch.setattr(ns, attr, planted)
+                    bound += 1
+        assert bound >= 3     # modulus, distortion and bounds bind both kernels
+        statuses = {name: sweep(SweepSpec(target=name)).status for name in fail + keep}
+        assert statuses == {**{name: "fail" for name in fail}, **{name: "pass" for name in keep}}
 
 
 # sha256 of json.dumps(sweep(SweepSpec(target=name, samples=25_000)).to_dict(),
