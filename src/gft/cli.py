@@ -238,11 +238,14 @@ def _report_unwritable(path: str) -> str | None:
         return os.strerror(errno.ENOENT)  # as open("") fails
     if os.path.isdir(path):
         return os.strerror(errno.EISDIR)
-    parent = os.path.dirname(path) or "."
+    name = path.rstrip(os.sep)
+    parent = os.path.dirname(name) or "."
     try:
         os.stat(parent + os.sep)  # with the separator, ENOTDIR unless it is a directory
     except OSError as e:
         return e.strerror
+    if name != path:  # a trailing separator names a directory, which open() does not create
+        return os.strerror(errno.EISDIR)
     return None if os.access(parent, os.W_OK) else os.strerror(errno.EACCES)
 
 

@@ -179,12 +179,24 @@ def _sampler(sampler: Sampler, seed: int) -> Callable[[int, int], list[tuple[com
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=100_000)
+def _u_a(a: float, r: float) -> float:
+    # lemma 2's g = u_a - u, eq. 42's e^{u_a(r)}/r and each phi_{K,a}(r), one
+    # per K, read u_a(r) on the same grid points, so each is evaluated once
+    # per process.  modulus.grotzsch_ua is looked up at call time, so a
+    # patched kernel is seen once the memo is cleared
+    return modulus.grotzsch_ua(a, r)
+
+
+@lru_cache(maxsize=100_000)
 def _phi_a(a: float, k: float, r: float) -> float:
-    # the library's one memo cache: sibling targets (lemma3_literal and
-    # lemma3_corrected, the (r, r_next) pairs, the eq54-eq64 family) sweep
-    # the same grid, so each phi_{K,a}(r) is inverted once per process, and
+    # sibling targets (lemma3_literal and lemma3_corrected, the (r, r_next)
+    # pairs, the eq54-eq64 family) sweep the same grid, so each
+    # phi_{K,a}(r) = u_a^{-1}(u_a(r)/K) is inverted once per process, and
     # read as a value, with no residual formed
-    return distortion._phi_parts(a, k, r)[0]
+    distortion._check_k(k)
+    if k == 1.0:
+        return r
+    return modulus.grotzsch_ua_inv(a, _u_a(a, r) / k)
 
 
 def _phi(k: float, r: float) -> float:
@@ -201,7 +213,7 @@ def _m_eq5_chain(zss: list[tuple[complex]]) -> list[list[float]]:
 
 
 def _g5(a: float, r: float) -> float:
-    return modulus.grotzsch_ua(a, r) - modulus.grotzsch_u(r)
+    return _u_a(a, r) - _u_a(0.5, r)
 
 
 def _m_lemma2_item1(a: float, r: float) -> float:
@@ -222,7 +234,7 @@ def _m_lemma2_item3(a: float, r: float) -> float:
     A = modulus.fn_A(r)
     B = modulus.fn_B(r)
     pr = modulus.product_P(r)
-    mid = math.exp(modulus.grotzsch_ua(a, r)) / r
+    mid = math.exp(_u_a(a, r)) / r
     lo = pr * max(cs.c4 ** A, cs.c5 ** B)
     hi = cs.c4 * pr * math.exp(-cs.c6 * (1.0 - A))
     return min(mid - lo, hi - mid)
@@ -232,7 +244,7 @@ def _m_eq42(a: float, r: float, base_is_c1: bool) -> float:
     cs = modulus.lemma2_constants(a)  # the constant C = 1/4 e^{R(a)/2} is c4
     base = cs.c1 if base_is_c1 else math.exp((a - 0.5) ** 2)
     pr = modulus.product_P(r)
-    mid = math.exp(modulus.grotzsch_ua(a, r)) / r
+    mid = math.exp(_u_a(a, r)) / r
     lo = cs.c4 ** (1.0 - r * r) * pr
     hi = cs.c4 * base ** (-r * r) * pr
     return min(mid - lo, hi - mid)

@@ -636,6 +636,22 @@ class TestVerify:
         assert (rc, out) == (1, "")
         assert err == f"error: cannot write report {path}: {os.strerror(code)}\n"
 
+    @pytest.mark.parametrize("where", ["out.json/", "out.json//", "file/"])
+    def test_report_path_ending_in_a_separator_is_a_directory(
+            self, capsys, tmp_path, monkeypatch, where):
+        # a trailing separator names a directory, which open() refuses with
+        # EISDIR whether or not the path exists as a file; nothing is created
+        monkeypatch.setattr(gft.verify, "run_suite", None)
+        (tmp_path / "file").write_text("")
+        path = f"{tmp_path}{os.sep}{where}"
+        with pytest.raises(OSError) as refused:
+            open(path, "w")
+        assert refused.value.errno == errno.EISDIR
+        rc, out, err = run_cli(capsys, "verify", "all", "--report", path)
+        assert (rc, out) == (1, "")
+        assert err == f"error: cannot write report {path}: {os.strerror(errno.EISDIR)}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["file"]
+
     def test_report_write_failure_after_the_run_exit_1(self, capsys, tmp_path, monkeypatch):
         # what the check before the run cannot see, e.g. a full disk
         def full(*args, **kwargs):

@@ -51,18 +51,20 @@ EXPECTED_TARGETS = {
 
 def test_one_memo_cache():
     # the kernels (special, modulus, distortion, bounds) stay pure, so their
-    # timings are cold by construction; the verify layer shares phi_{K,a}(r)
+    # timings are cold by construction; the verify layer shares u_a(r) and
+    # phi_{K,a}(r)
     import importlib
     cached = {f"{mod}.{name}"
               for mod in ("special", "modulus", "distortion", "bounds", "verify", "cli")
               for name, obj in vars(importlib.import_module(f"gft.{mod}")).items()
               if hasattr(obj, "cache_info")}
-    assert cached == {"verify._phi_a"}
+    assert cached == {"verify._phi_a", "verify._u_a"}
 
 
-def test_phi_cache_reads_the_value_only(monkeypatch):
+def test_phi_cache_reads_the_value_only(monkeypatch, clear_verify_caches):
     # an uncached a = 1/2 entry costs the forward u(r), 2 agm calls, and the
-    # inverse from the nome, which calls none; a residual would take 2 more
+    # inverse from the nome, which calls none; a residual would take 2 more.
+    # A second K at the same r reads the cached u(r): no agm call at all
     from gft import distortion, modulus, special
     calls = []
     real = special.agm
@@ -73,10 +75,59 @@ def test_phi_cache_reads_the_value_only(monkeypatch):
 
     for mod in (special, modulus):
         monkeypatch.setattr(mod, "agm", counting)
-    verify._phi_a.cache_clear()
     value = verify._phi_a(0.5, 2.0, 0.3)
     assert len(calls) == 2
     assert value == distortion.phi_k(2.0, 0.3).value
+    del calls[:]
+    value = verify._phi_a(0.5, 4.0, 0.3)
+    assert len(calls) == 0
+    assert value == distortion.phi_k(4.0, 0.3).value
+
+
+def test_phi_memo_matches_phi_ka_on_the_default_grid(monkeypatch, clear_verify_caches):
+    # every (a, K, r) the default `verify all` reads: the memo's route
+    # (u_a, then its inverse) gives phi_ka's value bit for bit
+    real = verify._phi_a
+    seen = set()
+
+    def recording(a, k, r):
+        seen.add((a, k, r))
+        return real(a, k, r)
+
+    monkeypatch.setattr(verify, "_phi_a", recording)
+    run_suite("all", samples=1)   # the sampled targets read no phi
+    inverted = {(a, k, r) for a, k, r in seen if k != 1.0}
+    assert len(inverted) == 2667
+    for a, k, r in sorted(seen):
+        assert real(a, k, r) == phi_ka(a, k, r).value, (a, k, r)
+
+
+@pytest.mark.parametrize("k", [0.0, -1.0, math.inf, math.nan])
+def test_phi_memo_refuses_a_bad_k_as_phi_ka_does(k, clear_verify_caches):
+    with pytest.raises(gft.DomainError) as want:
+        phi_ka(0.25, k, 0.3)
+    with pytest.raises(gft.DomainError) as got:
+        verify._phi_a(0.25, k, 0.3)
+    assert str(got.value) == str(want.value)
+
+
+def test_forward_modulus_is_evaluated_once_per_point(monkeypatch, clear_verify_caches):
+    # lemma 2's targets and lemma 3's phi inversions read u_a(r) on shared
+    # (a, r) points; across both suites each is evaluated once
+    from collections import Counter
+
+    from gft import modulus
+    calls = Counter()
+    real = modulus.grotzsch_ua
+
+    def counting(a, r):
+        calls[a, r] += 1
+        return real(a, r)
+
+    monkeypatch.setattr(modulus, "grotzsch_ua", counting)
+    run_suite("lemma2")
+    run_suite("lemma3")
+    assert calls and set(calls.values()) == {1}
 
 
 def test_mori_margin_of_a_pair_with_a_point_at_zero():
@@ -645,7 +696,7 @@ class TestPlantedFaults:
     """A wrong kernel must fail the asserted targets that read it.  A row
     scales one kernel by (1 + delta) in every namespace that binds it, as
     perfbench's recorder does (distortion binds _log_P by name), and sweeps
-    at the default spec with the phi cache cleared before and after."""
+    at the default spec with the verify memos cleared before and after."""
 
     ROWS = [
         # kernel, delta, targets that must fail, targets that must pass.  At
@@ -655,12 +706,7 @@ class TestPlantedFaults:
         ("grotzsch_u", 1e-9, ("eq49_product_equality", "std_phi_identity"), ()),
     ]
 
-    @pytest.fixture(autouse=True)
-    def _clear_phi_cache(self):
-        verify._phi_a.cache_clear()
-        yield
-        verify._phi_a.cache_clear()
-
+    @pytest.mark.usefixtures("clear_verify_caches")
     @pytest.mark.parametrize("kernel, delta, fail, keep", ROWS, ids=[r[0] for r in ROWS])
     def test_row(self, monkeypatch, kernel, delta, fail, keep):
         real = getattr(gft.modulus, kernel)
