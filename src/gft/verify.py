@@ -172,18 +172,18 @@ def _sampler(sampler: Sampler, seed: int) -> Callable[[int, int], list[tuple[com
 
 
 # ---------------------------------------------------------------------------
-# Margin functions.  A grid margin takes a grid row's numbers by keyword and
-# returns a signed margin.  A sampled margin takes a block of sampled points
-# and, per axis, the grid rows' values, and gives one list of the points'
-# margins per row, in row order (a generator holds one row at a time).
+# Margin functions.  A grid margin takes a grid row's numbers positionally, in
+# its parameter order, and returns a signed margin.  A sampled margin takes a
+# block of sampled points and, per axis, the grid rows' values, and gives one
+# list of the points' margins per row, in row order (a generator holds one row).
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=100_000)
 def _u_a(a: float, r: float) -> float:
     # lemma 2's g = u_a - u, eq. 42's e^{u_a(r)}/r and each phi_{K,a}(r), one
     # per K, read u_a(r) on the same grid points, so each is evaluated once
-    # per process.  modulus.grotzsch_ua is looked up at call time, so a
-    # patched kernel is seen once the memo is cleared
+    # per run.  modulus.grotzsch_ua is looked up at call time, so a patched
+    # kernel is seen once the memo is cleared
     return modulus.grotzsch_ua(a, r)
 
 
@@ -191,12 +191,15 @@ def _u_a(a: float, r: float) -> float:
 def _phi_a(a: float, k: float, r: float) -> float:
     # sibling targets (lemma3_literal and lemma3_corrected, the (r, r_next)
     # pairs, the eq54-eq64 family) sweep the same grid, so each
-    # phi_{K,a}(r) = u_a^{-1}(u_a(r)/K) is inverted once per process, and
+    # phi_{K,a}(r) = u_a^{-1}(u_a(r)/K) is inverted once per run, and
     # read as a value, with no residual formed
     distortion._check_k(k)
     if k == 1.0:
         return r
     return modulus.grotzsch_ua_inv(a, _u_a(a, r) / k)
+
+
+_MEMOS = (_u_a, _phi_a)   # cleared by run_suite; held here, whatever rebinds their names
 
 
 def _phi(k: float, r: float) -> float:
@@ -446,33 +449,29 @@ def _linspace(lo: float, hi: float, steps: int) -> list[float]:
     return [lo + i * h for i in range(steps)]
 
 
-def _param_list(target: Target, spec: SweepSpec) -> list[dict]:
-    """Cartesian parameter grid, axes in name order (a, alpha, k, r)."""
-    a_vals = [a for a in spec.a_values if target.a_filter is None or target.a_filter(a)]
-    k_vals = [k for k in spec.k_values if target.k_filter is None or target.k_filter(k)]
+def _grid(target: Target, spec: SweepSpec) -> tuple[int, dict[str, list[float]]]:
+    """The Cartesian grid's row count and one column per parameter: axes in name
+    order (a, alpha, k, r), the first outermost; pairwise r is (r_i, r_{i+1})."""
     rs = _linspace(*spec.r_grid)
-
-    def axis(name: str) -> list[dict]:
-        if name == "a":
-            return [{"a": a} for a in sorted(a_vals)]
-        if name == "k":
-            return [{"k": k} for k in sorted(k_vals)]
-        if name == "r":
-            if target.pairwise_r:
-                return [{"r": rs[i], "r_next": rs[i + 1]} for i in range(len(rs) - 1)]
-            return [{"r": r} for r in rs]
-        # alpha: the r grid mapped onto (0, pi/2]
-        return [{"alpha": r * math.pi / 2.0} for r in rs]
-
-    params: list[dict] = [{}]
-    for name in sorted(target.axes):
-        values = axis(name)
-        if not values:
+    values = {   # each axis's columns, one value per axis row
+        "a": [sorted(a for a in spec.a_values if target.a_filter is None or target.a_filter(a))],
+        "k": [sorted(k for k in spec.k_values if target.k_filter is None or target.k_filter(k))],
+        "r": [rs[:-1], rs[1:]] if target.pairwise_r else [rs],
+        "alpha": [[r * math.pi / 2.0 for r in rs]],   # the r grid mapped onto (0, pi/2]
+    }
+    names = sorted(target.axes)
+    sizes = [len(values[name][0]) for name in names]
+    columns = {}
+    for i, name in enumerate(names):
+        if not sizes[i]:
             given = spec.a_values if name == "a" else spec.k_values
             raise UsageError(f"target {target.name!r} has no {name} value to sweep: "
                              f"its filter rejects every one of {given!r}")
-        params = [dict(p, **q) for p in params for q in values]
-    return params
+        each = itertools.repeat(math.prod(sizes[i + 1:]))   # rows per value
+        for column, vals in zip((name, "r_next"), values[name]):
+            columns[column] = [*itertools.chain.from_iterable(
+                map(itertools.repeat, vals, each))] * math.prod(sizes[:i])
+    return math.prod(sizes), columns
 
 
 def margin_at(target_name: str, params: dict) -> float:
@@ -495,17 +494,18 @@ def sweep(spec: SweepSpec) -> InequalityReport:
     """Evaluate one target's margin over its full parameter grid.  Every
     violation (a margin below -tol, with tol the target's default_tol, or
     NaN, which ranks worst) is counted; the MAX_VIOLATIONS worst are kept,
-    ties going to the earlier row.  A sampled target draws SAMPLE_BLOCK
-    indices at a time and evaluates every grid row on them, so memory does
-    not grow with spec.samples.  A sampled row's params (its grid params,
-    seed and index, and its points for the reader) are built only when it
-    is the argmin or a kept violation.  Every spec is checked here: an
-    unknown target, samples < 1 and an emptied axis raise UsageError."""
+    ties going to the earlier row.  A grid margin is mapped over the grid's
+    columns.  A sampled target draws SAMPLE_BLOCK indices at a time and
+    evaluates every grid row on them, so memory does not grow with
+    spec.samples.  A row's params (a sampled row's also hold the seed, index
+    and points) are built only for the argmin and the kept violations.
+    Every spec is checked here: an unknown target, samples < 1 and an
+    emptied axis raise UsageError."""
     target = target_info(spec.target)
     if spec.samples < 1:
         raise UsageError("samples must be >= 1")
     tol = target.default_tol
-    grid = _param_list(target, spec)
+    size, grid = _grid(target, spec)
     ok = (-tol).__le__
     count, kept = 0, []               # kept: (rank, order, margin), worst first
 
@@ -532,21 +532,19 @@ def sweep(spec: SweepSpec) -> InequalityReport:
             return min(cand)          # every NaN is a candidate
         return m, base + ms.index(m), m
 
-    if target.sample is None:
-        ms = [target.margin(**p) for p in grid]
-        best = fold(ms, 0)
-        row_minima = ms
+    def row(j: int) -> dict:
+        return {name: column[j] for name, column in grid.items()}
 
-        def params(order: int) -> dict:
-            return grid[order]
+    if target.sample is None:
+        ms = list(map(target.margin, *[grid[n] for n in _arg_names(target.margin) if n in grid]))
+        best, row_minima, params = fold(ms, 0), ms, row
     else:
         n = spec.samples
         draw = _sampler(target.sample, spec.seed)
-        rows: list = [None] * len(grid)        # each row's worst, as fold returns it
-        columns = {name: [p[name] for p in grid] for name in grid[0]}
+        rows: list = [None] * size             # each row's worst, as fold returns it
         for lo in range(0, n, SAMPLE_BLOCK):
             zss = draw(lo, min(lo + SAMPLE_BLOCK, n))
-            for j, ms in enumerate(target.margin(zss, **columns)):
+            for j, ms in enumerate(target.margin(zss, **grid)):
                 worst = fold(ms, j * n + lo)
                 if rows[j] is None or worst < rows[j]:
                     rows[j] = worst
@@ -555,16 +553,18 @@ def sweep(spec: SweepSpec) -> InequalityReport:
 
         def params(order: int) -> dict:
             j, i = divmod(order, n)
-            p = dict(grid[j], i=i, seed=spec.seed)
+            p = dict(row(j), i=i, seed=spec.seed)
             for name, z in zip(target.sample.names, draw(i, i + 1)[0]):
                 p[f"{name}_re"], p[f"{name}_im"] = z.real, z.imag
             return p
 
-    axis_minima: dict = {name: {} for name in ("a", "k") if name in grid[0]}
-    for p, m in zip(grid, row_minima):
-        for name, minima in axis_minima.items():
-            if p[name] not in minima or _rank(m) < _rank(minima[p[name]]):
-                minima[p[name]] = m
+    ranks = list(map(_rank, row_minima))
+    axis_minima: dict = {name: {} for name in ("a", "k") if name in grid}
+    for name, least in axis_minima.items():   # value -> its first row of least rank
+        for j, v in enumerate(grid[name]):
+            if v not in least or ranks[j] < ranks[least[v]]:
+                least[v] = j
+        axis_minima[name] = {v: row_minima[j] for v, j in least.items()}
     if target.classification == "asserted":
         status = "fail" if count else "pass"
     else:
@@ -572,7 +572,7 @@ def sweep(spec: SweepSpec) -> InequalityReport:
     return InequalityReport(
         target=target.name,
         classification=target.classification,
-        evaluations=len(grid) * (spec.samples if target.randomized else 1),
+        evaluations=size * (spec.samples if target.randomized else 1),
         min_margin=best[2],
         argmin=params(best[1]),
         axis_minima=axis_minima,
@@ -613,13 +613,13 @@ SUITES["all"] = tuple(t.name for t in _TARGETS if not t.sanity)
 
 
 def run_suite(name: str, **overrides) -> list[InequalityReport]:
-    """Run a named suite; overrides are SweepSpec fields applied to every target."""
+    """Run a named suite; overrides are SweepSpec fields applied to every
+    target.  The memos start empty, so a kernel changed since a run is seen."""
     if name not in SUITES:
         raise UsageError(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}")
-    reports = []
-    for target in SUITES[name]:
-        reports.append(sweep(SweepSpec(target=target, **overrides)))
-    return reports
+    for memo in _MEMOS:
+        memo.cache_clear()
+    return [sweep(SweepSpec(target=target, **overrides)) for target in SUITES[name]]
 
 
 def suite_failed(reports: list[InequalityReport]) -> bool:

@@ -517,8 +517,8 @@ class TestTable:
         rc, _, _ = run_cli(capsys, "table", "elliptic_k", "--r-min", repr(lo),
                            "--r-max", repr(hi), "--steps", str(steps))
         assert rc == 0
-        grid = gft.verify._param_list(gft.target_info(spec.target), spec)
-        assert seen == [p["r"] for p in grid]
+        _, grid = gft.verify._grid(gft.target_info(spec.target), spec)
+        assert seen == grid["r"]
 
 
 class TestVerify:

@@ -4,6 +4,7 @@ the planted-false sanity target, and configuration validation.
 import cmath
 import hashlib
 import inspect
+import itertools
 import json
 import math
 import struct
@@ -113,7 +114,7 @@ def test_phi_memo_refuses_a_bad_k_as_phi_ka_does(k, clear_verify_caches):
 
 def test_forward_modulus_is_evaluated_once_per_point(monkeypatch, clear_verify_caches):
     # lemma 2's targets and lemma 3's phi inversions read u_a(r) on shared
-    # (a, r) points; across both suites each is evaluated once
+    # (a, r) points; in one run of both suites each is evaluated once
     from collections import Counter
 
     from gft import modulus
@@ -125,9 +126,83 @@ def test_forward_modulus_is_evaluated_once_per_point(monkeypatch, clear_verify_c
         return real(a, r)
 
     monkeypatch.setattr(modulus, "grotzsch_ua", counting)
-    run_suite("lemma2")
-    run_suite("lemma3")
-    assert calls and set(calls.values()) == {1}
+    run_suite("all", samples=1)   # holds lemma2 and lemma3
+    assert len(calls) == 592 and set(calls.values()) == {1}
+
+
+def test_a_run_sees_a_kernel_patched_since_the_last_run(monkeypatch):
+    # run_suite empties the memos as it starts: with no clear_verify_caches,
+    # a forward modulus patched between two runs reaches the second, and
+    # the real one, restored, reaches the third
+    from gft import modulus
+    real = modulus.grotzsch_ua
+    calls = []
+
+    def faulty(a, r):
+        calls.append((a, r))
+        return 1.5 * real(a, r)
+
+    def run() -> str:
+        return json.dumps([rep.to_dict() for rep in run_suite("lemma3")])
+
+    first = run()
+    monkeypatch.setattr(modulus, "grotzsch_ua", faulty)
+    second = run()
+    assert calls and second != first
+    monkeypatch.undo()
+    assert run() == first
+
+
+def _wave(*xs: float) -> float:
+    # margins of both signs, distinct on the grids below
+    return sum(math.sqrt(i + 1) * x for i, x in enumerate(xs)) - 3.0
+
+
+@pytest.mark.parametrize("case", ["k_alpha", "pairwise_r", "a_only"])
+def test_grid_margin_is_mapped_over_the_columns(case, monkeypatch):
+    # a grid margin is called positionally (its parameters are positional
+    # only), in its own parameter order, once per row; the rows come in
+    # Cartesian order, axes in name order and the first outermost; the
+    # argmin and the kept violations are those rows' dicts, keys in name order
+    rs = verify._linspace(*SweepSpec.r_grid)
+    ks = (1.0, 2.0, 4.0)
+    calls = []
+    if case == "k_alpha":   # parameter order is not name order, as in eq54
+        def margin(k, alpha, /):
+            calls.append((k, alpha))
+            return _wave(k, alpha)
+        rows = [{"alpha": r * math.pi / 2.0, "k": k} for r in rs for k in ks]
+        order = ("k", "alpha")
+    elif case == "pairwise_r":
+        def margin(k, r, r_next, /):
+            calls.append((k, r, r_next))
+            return _wave(k, r, r_next)
+        rows = [{"k": k, "r": r, "r_next": s} for k in ks for r, s in zip(rs, rs[1:])]
+        order = ("k", "r", "r_next")
+    else:
+        def margin(a, /):
+            calls.append((a,))
+            return _wave(a)
+        rows = [{"a": a} for a in (0.1, 0.25)]
+        order = ("a",)
+    target = verify.Target(case, "asserted", margin, a_filter=verify._a_not_half)
+    monkeypatch.setitem(verify._REGISTRY, case, target)
+    rep = sweep(SweepSpec(target=case, k_values=(4.0, 1.0, 2.0)))
+    assert calls == [tuple(row[name] for name in order) for row in rows]
+    ms = [_wave(*c) for c in calls]
+    assert len(set(ms)) == len(ms) == rep.evaluations
+    assert rep.min_margin == min(ms) and rep.argmin == rows[ms.index(min(ms))]
+    worst = sorted((m, j) for j, m in enumerate(ms) if m < -target.default_tol)
+    assert rep.violation_count == len(worst)
+    assert rep.violations == tuple((rows[j], m) for m, j in worst[:verify.MAX_VIOLATIONS])
+    assert all(list(p) == list(rows[0]) for p in [rep.argmin, *(p for p, _ in rep.violations)])
+
+
+@pytest.mark.parametrize("name", [t for t in SUITES["all"] if target_info(t).sample is None])
+def test_margin_at_reproduces_a_grid_argmin(name):
+    # the sweep maps the margin positionally; margin_at calls it by keyword
+    rep = sweep(SweepSpec(target=name))
+    assert margin_at(name, rep.argmin) == rep.min_margin
 
 
 def test_mori_margin_of_a_pair_with_a_point_at_zero():
@@ -309,13 +384,32 @@ def _reference_points(sampler, seed: int, i: int) -> tuple:
         block += 1
 
 
+def _reference_grid(target, spec: SweepSpec) -> list[dict]:
+    """The target's grid rows as dicts, from itertools.product: axes in name
+    order (a, alpha, k, r), the first outermost; a pairwise r axis takes
+    (r_i, r_{i+1}); alpha is the r grid mapped onto (0, pi/2]."""
+    rs = verify._linspace(*spec.r_grid)
+    axis = {
+        "a": [{"a": a} for a in sorted(spec.a_values)
+              if target.a_filter is None or target.a_filter(a)],
+        "k": [{"k": k} for k in sorted(spec.k_values)
+              if target.k_filter is None or target.k_filter(k)],
+        "r": ([{"r": r, "r_next": s} for r, s in zip(rs, rs[1:])] if target.pairwise_r
+              else [{"r": r} for r in rs]),
+        "alpha": [{"alpha": r * math.pi / 2.0} for r in rs],
+    }
+    return [{name: v for q in qs for name, v in q.items()}
+            for qs in itertools.product(*(axis[name] for name in sorted(target.axes)))]
+
+
 def _stream(spec: SweepSpec) -> list:
     """The sweep's margins one evaluation at a time, as (margin, grid params,
     sample index or None, sampled points or None) rows in lexicographic
     (grid row, sample index) order: the reference that the block-streamed
-    sweep must reproduce."""
+    sweep must reproduce.  A grid margin is called by keyword, one row at a
+    time, where the sweep maps it positionally over columns."""
     target = target_info(spec.target)
-    grid = verify._param_list(target, spec)
+    grid = _reference_grid(target, spec)
     if target.sample is None:
         return [(target.margin(**p), p, None, None) for p in grid]
     points = [_reference_points(target.sample, spec.seed, i) for i in range(spec.samples)]
