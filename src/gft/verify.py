@@ -102,7 +102,8 @@ class Sampler(NamedTuple):
     """How a sampled target draws index i: one uniform point of the unit
     disk per name in `names` (reports record each as <name>_re, <name>_im),
     redrawn until `accept` takes the points.  A target samples one point or
-    one pair, the two widths `_sampler` builds."""
+    one pair, the two widths `_sampler` builds.  Targets holding one Sampler
+    see the same points at a seed, and run_suite draws them once for all."""
 
     stream: str
     names: tuple[str, ...]
@@ -390,6 +391,10 @@ def _a_not_half(a: float) -> bool:
     return a != 0.5
 
 
+# both Mori bounds judge the radial stretch on one stream of pairs, so
+# run_suite draws each block once for the two targets
+_MORI_PAIRS = Sampler("mori_sixteen", ("z1", "z2"), operator.ne)
+
 _TARGETS = [
     # eq5 samples {|z| < 1, |z| < |z-1|}, bounded away from the puncture at 0
     Target("eq5_chain", "report_only", _m_eq5_chain,
@@ -416,9 +421,9 @@ _TARGETS = [
     Target("std_phi_identity", "asserted", partial(_m_phi_identity, literal=False)),
     Target("thm4_k1_equality", "asserted", _m_thm4_k1, default_tol=1e-15),
     Target("mori_radial_16", "asserted", partial(_m_mori_radial, variant="sixteen"),
-           sample=Sampler("mori_sixteen", ("z1", "z2"), operator.ne), k_filter=_k_at_least_1),
+           sample=_MORI_PAIRS, k_filter=_k_at_least_1),
     Target("mori_radial_64", "asserted", partial(_m_mori_radial, variant="sixtyfour"),
-           sample=Sampler("mori_sixtyfour", ("z1", "z2"), operator.ne), k_filter=_k_at_least_1),
+           sample=_MORI_PAIRS, k_filter=_k_at_least_1),
     Target("planted_false", "asserted", _m_planted_false, sanity=True),
 ]
 
@@ -490,24 +495,25 @@ def _rank(m: float) -> float:
     return m if m == m else -math.inf
 
 
-def sweep(spec: SweepSpec) -> InequalityReport:
-    """Evaluate one target's margin over its full parameter grid.  Every
-    violation (a margin below -tol, with tol the target's default_tol, or
-    NaN, which ranks worst) is counted; the MAX_VIOLATIONS worst are kept,
-    ties going to the earlier row.  A grid margin is mapped over the grid's
-    columns.  A sampled target draws SAMPLE_BLOCK indices at a time and
-    evaluates every grid row on them, so memory does not grow with
-    spec.samples.  A row's params (a sampled row's also hold the seed, index
-    and points) are built only for the argmin and the kept violations.
-    Every spec is checked here: an unknown target, samples < 1 and an
-    emptied axis raise UsageError."""
+def _open(spec: SweepSpec) -> tuple[Callable, Callable]:
+    """Check spec and open its sweep as two closures over its running
+    statistics.  feed(lo, zss) folds in the margins of a sampled target at
+    the drawn points zss of indices lo, lo + 1, ...; finish(draw) returns
+    the report, first mapping a grid margin over the grid's columns, and
+    redraws with draw the points that a sampled row's params record."""
     target = target_info(spec.target)
     if spec.samples < 1:
         raise UsageError("samples must be >= 1")
+    ks = spec.k_values
+    if not all(0.0 < k < math.inf for k in ks) or len(set(ks)) < len(ks):   # NaN fails too
+        raise UsageError(f"target {target.name!r} takes k values {ks!r}: each K must be "
+                         f"finite, > 0 and given once")
     tol = target.default_tol
     size, grid = _grid(target, spec)
+    n = spec.samples
     ok = (-tol).__le__
     count, kept = 0, []               # kept: (rank, order, margin), worst first
+    rows: list = [None] * size        # a sampled row's worst so far, as fold returns it
 
     def fold(ms: list[float], base: int) -> tuple[float, int, float]:
         """Fold in the margins of orders base, base + 1, ..., where order is
@@ -532,63 +538,98 @@ def sweep(spec: SweepSpec) -> InequalityReport:
             return min(cand)          # every NaN is a candidate
         return m, base + ms.index(m), m
 
+    def feed(lo: int, zss: list) -> None:
+        for j, ms in enumerate(target.margin(zss, **grid)):
+            worst = fold(ms, j * n + lo)
+            if rows[j] is None or worst < rows[j]:
+                rows[j] = worst
+
     def row(j: int) -> dict:
         return {name: column[j] for name, column in grid.items()}
 
-    if target.sample is None:
-        ms = list(map(target.margin, *[grid[n] for n in _arg_names(target.margin) if n in grid]))
-        best, row_minima, params = fold(ms, 0), ms, row
-    else:
-        n = spec.samples
-        draw = _sampler(target.sample, spec.seed)
-        rows: list = [None] * size             # each row's worst, as fold returns it
+    def finish(draw: Callable | None) -> InequalityReport:
+        if target.sample is None:
+            columns = [grid[a] for a in _arg_names(target.margin) if a in grid]
+            ms = list(map(target.margin, *columns))
+            best, row_minima, params = fold(ms, 0), ms, row
+        else:
+            best = min(rows)
+            row_minima = [m for _, _, m in rows]
+
+            def params(order: int) -> dict:
+                j, i = divmod(order, n)
+                p = dict(row(j), i=i, seed=spec.seed)
+                for name, z in zip(target.sample.names, draw(i, i + 1)[0]):
+                    p[f"{name}_re"], p[f"{name}_im"] = z.real, z.imag
+                return p
+
+        ranks = list(map(_rank, row_minima))
+        axis_minima: dict = {name: {} for name in ("a", "k") if name in grid}
+        for name, least in axis_minima.items():   # value -> its first row of least rank
+            for j, v in enumerate(grid[name]):
+                if v not in least or ranks[j] < ranks[least[v]]:
+                    least[v] = j
+            axis_minima[name] = {v: row_minima[j] for v, j in least.items()}
+        if target.classification == "asserted":
+            status = "fail" if count else "pass"
+        else:
+            status = "report_only"
+        return InequalityReport(
+            target=target.name,
+            classification=target.classification,
+            evaluations=size * (n if target.randomized else 1),
+            min_margin=best[2],
+            argmin=params(best[1]),
+            axis_minima=axis_minima,
+            violation_count=count,
+            violations=tuple((params(o), m) for _, o, m in kept),
+            status=status,
+            spec=spec,
+            tol=tol,
+        )
+
+    return feed, finish
+
+
+def _sweep(specs: list[SweepSpec]) -> list[InequalityReport]:
+    """Sweep targets that share one draw: one spec, or specs whose targets
+    share a Sampler, seed and sample count.  Every spec is checked before
+    the first block is drawn; each SAMPLE_BLOCK is then drawn once and fed
+    to every spec's fold.  Nothing outlives the block loop."""
+    members = [_open(spec) for spec in specs]
+    first, draw = specs[0], None
+    sample, n = target_info(first.target).sample, first.samples
+    if sample is not None:
+        draw = _sampler(sample, first.seed)
         for lo in range(0, n, SAMPLE_BLOCK):
             zss = draw(lo, min(lo + SAMPLE_BLOCK, n))
-            for j, ms in enumerate(target.margin(zss, **grid)):
-                worst = fold(ms, j * n + lo)
-                if rows[j] is None or worst < rows[j]:
-                    rows[j] = worst
-        best = min(rows)
-        row_minima = [m for _, _, m in rows]
+            for feed, _ in members:
+                feed(lo, zss)
+    return [finish(draw) for _, finish in members]
 
-        def params(order: int) -> dict:
-            j, i = divmod(order, n)
-            p = dict(row(j), i=i, seed=spec.seed)
-            for name, z in zip(target.sample.names, draw(i, i + 1)[0]):
-                p[f"{name}_re"], p[f"{name}_im"] = z.real, z.imag
-            return p
 
-    ranks = list(map(_rank, row_minima))
-    axis_minima: dict = {name: {} for name in ("a", "k") if name in grid}
-    for name, least in axis_minima.items():   # value -> its first row of least rank
-        for j, v in enumerate(grid[name]):
-            if v not in least or ranks[j] < ranks[least[v]]:
-                least[v] = j
-        axis_minima[name] = {v: row_minima[j] for v, j in least.items()}
-    if target.classification == "asserted":
-        status = "fail" if count else "pass"
-    else:
-        status = "report_only"
-    return InequalityReport(
-        target=target.name,
-        classification=target.classification,
-        evaluations=size * (spec.samples if target.randomized else 1),
-        min_margin=best[2],
-        argmin=params(best[1]),
-        axis_minima=axis_minima,
-        violation_count=count,
-        violations=tuple((params(o), m) for _, o, m in kept),
-        status=status,
-        spec=spec,
-        tol=tol,
-    )
+def sweep(spec: SweepSpec) -> InequalityReport:
+    """Evaluate one target's margin over its full parameter grid.  Every
+    violation (a margin below -tol, with tol the target's default_tol, or
+    NaN, which ranks worst) is counted; the MAX_VIOLATIONS worst are kept,
+    ties going to the earlier row.  A grid margin is mapped over the grid's
+    columns.  A sampled target draws SAMPLE_BLOCK indices at a time and
+    evaluates every grid row on them, so memory does not grow with
+    spec.samples.  A row's params (a sampled row's also hold the seed, index
+    and points) are built only for the argmin and the kept violations.
+    Every spec is checked here, before any margin runs: an unknown target,
+    samples < 1, a K that is not finite and positive, a K given twice and an
+    emptied axis raise UsageError."""
+    [report] = _sweep([spec])
+    return report
 
 
 def mori_radial_experiment(k: float, samples: int = 10_000,
                            variant: str = "sixteen") -> InequalityReport:
     """Holder-bound check of the canonical K-quasiconformal radial stretch
     z -> z |z|^{1/K - 1} on uniform disk pairs drawn with SweepSpec's
-    default seed; the target's K filter rejects K < 1."""
+    default seed; the target's K filter rejects K < 1.  Both variants judge
+    the same pairs: mori_radial_16 and _64 share one Sampler."""
     if variant not in ("sixteen", "sixtyfour"):
         raise UsageError(f"unknown variant {variant!r}")
     spec = SweepSpec(target=f"mori_radial_{16 if variant == 'sixteen' else 64}",
@@ -614,12 +655,20 @@ SUITES["all"] = tuple(t.name for t in _TARGETS if not t.sanity)
 
 def run_suite(name: str, **overrides) -> list[InequalityReport]:
     """Run a named suite; overrides are SweepSpec fields applied to every
-    target.  The memos start empty, so a kernel changed since a run is seen."""
+    target.  The memos start empty, so a kernel changed since a run is seen.
+    Consecutive targets that share a Sampler (mori_radial_16 and _64) are
+    swept on one draw, each block hashed once; every other target goes
+    through sweep."""
     if name not in SUITES:
         raise UsageError(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}")
     for memo in _MEMOS:
         memo.cache_clear()
-    return [sweep(SweepSpec(target=target, **overrides)) for target in SUITES[name]]
+    reports = []
+    specs = (SweepSpec(target=target, **overrides) for target in SUITES[name])
+    for sample, group in itertools.groupby(specs, lambda s: target_info(s.target).sample):
+        group = list(group)
+        reports += _sweep(group) if sample is not None and len(group) > 1 else map(sweep, group)
+    return reports
 
 
 def suite_failed(reports: list[InequalityReport]) -> bool:

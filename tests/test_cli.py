@@ -581,9 +581,9 @@ class TestVerify:
         rc, _, _ = run_cli(capsys, "verify", "all", "--report", str(path))
         assert rc == 0
         data = path.read_bytes()
-        assert len(data) == 41_040
+        assert len(data) == 41_044
         assert hashlib.sha256(data).hexdigest() == (
-            "3ca2a5a52573baa84df47224686235f454b3ed6fd79e1fed450721b36c424dbe")
+            "17e14cc961505e5cbaac5bd0c7ef92130e4dad471a3c694a4ad66706a373fc6b")
 
     def test_relative_report_path_resolves_against_the_working_directory(
             self, capsys, tmp_path, monkeypatch):

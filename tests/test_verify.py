@@ -788,35 +788,65 @@ class TestMoriK1Row:
 
 class TestPlantedFaults:
     """A wrong kernel must fail the asserted targets that read it.  A row
-    scales one kernel by (1 + delta) in every namespace that binds it, as
-    perfbench's recorder does (distortion binds _log_P by name), and sweeps
-    at the default spec with the verify memos cleared before and after."""
+    scales one kernel by a factor of its arguments in every namespace that
+    binds it, as perfbench's recorder does (distortion binds _log_P by
+    name), and sweeps at the default spec with the verify memos cleared
+    before and after."""
 
     ROWS = [
-        # kernel, delta, targets that must fail, targets that must pass.  At
-        # delta = 1e-9, _log_P moves eq. 49's margin by -8.5e-10 only, inside
+        # kernel, its factor at the call's arguments, targets that must fail,
+        # targets that must pass, modules that must bind it by name.  At
+        # 1 + 1e-9, _log_P moves eq. 49's margin by -8.5e-10 only, inside
         # its 1e-9 tolerance; std_phi_identity does not read P
-        ("_log_P", 2e-9, ("eq49_product_equality",), ("std_phi_identity",)),
-        ("grotzsch_u", 1e-9, ("eq49_product_equality", "std_phi_identity"), ()),
+        ("modulus._log_P", lambda *args: 1.0 + 2e-9,
+         ("eq49_product_equality",), ("std_phi_identity",), ("modulus", "distortion", "bounds")),
+        ("modulus.grotzsch_u", lambda *args: 1.0 + 1e-9,
+         ("eq49_product_equality", "std_phi_identity"), (), ("modulus", "distortion", "bounds")),
+        # the Mori constant c taken to c/33: 16/33 and 64/33 both lie below
+        # 2, the radial stretch's sharp constant, so both targets must fail
+        # at K > 1 (at K = 1, c^{1-1/K} = 1 whatever c is).  A constant in
+        # [2, 16] passes both: see test_mori_pairs_reach_the_sharp_constant
+        ("bounds.mori_holder_bound", lambda k, *args: (1.0 / 33.0) ** (1.0 - 1.0 / k),
+         ("mori_radial_16", "mori_radial_64"), (), ("bounds",)),
     ]
 
     @pytest.mark.usefixtures("clear_verify_caches")
-    @pytest.mark.parametrize("kernel, delta, fail, keep", ROWS, ids=[r[0] for r in ROWS])
-    def test_row(self, monkeypatch, kernel, delta, fail, keep):
-        real = getattr(gft.modulus, kernel)
+    @pytest.mark.parametrize("kernel, factor, fail, keep, binds", ROWS,
+                             ids=[r[0].split(".")[1] for r in ROWS])
+    def test_row(self, monkeypatch, kernel, factor, fail, keep, binds):
+        module, name = kernel.split(".")
+        real = getattr(getattr(gft, module), name)
 
         def planted(*args):
-            return real(*args) * (1.0 + delta)
+            return real(*args) * factor(*args)
 
-        bound = 0
+        patched = set()
         for ns in (gft, gft.special, gft.modulus, gft.distortion, gft.bounds, verify):
             for attr, value in list(vars(ns).items()):
                 if value is real:
                     monkeypatch.setattr(ns, attr, planted)
-                    bound += 1
-        assert bound >= 3     # modulus, distortion and bounds bind both kernels
+                    patched.add(ns.__name__)
+        assert patched >= {f"gft.{m}" for m in binds}
         statuses = {name: sweep(SweepSpec(target=name)).status for name in fail + keep}
         assert statuses == {**{name: "fail" for name in fail}, **{name: "pass" for name in keep}}
+
+
+def test_mori_pairs_reach_the_sharp_constant():
+    # The radial stretch's largest Holder ratio |f(z2) - f(z1)| / |z2 - z1|^{1/K}
+    # is 2^{1-1/K}, at antipodal pairs z, -z.  Over the default pairs it comes
+    # within 1e-5 of that and never exceeds it beyond rounding.  So the
+    # targets catch a Mori constant c only below 2: any c in [2, 16] passes
+    # both mori_radial_16 and mori_radial_64, which check the stretch, not
+    # the sharpness of 16 or 64
+    spec = SweepSpec(target="mori_radial_16")
+    zss = verify._sampler(target_info(spec.target).sample, spec.seed)(0, spec.samples)
+    eps = 2.0 ** -52
+    for k in spec.k_values:
+        inv_k, expo = 1.0 / k, 1.0 / k - 1.0
+        worst = max(abs(z2 * (abs(z2) or math.inf) ** expo - z1 * (abs(z1) or math.inf) ** expo)
+                    / abs(z2 - z1) ** inv_k for z1, z2 in zss)
+        sharp = 2.0 ** (1.0 - 1.0 / k)
+        assert sharp * (1.0 - 1e-5) <= worst <= sharp * (1.0 + 4.0 * eps), k
 
 
 # sha256 of json.dumps(sweep(SweepSpec(target=name, samples=25_000)).to_dict(),
@@ -824,7 +854,7 @@ class TestPlantedFaults:
 SAMPLED_REPORT_SHA256 = {
     "eq5_chain": "b58762c8808885a9937fff7cbd73318faf7043682004fd79544dc62c1afa43fc",
     "mori_radial_16": "5d2eb6ef8575b24f4ec7c98f3c825e21d761ecebd3821238a598369252c6b2b7",
-    "mori_radial_64": "7ce835b47416977221715f10a11c2961c004cd9ed49b07f4afe527cfe5199711",
+    "mori_radial_64": "1ebf63e6b18bc4a8ad23b973ada51e41392db8b68117b9c3f085787422f6b605",
 }
 
 
@@ -862,7 +892,7 @@ class TestBoundedReport:
         assert rep.violations == tuple(want)
 
     @pytest.mark.parametrize("name, k15", [("mori_radial_16", 0.09755468812373513),
-                                           ("mori_radial_64", 0.1365083205350755)])
+                                           ("mori_radial_64", 0.15950254735919206)])
     def test_axis_minima_show_past_the_k1_tie(self, name, k15):
         # at K = 1 the stretch is the identity and every pair ties at 0.0,
         # which is where the argmin lands; the K = 1.5 minimum is the news
@@ -955,6 +985,47 @@ class TestSpecValidation:
         with pytest.raises(UsageError):
             run_suite("bogus")
 
+    BAD_K = [(0.0,), (-1.0,), (math.nan,), (math.inf,), (2.0, -0.5), (2.0, math.inf),
+             (2.0, 2.0), (1.0, 4.0, 1.0)]
+
+    @pytest.mark.parametrize("k_values", BAD_K, ids=repr)
+    @pytest.mark.parametrize("name", ["std_phi_identity", "eq49_product_equality",
+                                      "eq60_phi_4bound", "mori_radial_16", "lemma2_item1"])
+    def test_k_values_are_checked_for_every_target(self, name, k_values):
+        # a K that is not finite and positive, or one given twice, is a bad
+        # spec whatever the target: before, std_phi_identity and eq. 49 raised
+        # DomainError partway through, and (2.0, 2.0) swept K = 2 twice
+        with pytest.raises(UsageError, match=f"{name}.* k values .*given once"):
+            sweep(SweepSpec(target=name, k_values=k_values))
+
+    @pytest.mark.parametrize("k_values", BAD_K, ids=repr)
+    def test_bad_k_values_are_refused_before_any_margin_runs(self, monkeypatch, k_values):
+        calls = []
+        grid = verify.Target("k_grid", "asserted", lambda k, r: calls.append(k) or 1.0)
+        sampled = verify.Target("k_sampled", "asserted",
+                                lambda zss, k: calls.append(k) or [[1.0] * len(zss) for _ in k],
+                                sample=target_info("mori_radial_16").sample)
+        monkeypatch.setitem(verify._REGISTRY, "k_grid", grid)
+        monkeypatch.setitem(verify._REGISTRY, "k_sampled", sampled)
+        monkeypatch.setattr(verify, "_sampler", lambda *args: calls.append(args))
+        for name in ("k_grid", "k_sampled"):
+            with pytest.raises(UsageError):
+                sweep(SweepSpec(target=name, k_values=k_values))
+        assert calls == []
+
+    def test_a_shared_draw_checks_every_spec_before_the_first_block(self, monkeypatch):
+        draws = []
+        real = verify._sampler
+        monkeypatch.setattr(verify, "_sampler", lambda *args: draws.append(args) or real(*args))
+        good = SweepSpec(target="mori_radial_16")
+        for bad in (good._replace(target="mori_radial_64", k_values=(2.0, 2.0)),
+                    good._replace(target="mori_radial_64", k_values=(0.5,)),
+                    good._replace(target="mori_radial_64", samples=0),
+                    good._replace(target="bogus")):
+            with pytest.raises(UsageError):
+                verify._sweep([good, bad])
+        assert draws == []
+
 
 class TestSuites:
     def test_all_suite_coverage_and_finiteness(self):
@@ -971,6 +1042,60 @@ class TestSuites:
 
     def test_sanity_suite_fails(self):
         assert suite_failed(run_suite("sanity"))
+
+
+class TestSharedDraw:
+    """mori_radial_16 and mori_radial_64 hold one Sampler, so they judge the
+    same pairs, and run_suite draws each of their blocks once for both; a
+    report is the same whether run_suite or sweep made it."""
+
+    def test_the_mori_targets_share_one_sampler_and_sit_together(self):
+        assert target_info("mori_radial_64").sample is target_info("mori_radial_16").sample
+        for suite in ("all", "mori"):
+            names = SUITES[suite]
+            assert names[names.index("mori_radial_16") + 1] == "mori_radial_64"
+
+    @pytest.mark.parametrize("overrides", [{}, {"samples": 300, "seed": 7}],
+                             ids=["default", "samples=300,seed=7"])
+    @pytest.mark.parametrize("suite", ["all", "mori"])
+    def test_run_suite_equals_separate_sweeps(self, suite, overrides):
+        got = [r.to_dict() for r in run_suite(suite, **overrides)]
+        assert got == [sweep(SweepSpec(target=name, **overrides)).to_dict()
+                       for name in SUITES[suite]]
+
+    @pytest.mark.parametrize("suite", ["all", "mori"])
+    def test_each_shared_block_is_drawn_once(self, monkeypatch, suite):
+        real = verify._sampler
+        blocks = []
+
+        def recording(sampler, seed):
+            draw = real(sampler, seed)
+
+            def recorded(lo, hi):
+                if hi - lo > 1:   # not the one-index redraw of an argmin or a violation
+                    blocks.append((sampler.stream, len(sampler.names), lo, hi))
+                return draw(lo, hi)
+            return recorded
+
+        monkeypatch.setattr(verify, "_sampler", recording)
+        run_suite(suite)
+        n, size = SweepSpec(target="mori_radial_16").samples, verify.SAMPLE_BLOCK
+        assert n % size > 1
+        # every pair drawn in the run is a "mori_sixteen" pair, drawn once
+        assert [(stream, lo, hi) for stream, width, lo, hi in blocks if width == 2] == [
+            ("mori_sixteen", lo, min(lo + size, n)) for lo in range(0, n, size)]
+
+    @pytest.mark.parametrize("overrides", [{}, {"samples": 2500, "k_values": (1.5, 4.0)}],
+                             ids=["default", "k>1"])
+    def test_margin_at_reproduces_the_sampled_argmins(self, overrides):
+        # at the default K = 1 every mori pair ties at 0.0 and the argmin is
+        # index 0; K > 1 moves it to a pair that only the redraw can find
+        reports = [r for r in run_suite("all", **overrides) if target_info(r.target).randomized]
+        assert [r.target for r in reports] == list(SAMPLED_TARGETS)
+        for rep in reports:
+            assert margin_at(rep.target, rep.argmin) == rep.min_margin, rep.target
+            for params, margin in rep.violations:
+                assert margin_at(rep.target, params) == margin, rep.target
 
 
 class TestMoriExperiment:
