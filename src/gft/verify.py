@@ -103,11 +103,15 @@ class Sampler(NamedTuple):
     disk per name in `names` (reports record each as <name>_re, <name>_im),
     redrawn until `accept` takes the points.  A target samples one point or
     one pair, the two widths `_sampler` builds.  Targets holding one Sampler
-    see the same points at a seed, and run_suite draws them once for all."""
+    see the same points at a seed, and run_suite draws them once for all.
+    `shared`, if set, is the work those targets share: it takes a drawn
+    block and the grid's columns, and its result, formed once per block,
+    is what each target's margin reads in place of the points."""
 
     stream: str
     names: tuple[str, ...]
     accept: Callable[..., bool]
+    shared: Callable | None = None
 
 
 def _sampler(sampler: Sampler, seed: int) -> Callable[[int, int], list[tuple[complex, ...]]]:
@@ -175,8 +179,10 @@ def _sampler(sampler: Sampler, seed: int) -> Callable[[int, int], list[tuple[com
 # ---------------------------------------------------------------------------
 # Margin functions.  A grid margin takes a grid row's numbers positionally, in
 # its parameter order, and returns a signed margin.  A sampled margin takes a
-# block of sampled points and, per axis, the grid rows' values, and gives one
-# list of the points' margins per row, in row order (a generator holds one row).
+# block of sampled points (or, where its Sampler has a shared step, that
+# step's result for the block) and, per axis, the grid rows' values, and gives
+# one list of the points' margins per row, in row order (a generator holds one
+# row).
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=100_000)
@@ -318,22 +324,35 @@ def _m_thm4_k1(r: float) -> float:
     return -max(abs(lo - r), abs(hi - r))
 
 
-def _m_mori_radial(zss: list[tuple[complex, complex]], k: list[float],
-                   variant: str) -> Iterable[list[float]]:
-    # the radial stretch z -> z |z|^{1/K - 1} takes 0 to 0: a point at 0 keeps
-    # the modulus inf, and inf^{1/K - 1} is 0 for K > 1 and 1 at K = 1 (the
-    # k filter keeps K >= 1), so z inf^{1/K - 1} = 0.  Each pair's distance
-    # and moduli, formed once, serve every K row
+def _mori_stretch(zss: list[tuple[complex, complex]],
+                  k: list[float]) -> tuple[list[float], list[list[float]]]:
+    # the shared step of both Mori targets: each pair's |z2 - z1|, and per K
+    # row the radial stretch's |f(z2) - f(z1)|, f(z) = z |z|^{1/K - 1}.  It
+    # takes 0 to 0: a point at 0 keeps the modulus inf, and inf^{1/K - 1} is
+    # 0 for K > 1 (the k filter keeps K >= 1), so z inf^{1/K - 1} = 0.  At
+    # K = 1, f is the identity and |z2 1.0 - z1 1.0| is |z2 - z1| itself
     inf = math.inf
-    pairs = [(abs(z2 - z1), z1, abs(z1) or inf, z2, abs(z2) or inf) for z1, z2 in zss]
+    ds = [abs(z2 - z1) for z1, z2 in zss]
+    pairs = [(z1, abs(z1) or inf, z2, abs(z2) or inf) for z1, z2 in zss]
+    ys = []
     for kj in k:
+        expo = 1.0 / kj - 1.0
+        ys.append(ds if expo == 0.0 else
+                  [abs(z2 * a2 ** expo - z1 * a1 ** expo) for z1, a1, z2, a2 in pairs])
+    return ds, ys
+
+
+def _m_mori_radial(stretch: tuple[list[float], list[list[float]]], k: list[float],
+                   variant: str) -> Iterable[list[float]]:
+    # the Holder bound c^{1-1/K} |z2 - z1|^{1/K} against _mori_stretch's rows
+    ds, ys = stretch
+    for kj, y in zip(k, ys):
         c = bounds.mori_holder_bound(kj, 1.0, variant)   # c^{1-1/K}
-        inv_k, expo = 1.0 / kj, 1.0 / kj - 1.0
-        if c == 1.0 and expo == 0.0:   # K = 1: the identity, each margin d - d
-            yield [0.0] * len(pairs)
+        inv_k = 1.0 / kj
+        if c == 1.0 and inv_k == 1.0:   # K = 1: the identity, each margin d - d
+            yield [0.0] * len(ds)
         else:
-            yield [c * d ** inv_k - abs(z2 * a2 ** expo - z1 * a1 ** expo)
-                   for d, z1, a1, z2, a2 in pairs]
+            yield [c * d ** inv_k - yj for d, yj in zip(ds, y)]
 
 
 def _m_planted_false(r: float) -> float:
@@ -359,7 +378,7 @@ class Target(NamedTuple):
 
     name: str
     classification: str                       # asserted | report_only
-    margin: Callable[..., float]              # sampled: (points, columns) -> row lists
+    margin: Callable[..., float]              # sampled: (block, columns) -> row lists
     default_tol: float = 1e-9
     sample: Sampler | None = None             # margin takes sampled points
     k_filter: Callable[[float], bool] | None = None
@@ -392,8 +411,8 @@ def _a_not_half(a: float) -> bool:
 
 
 # both Mori bounds judge the radial stretch on one stream of pairs, so
-# run_suite draws each block once for the two targets
-_MORI_PAIRS = Sampler("mori_sixteen", ("z1", "z2"), operator.ne)
+# run_suite draws and stretches each block once for the two targets
+_MORI_PAIRS = Sampler("mori_sixteen", ("z1", "z2"), operator.ne, _mori_stretch)
 
 _TARGETS = [
     # eq5 samples {|z| < 1, |z| < |z-1|}, bounded away from the puncture at 0
@@ -485,9 +504,16 @@ def margin_at(target_name: str, params: dict) -> float:
     if target.sample is None:
         return target.margin(**params)
     i = params["i"]
-    [ms] = target.margin(_sampler(target.sample, params["seed"])(i, i + 1),
-                         **{name: [params[name]] for name in target.axes})
+    columns = {name: [params[name]] for name in target.axes}
+    zss = _sampler(target.sample, params["seed"])(i, i + 1)
+    [ms] = target.margin(_share(target.sample, zss, columns), **columns)
     return ms[0]
+
+
+def _share(sample: Sampler, zss: list, columns: dict):
+    """A drawn block as a sampled margin reads it: the points, or the
+    Sampler's shared step run on them and the grid's columns."""
+    return zss if sample.shared is None else sample.shared(zss, **columns)
 
 
 def _rank(m: float) -> float:
@@ -495,12 +521,13 @@ def _rank(m: float) -> float:
     return m if m == m else -math.inf
 
 
-def _open(spec: SweepSpec) -> tuple[Callable, Callable]:
-    """Check spec and open its sweep as two closures over its running
-    statistics.  feed(lo, zss) folds in the margins of a sampled target at
-    the drawn points zss of indices lo, lo + 1, ...; finish(draw) returns
-    the report, first mapping a grid margin over the grid's columns, and
-    redraws with draw the points that a sampled row's params record."""
+def _open(spec: SweepSpec) -> tuple[dict, Callable, Callable]:
+    """Check spec and open its sweep: its grid's columns, and two closures
+    over its running statistics.  feed(lo, block) folds in the margins of a
+    sampled target at a drawn block of indices lo, lo + 1, ..., as _share
+    hands it over; finish(draw) returns the report, first mapping a grid
+    margin over the columns, and redraws with draw the points that a
+    sampled row's params record."""
     target = target_info(spec.target)
     if spec.samples < 1:
         raise UsageError("samples must be >= 1")
@@ -538,8 +565,8 @@ def _open(spec: SweepSpec) -> tuple[Callable, Callable]:
             return min(cand)          # every NaN is a candidate
         return m, base + ms.index(m), m
 
-    def feed(lo: int, zss: list) -> None:
-        for j, ms in enumerate(target.margin(zss, **grid)):
+    def feed(lo: int, block) -> None:
+        for j, ms in enumerate(target.margin(block, **grid)):
             worst = fold(ms, j * n + lo)
             if rows[j] is None or worst < rows[j]:
                 rows[j] = worst
@@ -588,24 +615,27 @@ def _open(spec: SweepSpec) -> tuple[Callable, Callable]:
             tol=tol,
         )
 
-    return feed, finish
+    return grid, feed, finish
 
 
 def _sweep(specs: list[SweepSpec]) -> list[InequalityReport]:
     """Sweep targets that share one draw: one spec, or specs whose targets
-    share a Sampler, seed and sample count.  Every spec is checked before
-    the first block is drawn; each SAMPLE_BLOCK is then drawn once and fed
-    to every spec's fold.  Nothing outlives the block loop."""
+    share a Sampler, seed, sample count and K values.  Every spec is checked
+    before the first block is drawn; each SAMPLE_BLOCK is then drawn once,
+    handed through the Sampler's shared step once, on the first spec's
+    columns, and fed to every spec's fold.  So targets that hold one Sampler
+    must have equal axes, k_filter and a_filter, or a member would read
+    another's rows.  Nothing outlives the block loop."""
     members = [_open(spec) for spec in specs]
     first, draw = specs[0], None
     sample, n = target_info(first.target).sample, first.samples
     if sample is not None:
-        draw = _sampler(sample, first.seed)
+        draw, columns = _sampler(sample, first.seed), members[0][0]
         for lo in range(0, n, SAMPLE_BLOCK):
-            zss = draw(lo, min(lo + SAMPLE_BLOCK, n))
-            for feed, _ in members:
-                feed(lo, zss)
-    return [finish(draw) for _, finish in members]
+            block = _share(sample, draw(lo, min(lo + SAMPLE_BLOCK, n)), columns)
+            for _, feed, _ in members:
+                feed(lo, block)
+    return [finish(draw) for _, _, finish in members]
 
 
 def sweep(spec: SweepSpec) -> InequalityReport:
@@ -613,10 +643,11 @@ def sweep(spec: SweepSpec) -> InequalityReport:
     violation (a margin below -tol, with tol the target's default_tol, or
     NaN, which ranks worst) is counted; the MAX_VIOLATIONS worst are kept,
     ties going to the earlier row.  A grid margin is mapped over the grid's
-    columns.  A sampled target draws SAMPLE_BLOCK indices at a time and
-    evaluates every grid row on them, so memory does not grow with
-    spec.samples.  A row's params (a sampled row's also hold the seed, index
-    and points) are built only for the argmin and the kept violations.
+    columns.  A sampled target draws SAMPLE_BLOCK indices at a time, runs
+    its Sampler's shared step on them once, and evaluates every grid row on
+    the result, so memory does not grow with spec.samples.  A row's params
+    (a sampled row's also hold the seed, index and points) are built only
+    for the argmin and the kept violations.
     Every spec is checked here, before any margin runs: an unknown target,
     samples < 1, a K that is not finite and positive, a K given twice and an
     emptied axis raise UsageError."""
@@ -657,8 +688,8 @@ def run_suite(name: str, **overrides) -> list[InequalityReport]:
     """Run a named suite; overrides are SweepSpec fields applied to every
     target.  The memos start empty, so a kernel changed since a run is seen.
     Consecutive targets that share a Sampler (mori_radial_16 and _64) are
-    swept on one draw, each block hashed once; every other target goes
-    through sweep."""
+    swept on one draw, each block hashed and run through the shared step
+    once; every other target goes through sweep."""
     if name not in SUITES:
         raise UsageError(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}")
     for memo in _MEMOS:

@@ -210,10 +210,10 @@ def test_mori_margin_of_a_pair_with_a_point_at_zero():
     # margin is (c^{1-1/K} - 1) |z2|^{1/K}, exactly 0.0 at K = 1
     ks = [1.0, 1.5, 2.0, 4.0]
     for name, c in (("mori_radial_16", 16.0), ("mori_radial_64", 64.0)):
-        margin = target_info(name).margin
+        margin, stretch = target_info(name).margin, target_info(name).sample.shared
         for z2 in (0.3 + 0.4j, -0.7j, 1e-300 + 0j, 0.999):
             for zss in ([(0j, z2)], [(z2, 0j)]):
-                rows = [ms for [ms] in margin(zss, k=ks)]
+                rows = [ms for [ms] in margin(stretch(zss, k=ks), k=ks)]
                 assert rows[0] == 0.0
                 for kj, got in zip(ks[1:], rows[1:]):
                     want = (c ** (1.0 - 1.0 / kj) - 1.0) * abs(z2) ** (1.0 / kj)
@@ -407,17 +407,20 @@ def _stream(spec: SweepSpec) -> list:
     sample index or None, sampled points or None) rows in lexicographic
     (grid row, sample index) order: the reference that the block-streamed
     sweep must reproduce.  A grid margin is called by keyword, one row at a
-    time, where the sweep maps it positionally over columns."""
+    time, where the sweep maps it positionally over columns; a sampled one
+    reads one point at a time, through its Sampler's shared step if any."""
     target = target_info(spec.target)
     grid = _reference_grid(target, spec)
     if target.sample is None:
         return [(target.margin(**p), p, None, None) for p in grid]
     points = [_reference_points(target.sample, spec.seed, i) for i in range(spec.samples)]
-    axes = target.axes
+    axes, shared = target.axes, target.sample.shared
     rows = []
     for p in grid:
+        columns = {name: [p[name]] for name in axes}
         for i, zs in enumerate(points):
-            [(m,)] = target.margin([zs], **{name: [p[name]] for name in axes})
+            block = [zs] if shared is None else shared([zs], **columns)
+            [(m,)] = target.margin(block, **columns)
             rows.append((m, p, i, zs))
     return rows
 
@@ -574,8 +577,9 @@ class TestBlockStreaming:
     def test_tied_violations_of_a_later_block_keep_their_order(self, monkeypatch):
         # every violation ties at -1.  Row K = 2 violates everywhere and fills
         # the kept list in block 0, yet K = 1's few violations of block 1 come
-        # earlier in (row, index) order and must displace it
-        sampler = target_info("mori_radial_16").sample
+        # earlier in (row, index) order and must displace it.  The margin
+        # reads the mori pairs as drawn, without the Mori shared step
+        sampler = target_info("mori_radial_16").sample._replace(shared=None)
         ties = verify.Target(
             "ties_across_blocks", "asserted",
             lambda zss, k: [[-1.0 if kj == 2.0 or abs(z1) < 0.12 else 0.0
@@ -595,7 +599,7 @@ class TestBlockStreaming:
         # every margin ties at -1, so block 0 of row K = 1 fills the kept list
         # with orders 0-19; every later tie comes after them in (row, index)
         # order, so none displaces a kept one
-        sampler = target_info("mori_radial_16").sample
+        sampler = target_info("mori_radial_16").sample._replace(shared=None)
         ties = verify.Target("all_ties", "asserted",
                              lambda zss, k: [[-1.0] * len(zss) for _ in k],
                              sample=sampler)
@@ -766,7 +770,8 @@ class TestMoriK1Row:
                    - abs(z2 * (abs(z2) or math.inf) ** expo - z1 * (abs(z1) or math.inf) ** expo)
                    for z1, z2 in zss]
         assert set(generic) == {0.0}
-        assert list(target_info(name).margin(zss, k=[1.0])) == [[0.0] * len(zss)]
+        stretch = target_info(name).sample.shared(zss, k=[1.0])
+        assert list(target_info(name).margin(stretch, k=[1.0])) == [[0.0] * len(zss)]
 
     @pytest.mark.parametrize("k_planted", [1.0, 1.5])
     def test_a_low_bound_is_caught(self, monkeypatch, k_planted):
@@ -809,10 +814,29 @@ class TestPlantedFaults:
         ("bounds.mori_holder_bound", lambda k, *args: (1.0 / 33.0) ** (1.0 - 1.0 / k),
          ("mori_radial_16", "mori_radial_64"), (), ("bounds",)),
     ]
+    # Gap rows: faults that pass every asserted target today.  Each names the
+    # targets that must fail it, and its reason the ROADMAP item that closes it
+    GAPS = [
+        # product_P is read only by report-only targets and by the K = 1 case
+        # of qc_schwarz_bounds, where P is raised to the power 0
+        pytest.param("modulus.product_P", lambda *args: 1.1,
+                     ("lemma2_item3", "eq42_sandwich_cprime"), (), ("modulus", "bounds"),
+                     id="product_P_gap", marks=pytest.mark.xfail(
+                         strict=True, raises=AssertionError,
+                         reason="ROADMAP item 2 asserts these targets with P read at r'")),
+        # c taken to c/4: 16 -> 4 and 64 -> 16, both in [2, 16], which the
+        # radial stretch's Holder ratio 2^{1-1/K} never reaches
+        pytest.param("bounds.mori_holder_bound", lambda k, *args: 0.25 ** (1.0 - 1.0 / k),
+                     ("mori_radial_16", "mori_radial_64"), (), ("bounds",),
+                     id="mori_holder_bound_gap", marks=pytest.mark.xfail(
+                         strict=True, raises=AssertionError,
+                         reason="ROADMAP item 6: a drawn map whose Holder ratio passes "
+                                "(c/4)^{1-1/K}")),
+    ]
 
     @pytest.mark.usefixtures("clear_verify_caches")
-    @pytest.mark.parametrize("kernel, factor, fail, keep, binds", ROWS,
-                             ids=[r[0].split(".")[1] for r in ROWS])
+    @pytest.mark.parametrize("kernel, factor, fail, keep, binds",
+                             [pytest.param(*r, id=r[0].split(".")[1]) for r in ROWS] + GAPS)
     def test_row(self, monkeypatch, kernel, factor, fail, keep, binds):
         module, name = kernel.split(".")
         real = getattr(getattr(gft, module), name)
@@ -926,7 +950,7 @@ def _record(name: str) -> tuple:
                                            "min_margin", "argmin", "axis_minima",
                                            "violation_count", "violations", "status", "spec",
                                            "tol")),
-        "Sampler": (target_info("eq5_chain").sample, ("stream", "names", "accept")),
+        "Sampler": (target_info("eq5_chain").sample, ("stream", "names", "accept", "shared")),
         "Target": (target_info("eq60_phi_4bound"), ("name", "classification", "margin",
                                                      "default_tol", "sample", "k_filter",
                                                      "a_filter", "sanity")),
@@ -1046,8 +1070,42 @@ class TestSuites:
 
 class TestSharedDraw:
     """mori_radial_16 and mori_radial_64 hold one Sampler, so they judge the
-    same pairs, and run_suite draws each of their blocks once for both; a
-    report is the same whether run_suite or sweep made it."""
+    same pairs, and run_suite draws and stretches each of their blocks once
+    for both; a report is the same whether run_suite or sweep made it."""
+
+    def test_targets_sharing_a_sampler_sweep_one_grid(self):
+        # the shared step runs on the first member's columns and serves the
+        # whole group: a member with other axes or filters would read the
+        # wrong rows without any error
+        groups: dict = {}
+        for name in registry():
+            if target_info(name).sample is not None:
+                groups.setdefault(target_info(name).sample, []).append(target_info(name))
+        shared = [ts for ts in groups.values() if len(ts) > 1]
+        assert [[t.name for t in ts] for ts in shared] == [["mori_radial_16", "mori_radial_64"]]
+        for ts in shared:
+            assert len({(t.axes, t.pairwise_r, t.k_filter, t.a_filter) for t in ts}) == 1
+
+    def test_the_shared_step_runs_once_per_block(self, monkeypatch):
+        calls = []
+        stretch = verify._MORI_PAIRS.shared
+
+        def counted(zss, **columns):
+            calls.append(len(zss))
+            return stretch(zss, **columns)
+
+        sampler = verify._MORI_PAIRS._replace(shared=counted)
+        for name in ("mori_radial_16", "mori_radial_64"):
+            monkeypatch.setitem(verify._REGISTRY, name, target_info(name)._replace(sample=sampler))
+        n, size = SweepSpec(target="mori_radial_16").samples, verify.SAMPLE_BLOCK
+        blocks = [min(size, n - lo) for lo in range(0, n, size)]
+        assert len(blocks) == 10
+        run_suite("all")
+        assert calls == blocks
+        for name in ("mori_radial_16", "mori_radial_64"):
+            calls.clear()
+            sweep(SweepSpec(target=name))
+            assert calls == blocks
 
     def test_the_mori_targets_share_one_sampler_and_sit_together(self):
         assert target_info("mori_radial_64").sample is target_info("mori_radial_16").sample
