@@ -98,20 +98,24 @@ class InequalityReport(NamedTuple):
 # never matters and sample i is a pure function of (seed, stream, i)
 # ---------------------------------------------------------------------------
 
+def _points(zss: list[tuple[complex, ...]], **columns) -> list[tuple[complex, ...]]:
+    return zss
+
+
 class Sampler(NamedTuple):
     """How a sampled target draws index i: one uniform point of the unit
     disk per name in `names` (reports record each as <name>_re, <name>_im),
     redrawn until `accept` takes the points.  A target samples one point or
     one pair, the two widths `_sampler` builds.  Targets holding one Sampler
     see the same points at a seed, and run_suite draws them once for all.
-    `shared`, if set, is the work those targets share: it takes a drawn
-    block and the grid's columns, and its result, formed once per block,
-    is what each target's margin reads in place of the points."""
+    `shared` names the block their margins read: it takes a drawn block and
+    the grid's columns, runs once per block, and by default hands back the
+    points themselves."""
 
     stream: str
     names: tuple[str, ...]
     accept: Callable[..., bool]
-    shared: Callable | None = None
+    shared: Callable = _points
 
 
 def _sampler(sampler: Sampler, seed: int) -> Callable[[int, int], list[tuple[complex, ...]]]:
@@ -178,11 +182,11 @@ def _sampler(sampler: Sampler, seed: int) -> Callable[[int, int], list[tuple[com
 
 # ---------------------------------------------------------------------------
 # Margin functions.  A grid margin takes a grid row's numbers positionally, in
-# its parameter order, and returns a signed margin.  A sampled margin takes a
-# block of sampled points (or, where its Sampler has a shared step, that
-# step's result for the block) and, per axis, the grid rows' values, and gives
-# one list of the points' margins per row, in row order (a generator holds one
-# row).
+# its parameter order, and returns a signed margin.  A sampled margin takes
+# the block its Sampler's shared step makes of the drawn points (the points
+# themselves, unless the step says otherwise) and, per axis, the grid rows'
+# values, and gives one list of the points' margins per row, in row order (a
+# generator holds one row).
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=100_000)
@@ -215,7 +219,7 @@ def _phi(k: float, r: float) -> float:
 
 def _m_eq5_chain(zss: list[tuple[complex]]) -> list[list[float]]:
     # the library's sigma and rho formulas without the public guards: on the
-    # sampled set 0.01 < |z| < |z - 1|, |w| > sqrt(1/2) and |zeta| < 1, so
+    # sampled set 0.01 < |z|, Re z < 1/2, |w| > sqrt(1/2) and |zeta| < 1, so
     # 0 < sigma < 1/(0.01 sqrt(1/2) 4) and rho < 100/C; rho's |z| < 1 fails
     # only where abs rounds a draw of sqrt(u) = 1 - 2^-53 onto 1 (rho -> 1/C)
     sigma, rho = bounds._sigma, bounds._rho
@@ -414,10 +418,10 @@ def _a_not_half(a: float) -> bool:
 # run_suite draws and stretches each block once for the two targets
 _MORI_PAIRS = Sampler("mori_sixteen", ("z1", "z2"), operator.ne, _mori_stretch)
 
-_TARGETS = [
-    # eq5 samples {|z| < 1, |z| < |z-1|}, bounded away from the puncture at 0
+_REGISTRY = {t.name: t for t in (
+    # eq5 samples {|z| < 1, |z| < |z-1|} = {|z| < 1, Re z < 1/2}, away from 0
     Target("eq5_chain", "report_only", _m_eq5_chain,
-           sample=Sampler("eq5", ("z",), lambda z: 0.01 < abs(z) < abs(z - 1.0))),
+           sample=Sampler("eq5", ("z",), lambda z: 0.01 < abs(z) and z.real < 0.5)),
     Target("lemma2_item1", "report_only", _m_lemma2_item1),
     Target("lemma2_item2", "report_only", _m_lemma2_item2, a_filter=_a_not_half),
     Target("lemma2_item3", "report_only", _m_lemma2_item3, a_filter=_a_not_half),
@@ -444,14 +448,12 @@ _TARGETS = [
     Target("mori_radial_64", "asserted", partial(_m_mori_radial, variant="sixtyfour"),
            sample=_MORI_PAIRS, k_filter=_k_at_least_1),
     Target("planted_false", "asserted", _m_planted_false, sanity=True),
-]
-
-_REGISTRY = {t.name: t for t in _TARGETS}
+)}
 
 
 def registry() -> list[str]:
     """The closed list of registered inequality identifiers."""
-    return [t.name for t in _TARGETS]
+    return list(_REGISTRY)
 
 
 def target_info(name: str) -> Target:
@@ -506,14 +508,8 @@ def margin_at(target_name: str, params: dict) -> float:
     i = params["i"]
     columns = {name: [params[name]] for name in target.axes}
     zss = _sampler(target.sample, params["seed"])(i, i + 1)
-    [ms] = target.margin(_share(target.sample, zss, columns), **columns)
+    [ms] = target.margin(target.sample.shared(zss, **columns), **columns)
     return ms[0]
-
-
-def _share(sample: Sampler, zss: list, columns: dict):
-    """A drawn block as a sampled margin reads it: the points, or the
-    Sampler's shared step run on them and the grid's columns."""
-    return zss if sample.shared is None else sample.shared(zss, **columns)
 
 
 def _rank(m: float) -> float:
@@ -524,11 +520,17 @@ def _rank(m: float) -> float:
 def _open(spec: SweepSpec) -> tuple[dict, Callable, Callable]:
     """Check spec and open its sweep: its grid's columns, and two closures
     over its running statistics.  feed(lo, block) folds in the margins of a
-    sampled target at a drawn block of indices lo, lo + 1, ..., as _share
-    hands it over; finish(draw) returns the report, first mapping a grid
-    margin over the columns, and redraws with draw the points that a
-    sampled row's params record."""
+    sampled target at a drawn block of indices lo, lo + 1, ..., as its
+    Sampler's shared step hands it over; finish() returns the report, first
+    mapping a grid margin over the columns, and redraws at the spec's seed
+    the points that a sampled row's params record."""
     target = target_info(spec.target)
+    for field in ("samples", "seed"):   # a str seed would hash as its text
+        value = getattr(spec, field)
+        try:
+            operator.index(value)
+        except TypeError:
+            raise UsageError(f"{field} must be an integer, not {value!r}") from None
     if spec.samples < 1:
         raise UsageError("samples must be >= 1")
     ks = spec.k_values
@@ -574,7 +576,7 @@ def _open(spec: SweepSpec) -> tuple[dict, Callable, Callable]:
     def row(j: int) -> dict:
         return {name: column[j] for name, column in grid.items()}
 
-    def finish(draw: Callable | None) -> InequalityReport:
+    def finish() -> InequalityReport:
         if target.sample is None:
             columns = [grid[a] for a in _arg_names(target.margin) if a in grid]
             ms = list(map(target.margin, *columns))
@@ -582,6 +584,7 @@ def _open(spec: SweepSpec) -> tuple[dict, Callable, Callable]:
         else:
             best = min(rows)
             row_minima = [m for _, _, m in rows]
+            draw = _sampler(target.sample, spec.seed)
 
             def params(order: int) -> dict:
                 j, i = divmod(order, n)
@@ -625,17 +628,17 @@ def _sweep(specs: list[SweepSpec]) -> list[InequalityReport]:
     handed through the Sampler's shared step once, on the first spec's
     columns, and fed to every spec's fold.  So targets that hold one Sampler
     must have equal axes, k_filter and a_filter, or a member would read
-    another's rows.  Nothing outlives the block loop."""
+    another's rows.  Nothing outlives the block loop: finish redraws."""
     members = [_open(spec) for spec in specs]
-    first, draw = specs[0], None
+    first = specs[0]
     sample, n = target_info(first.target).sample, first.samples
     if sample is not None:
         draw, columns = _sampler(sample, first.seed), members[0][0]
         for lo in range(0, n, SAMPLE_BLOCK):
-            block = _share(sample, draw(lo, min(lo + SAMPLE_BLOCK, n)), columns)
+            block = sample.shared(draw(lo, min(lo + SAMPLE_BLOCK, n)), **columns)
             for _, feed, _ in members:
                 feed(lo, block)
-    return [finish(draw) for _, _, finish in members]
+    return [finish() for _, _, finish in members]
 
 
 def sweep(spec: SweepSpec) -> InequalityReport:
@@ -646,11 +649,11 @@ def sweep(spec: SweepSpec) -> InequalityReport:
     columns.  A sampled target draws SAMPLE_BLOCK indices at a time, runs
     its Sampler's shared step on them once, and evaluates every grid row on
     the result, so memory does not grow with spec.samples.  A row's params
-    (a sampled row's also hold the seed, index and points) are built only
-    for the argmin and the kept violations.
-    Every spec is checked here, before any margin runs: an unknown target,
-    samples < 1, a K that is not finite and positive, a K given twice and an
-    emptied axis raise UsageError."""
+    (a sampled row's also hold the seed, index and redrawn points) are built
+    only for the argmin and the kept violations.  Every spec is checked
+    before any margin or draw runs: an unknown target, a samples or seed
+    that is not an integer, samples < 1, a K that is not finite and
+    positive, a K given twice and an emptied axis raise UsageError."""
     [report] = _sweep([spec])
     return report
 
@@ -679,9 +682,9 @@ SUITES: dict[str, tuple[str, ...]] = {
              "eq61_phi_cos", "eq62_ratio_infinitesimal", "eq64_extremal_8",
              "paper_phi_identity_literal", "std_phi_identity",
              "mori_radial_16", "mori_radial_64"),
-    "sanity": ("planted_false",),
+    "sanity": tuple(name for name, t in _REGISTRY.items() if t.sanity),
+    "all": tuple(name for name, t in _REGISTRY.items() if not t.sanity),
 }
-SUITES["all"] = tuple(t.name for t in _TARGETS if not t.sanity)
 
 
 def run_suite(name: str, **overrides) -> list[InequalityReport]:

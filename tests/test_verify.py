@@ -7,6 +7,7 @@ import inspect
 import itertools
 import json
 import math
+import re
 import struct
 
 import pytest
@@ -408,7 +409,7 @@ def _stream(spec: SweepSpec) -> list:
     (grid row, sample index) order: the reference that the block-streamed
     sweep must reproduce.  A grid margin is called by keyword, one row at a
     time, where the sweep maps it positionally over columns; a sampled one
-    reads one point at a time, through its Sampler's shared step if any."""
+    reads one point at a time, through its Sampler's shared step."""
     target = target_info(spec.target)
     grid = _reference_grid(target, spec)
     if target.sample is None:
@@ -419,8 +420,7 @@ def _stream(spec: SweepSpec) -> list:
     for p in grid:
         columns = {name: [p[name]] for name in axes}
         for i, zs in enumerate(points):
-            block = [zs] if shared is None else shared([zs], **columns)
-            [(m,)] = target.margin(block, **columns)
+            [(m,)] = target.margin(shared([zs], **columns), **columns)
             rows.append((m, p, i, zs))
     return rows
 
@@ -579,7 +579,7 @@ class TestBlockStreaming:
         # the kept list in block 0, yet K = 1's few violations of block 1 come
         # earlier in (row, index) order and must displace it.  The margin
         # reads the mori pairs as drawn, without the Mori shared step
-        sampler = target_info("mori_radial_16").sample._replace(shared=None)
+        sampler = target_info("mori_radial_16").sample._replace(shared=verify._points)
         ties = verify.Target(
             "ties_across_blocks", "asserted",
             lambda zss, k: [[-1.0 if kj == 2.0 or abs(z1) < 0.12 else 0.0
@@ -599,7 +599,7 @@ class TestBlockStreaming:
         # every margin ties at -1, so block 0 of row K = 1 fills the kept list
         # with orders 0-19; every later tie comes after them in (row, index)
         # order, so none displaces a kept one
-        sampler = target_info("mori_radial_16").sample._replace(shared=None)
+        sampler = target_info("mori_radial_16").sample._replace(shared=verify._points)
         ties = verify.Target("all_ties", "asserted",
                              lambda zss, k: [[-1.0] * len(zss) for _ in k],
                              sample=sampler)
@@ -722,6 +722,29 @@ def _omega1_edge_points() -> list:
     return [z for z in pts if _in_omega1(z)]
 
 
+def test_eq5_region_is_decided_exactly_at_its_line():
+    # |z| < |z - 1| is Re z < 1/2.  Within a few ulps of the line the two
+    # abs calls round either way, so eq5's accept must decide the region on
+    # the double itself: the reference squares z's parts as exact fractions
+    import random
+    from fractions import Fraction
+    accept = target_info("eq5_chain").sample.accept
+    rng = random.Random(20240811)
+    xs = [0.5]
+    for _ in range(4):
+        xs = [math.nextafter(xs[0], 0.0), *xs, math.nextafter(xs[-1], 1.0)]
+    checked = 0
+    for x in xs:
+        h = math.sqrt(1.0 - x * x)
+        for _ in range(2_000):
+            y = rng.uniform(-h, h)
+            fx, fy = Fraction(x), Fraction(y)
+            inside = fx * fx + fy * fy < (fx - 1) ** 2 + fy * fy
+            assert accept(complex(x, y)) == (0.01 < abs(complex(x, y)) and inside), (x, y)
+            checked += 1
+    assert len(xs) == 9 and checked == 18_000
+
+
 class TestEq5Kernels:
     # the eq5 margin reads bounds._sigma and bounds._rho, the public
     # functions' formulas without their guards, none of which Omega_1 trips
@@ -824,14 +847,18 @@ class TestPlantedFaults:
                      id="product_P_gap", marks=pytest.mark.xfail(
                          strict=True, raises=AssertionError,
                          reason="ROADMAP item 2 asserts these targets with P read at r'")),
-        # c taken to c/4: 16 -> 4 and 64 -> 16, both in [2, 16], which the
-        # radial stretch's Holder ratio 2^{1-1/K} never reaches
-        pytest.param("bounds.mori_holder_bound", lambda k, *args: 0.25 ** (1.0 - 1.0 / k),
-                     ("mori_radial_16", "mori_radial_64"), (), ("bounds",),
+        # the 16 bound's c taken to 4, in [2, 16], which the radial
+        # stretch's Holder ratio 2^{1-1/K} never reaches; the 64 bound keeps
+        # its c.  Taking 64 to 16 would be no row: mori_radial_16 asserts
+        # that bound for every drawn map, so no map could fail it alone
+        pytest.param("bounds.mori_holder_bound",
+                     lambda k, dz, variant="sixteen":
+                         0.25 ** (1.0 - 1.0 / k) if variant == "sixteen" else 1.0,
+                     ("mori_radial_16",), ("mori_radial_64",), ("bounds",),
                      id="mori_holder_bound_gap", marks=pytest.mark.xfail(
                          strict=True, raises=AssertionError,
                          reason="ROADMAP item 6: a drawn map whose Holder ratio passes "
-                                "(c/4)^{1-1/K}")),
+                                "4^{1-1/K}")),
     ]
 
     @pytest.mark.usefixtures("clear_verify_caches")
@@ -1022,19 +1049,51 @@ class TestSpecValidation:
         with pytest.raises(UsageError, match=f"{name}.* k values .*given once"):
             sweep(SweepSpec(target=name, k_values=k_values))
 
-    @pytest.mark.parametrize("k_values", BAD_K, ids=repr)
-    def test_bad_k_values_are_refused_before_any_margin_runs(self, monkeypatch, k_values):
+    @staticmethod
+    def _probes(monkeypatch) -> list:
+        """Register the throwaway targets probe_grid and probe_sampled; the
+        list returned records each of their margin calls and each draw."""
         calls = []
-        grid = verify.Target("k_grid", "asserted", lambda k, r: calls.append(k) or 1.0)
-        sampled = verify.Target("k_sampled", "asserted",
+        grid = verify.Target("probe_grid", "asserted", lambda k, r: calls.append(k) or 1.0)
+        sampled = verify.Target("probe_sampled", "asserted",
                                 lambda zss, k: calls.append(k) or [[1.0] * len(zss) for _ in k],
                                 sample=target_info("mori_radial_16").sample)
-        monkeypatch.setitem(verify._REGISTRY, "k_grid", grid)
-        monkeypatch.setitem(verify._REGISTRY, "k_sampled", sampled)
+        monkeypatch.setitem(verify._REGISTRY, "probe_grid", grid)
+        monkeypatch.setitem(verify._REGISTRY, "probe_sampled", sampled)
         monkeypatch.setattr(verify, "_sampler", lambda *args: calls.append(args))
-        for name in ("k_grid", "k_sampled"):
+        return calls
+
+    @pytest.mark.parametrize("k_values", BAD_K, ids=repr)
+    def test_bad_k_values_are_refused_before_any_margin_runs(self, monkeypatch, k_values):
+        calls = self._probes(monkeypatch)
+        for name in ("probe_grid", "probe_sampled"):
             with pytest.raises(UsageError):
                 sweep(SweepSpec(target=name, k_values=k_values))
+        assert calls == []
+
+    BAD_INT = [("samples", 2.5), ("samples", "100"), ("samples", None),
+               ("seed", "7"), ("seed", 1.5), ("seed", None)]
+
+    @pytest.mark.parametrize("field, value", BAD_INT, ids=repr)
+    @pytest.mark.parametrize("name", ["std_phi_identity", "eq5_chain", "mori_radial_16"])
+    def test_samples_and_seed_must_be_integers(self, name, field, value):
+        # unchecked, samples=2.5 would raise a bare TypeError inside range on a
+        # sampled target and be recorded as 2.5 on a grid one, and a seed is
+        # hashed as its text, so seed="7" would draw seed 7's points
+        match = re.escape(f"{field} must be an integer, not {value!r}")
+        with pytest.raises(UsageError, match=match):
+            sweep(SweepSpec(target=name, **{field: value}))
+
+    @pytest.mark.parametrize("field, value", BAD_INT, ids=repr)
+    def test_a_non_integer_is_refused_before_any_margin_or_draw(self, monkeypatch, field,
+                                                                value):
+        calls = self._probes(monkeypatch)
+        for name in ("probe_grid", "probe_sampled"):
+            with pytest.raises(UsageError, match=field):
+                sweep(SweepSpec(target=name, **{field: value}))
+        good = SweepSpec(target="mori_radial_16")
+        with pytest.raises(UsageError, match=field):
+            verify._sweep([good, good._replace(target="mori_radial_64", **{field: value})])
         assert calls == []
 
     def test_a_shared_draw_checks_every_spec_before_the_first_block(self, monkeypatch):
