@@ -6,10 +6,8 @@ violation.
 """
 from __future__ import annotations
 
-import csv
 import errno
 import itertools
-import json
 import os
 import sys
 import types
@@ -28,6 +26,27 @@ def _fmt(v) -> str:
     if isinstance(v, float):
         return f"{v:.15g}"
     return str(v)
+
+
+# json and csv are imported by the two writers below, so a gft process that
+# writes neither format (text output, library sweeps) does not load them.
+
+def _write_json(doc, fh=None, **options) -> None:
+    """doc as JSON: printed on one line, or streamed into the report file fh."""
+    import json
+    if fh is None:
+        print(json.dumps(doc, **options))
+    else:
+        # streamed: json.dumps would hold every chunk of the indenting
+        # encoder at once, which raises peak memory for little time saved
+        json.dump(doc, fh, **options)
+
+
+def _write_csv(header: list, rows) -> None:
+    import csv
+    w = csv.writer(sys.stdout)
+    w.writerow(header)
+    w.writerows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +157,7 @@ def _cmd_eval(argv: list[str]) -> int:
     value = _call(fn, kwargs)
     if fmt == "json":
         out = {"re": value.real, "im": value.imag} if isinstance(value, complex) else value
-        print(json.dumps({"function": argv[0], "value": out}))
+        _write_json({"function": argv[0], "value": out})
     else:
         print(_fmt(value))
     return 0
@@ -181,12 +200,9 @@ def _cmd_table(argv: list[str]) -> int:
             for pt in itertools.product(*grids)]  # axis-major
 
     if fmt == "csv":
-        w = csv.writer(sys.stdout)
-        w.writerow(header)
-        w.writerows([_fmt(v) for v in row] for row in rows)
+        _write_csv(header, ([_fmt(v) for v in row] for row in rows))
     elif fmt == "json":
-        print(json.dumps({"columns": header,
-                          "rows": [[_fmt(v) for v in row] for row in rows]}))
+        _write_json({"columns": header, "rows": [[_fmt(v) for v in row] for row in rows]})
     else:
         print("\t".join(header))
         for row in rows:
@@ -215,15 +231,13 @@ def _cmd_verify(argv: list[str]) -> int:
     if report_path is not None:
         try:
             with open(report_path, "w") as fh:
-                # streamed: json.dumps would hold every chunk of the indenting
-                # encoder at once, which raises peak memory for little time saved
-                json.dump(docs, fh, indent=2, sort_keys=True)
+                _write_json(docs, fh, indent=2, sort_keys=True)
         except OSError as e:
             print(f"error: cannot write report {report_path}: {e.strerror}", file=sys.stderr)
             return 1
 
     if fmt == "json":
-        print(json.dumps(docs, sort_keys=True))
+        _write_json(docs, sort_keys=True)
     else:
         for r in reports:
             arg = ",".join(f"{k}={_fmt(v)}" for k, v in sorted(r.argmin.items()))
@@ -269,11 +283,10 @@ def _cmd_constants(argv: list[str]) -> int:
     _reject_unknown(flags)
     consts = _constants()
     if fmt == "json":
-        print(json.dumps({name: value for name, value, _ in consts}, sort_keys=True))
+        _write_json({name: value for name, value, _ in consts}, sort_keys=True)
     elif fmt == "csv":
-        w = csv.writer(sys.stdout)
-        w.writerow(["name", "value", "note"])
-        w.writerows([name, _fmt(value), note] for name, value, note in consts)
+        _write_csv(["name", "value", "note"],
+                   ([name, _fmt(value), note] for name, value, note in consts))
     else:
         for name, value, note in consts:
             print(f"{name:20s} {_fmt(value):24s} {note}")

@@ -817,22 +817,26 @@ class TestTopLevel:
         return subprocess.run([sys.executable, "-c", code], env=env, check=True,
                               capture_output=True, text=True).stdout
 
+    WRITERS = ("json", "_json", "csv", "_csv")
+
     def test_import_leaves_numpy_unloaded(self):
         # The library has no runtime dependency: numpy (~0.15 s and ~11 MB
         # on import) is for the tests only.  Sampling loads BLAKE2b when it
-        # starts, not on import.
+        # starts, not on import, and json and csv are loaded by the commands
+        # that write them.
         code = ("import sys; before = set(sys.modules); import gft, gft.cli; "
                 "print(' '.join(sorted(set(sys.modules) - before)))")
         out = self._fresh_interpreter(code).split()
         assert "gft.verify" in out
-        for heavy in ("numpy", "hashlib", "_hashlib", "_blake2"):
+        for heavy in ("numpy", "hashlib", "_hashlib", "_blake2", *self.WRITERS):
             assert heavy not in out
 
     def test_cold_eval_loads_neither_dataclasses_nor_inspect(self):
         # Every `gft` process pays for what it imports.  The records are
         # NamedTuples and flags and axes are read from code objects, so
         # neither dataclasses nor inspect (which loads ast, dis and tokenize,
-        # 7-10 ms together) is loaded by importing gft or by an eval
+        # 7-10 ms together) is loaded by importing gft or by an eval; nor
+        # are json and csv, which only the json and csv writers load
         argv = ["eval", "phi_k", "--k", "2", "--r", "0.25"]
         code = ("import sys; before = set(sys.modules); import gft, gft.cli; "
                 f"gft.cli.main({argv!r}); "
@@ -841,7 +845,48 @@ class TestTopLevel:
         [golden] = [e for e in json.loads(GOLDEN_PATH.read_text()) if e["argv"] == argv]
         assert value + "\n" == golden["out"] == "0.8\n"
         assert "gft.cli" in loaded.split()
-        assert not {"dataclasses", "inspect", "ast", "dis", "tokenize"} & set(loaded.split())
+        assert not {"dataclasses", "inspect", "ast", "dis", "tokenize",
+                    *self.WRITERS} & set(loaded.split())
+
+    # Run alone in a new interpreter, each writer loads its own module, and
+    # only that one, and prints what the golden corpus recorded in process.
+    WRITTEN = [
+        (("eval", "phi_k", "--k", "2", "--r", "0.25", "--format", "json"), "json"),
+        (("table", "elliptic_k", "--r-min", "0.1", "--r-max", "0.3", "--steps", "3",
+          "--format", "csv"), "csv"),
+        (("table", "elliptic_k", "--r-min", "0.1", "--r-max", "0.3", "--steps", "3",
+          "--format", "json"), "json"),
+        (("verify", "identities", "--format", "json"), "json"),
+        (("constants", "--format", "json"), "json"),
+        (("constants", "--format", "csv"), "csv"),
+    ]
+
+    def _fresh_main(self, argv) -> tuple:
+        """main(argv) in a new interpreter: its exit code, what it printed
+        (captured as the golden corpus captures it, so csv's \\r\\n stays)
+        and which of json and csv it loaded."""
+        code = ("import contextlib, io, sys\n"
+                "import gft.cli\n"
+                "out = io.StringIO()\n"
+                "with contextlib.redirect_stdout(out):\n"
+                f"    rc = gft.cli.main({list(argv)!r})\n"
+                "print(repr((rc, out.getvalue(), sorted({'json', 'csv'} & set(sys.modules)))))")
+        return ast.literal_eval(self._fresh_interpreter(code))
+
+    @pytest.mark.parametrize("argv, module", WRITTEN,
+                             ids=[f"{argv[0]}-{module}" for argv, module in WRITTEN])
+    def test_a_cold_writer_loads_its_module(self, argv, module):
+        [golden] = [e for e in json.loads(GOLDEN_PATH.read_text()) if e["argv"] == list(argv)]
+        assert self._fresh_main(argv) == (golden["rc"], golden["out"], [module])
+        assert golden["rc"] == 0
+
+    def test_a_cold_report_matches_the_in_process_one(self, capsys, tmp_path):
+        here, cold = tmp_path / "here.json", tmp_path / "cold.json"
+        rc, out, _ = run_cli(capsys, "verify", "identities", "--report", str(here))
+        assert rc == 0
+        assert self._fresh_main(("verify", "identities", "--report", str(cold))) == (
+            rc, out, ["json"])
+        assert cold.read_bytes() == here.read_bytes()
 
 
 if __name__ == "__main__":

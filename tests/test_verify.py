@@ -358,7 +358,8 @@ class TestSweep:
 
 
 def _in_omega1(z: complex) -> bool:
-    return abs(z) < 1.0 and 0.01 < abs(z) < abs(z - 1.0)
+    # |z| < |z - 1| is Re z < 1/2, decided on the double as eq5's Sampler does
+    return 0.01 < abs(z) < 1.0 and z.real < 0.5
 
 
 def _reference_attempts(sampler, seed: int, i: int, block: int) -> list:
